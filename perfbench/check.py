@@ -163,8 +163,10 @@ def check_classify(result, want: dict) -> Optional[str]:
     if len(params.e) != d or any(params.e[s - 1] != es for s, es in e.items()) \
             or sum(params.e) != sum(e.values()):
         return "params.e does not match the closed form"
-    if len(chain.terms) != d + 1 or not chain.terms[-1].is_trivial():
-        return f"chain has {len(chain.terms)} terms, expected {d + 1} ending trivially"
+    # by what the chain means, not how it is stored: its last nontrivial
+    # index, and a trivial last term
+    if chain.d != d or not chain.terms[-1].is_trivial():
+        return f"chain has d = {chain.d}, expected {d} and a trivial last term"
     return None
 
 

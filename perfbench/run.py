@@ -18,6 +18,7 @@ state, goes to ``perfbench/out/results/`` (or ``--out``) for
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -29,7 +30,7 @@ import time
 from collections import Counter
 from pathlib import Path
 
-from tracing import Tracer, layer_of, percentile, self_times
+from tracing import Tracer, entries, layer_of, percentile, self_times
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -46,7 +47,7 @@ END_TO_END = {
 PER_LAYER = {
     "groupspec.parse_s": "s", "groupspec.parse_calls": "count",
     "groupspec.factors_parsed": "count", "groupspec.equivalence_s": "s",
-    "groupspec.equivalence_calls": "count", "groupspec.self_s": "s",
+    "groupspec.equivalence_calls": "count", "groupspec.primes_s": "s", "groupspec.self_s": "s",
     "shield.kp_series_s": "s", "shield.params_s": "s", "shield.class_s": "s",
     "shield.calls": "count", "shield.chain_terms": "count", "shield.self_s": "s",
     "variety.hypotheses_s": "s", "variety.witness_s": "s", "variety.fingerprint_s": "s",
@@ -101,21 +102,15 @@ def setup(env: dict, bare: bool) -> dict:
 
 
 def git_commit() -> str:
-    head = ROOT / ".git" / "HEAD"
+    """The checkout's commit, or "unknown" outside a git repository; git
+    looks no higher than the checkout for one."""
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(ROOT.parent))
     try:
-        ref = head.read_text().strip()
-        if not ref.startswith("ref: "):
-            return ref
-        name = ref[5:]
-        loose = ROOT / ".git" / name
-        if loose.is_file():
-            return loose.read_text().strip()
-        for line in (ROOT / ".git" / "packed-refs").read_text().splitlines():
-            if line.endswith(" " + name):
-                return line.split()[0]
-    except OSError:
-        pass
-    return "unknown"
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=30, check=False)
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown"
+    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
 
 
 class Runner:
@@ -139,7 +134,7 @@ class Runner:
             self.cli.prepare(op)
             run, check_fn, arg = self.cli.run, self.w.check_cli, op
         else:
-            run, _, check_fn, _ = self.w.KINDS[op.kind]
+            run, check_fn, _ = self.w.KINDS[op.kind]
             arg = op.inputs
         start = time.perf_counter()
         try:
@@ -154,18 +149,20 @@ class Runner:
         return result
 
     def traced(self, op, tr):
-        """Runs the op inside spans; returns (answer, wall seconds)."""
+        """Runs the op again with the package instrumented; returns
+        (answer, wall seconds)."""
         if op.kind == "cli":
-            fn, args = (lambda: tr.call("cli.process", self.cli.run, op)), ()
+            fn, arg = functools.partial(tr.call, "cli.process", self.cli.run), op
         else:
-            fn, args = self.w.KINDS[op.kind][1], (tr, op.inputs)
-        start = time.perf_counter()
-        try:
-            result = tr.call("bench.op", fn, *args)
-        except Exception as exc:  # a failed op is counted, never fatal
-            self.fail(op, f"traced run raised {type(exc).__name__}: {exc}")
-            return None, time.perf_counter() - start
-        return result, time.perf_counter() - start
+            fn, arg = self.w.KINDS[op.kind][0], op.inputs
+        with self.w.instrument(tr):
+            start = time.perf_counter()
+            try:
+                result = tr.call("bench.op", fn, arg)
+            except Exception as exc:  # a failed op is counted, never fatal
+                self.fail(op, f"traced run raised {type(exc).__name__}: {exc}")
+                return None, time.perf_counter() - start
+            return result, time.perf_counter() - start
 
 
 def measure(runner: Runner, rounds, seconds: float) -> list[float]:
@@ -207,7 +204,7 @@ def measure_traced(runner: Runner, rounds, n_rounds: int, tr) -> dict:
                 same = result is not None and (result.returncode, result.stdout) == (
                     good.returncode, good.stdout)
             else:
-                key = runner.w.KINDS[op.kind][3]
+                key = runner.w.KINDS[op.kind][2]
                 same = result is not None and key(result) == key(good)
             if not same:
                 runner.fail(op, "traced answer differs from the untraced one")
@@ -216,7 +213,6 @@ def measure_traced(runner: Runner, rounds, n_rounds: int, tr) -> dict:
 
 def layer_metrics(tr, traced: dict, probes: dict) -> dict:
     st = {k: v / 1e9 for k, v in self_times(tr.spans).items()}
-    calls = Counter(s[0] for s in tr.spans)
     index_layer = [layer_of(s[0]) for s in tr.spans]
     shield_entries = sum(1 for s in tr.spans if layer_of(s[0]) == "shield"
                          and (s[3] is None or index_layer[s[3]] != "shield"))
@@ -229,10 +225,11 @@ def layer_metrics(tr, traced: dict, probes: dict) -> dict:
     walls = traced["cli_walls"]
     m = {
         "groupspec.parse_s": st.get("groupspec.parse", 0.0),
-        "groupspec.parse_calls": calls["groupspec.parse"],
+        "groupspec.parse_calls": entries(tr.spans, "groupspec.parse"),
         "groupspec.factors_parsed": tr.counters["groupspec.factors_parsed"],
         "groupspec.equivalence_s": st.get("groupspec.equivalence", 0.0),
-        "groupspec.equivalence_calls": calls["groupspec.equivalence"],
+        "groupspec.equivalence_calls": entries(tr.spans, "groupspec.equivalence"),
+        "groupspec.primes_s": st.get("groupspec.primes", 0.0),
         "shield.kp_series_s": st.get("shield.kp_series", 0.0),
         "shield.params_s": st.get("shield.params", 0.0),
         "shield.class_s": st.get("shield.class", 0.0),
@@ -275,8 +272,6 @@ def main(argv=None) -> int:
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--out", type=Path, default=OUT / "results",
                     help="directory for the full result record")
-    ap.add_argument("--known-failures", action="store_true",
-                    help="add the symbolic-deep ops that are known to fail at the seed")
     args = ap.parse_args(argv)
     try:
         return run(args)
@@ -298,11 +293,6 @@ def run(args) -> int:
         raise NoResult(f"unknown workload {args.workload!r}; "
                          f"choose from {', '.join(workloads.WORKLOADS)}")
     workload = workloads.WORKLOADS[args.workload]
-    extra = ()
-    if args.known_failures:
-        if workload.name != "symbolic-deep":
-            raise NoResult("--known-failures applies to symbolic-deep only")
-        extra = workloads.KNOWN_FAILURES
     OUT.mkdir(parents=True, exist_ok=True)
     args.out.mkdir(parents=True, exist_ok=True)
     load_before = os.getloadavg()
@@ -310,7 +300,7 @@ def run(args) -> int:
     manifest = OUT / f"manifest-{os.getpid()}.txt"
     cli = workloads.CliRunner(env, str(manifest))
     runner = Runner(workloads, cli)
-    rounds = workload.rounds(args.seed, extra)
+    rounds = workload.rounds(args.seed)
     try:
         probes = setup(env, bare=bool(args.trace))
         if args.trace:
@@ -345,7 +335,6 @@ def run(args) -> int:
         "seed": args.seed,
         "seconds": args.seconds,
         "trace": args.trace,
-        "known_failures": args.known_failures,
         "metrics": {k: {"value": metrics[k], "unit": u} for k, u in units.items()},
         "attempted": runner.attempted,
         "failed": len(runner.failed_ops),

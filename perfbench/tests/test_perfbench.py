@@ -10,6 +10,7 @@ import random
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ import compare
 import gen
 import run
 import workloads
-from tracing import Tracer, percentile, self_times
+from tracing import Tracer, entries, percentile, self_times
 from wreathvar import Verdict
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -130,11 +131,16 @@ def test_checker_rejects_a_wrong_verdict_and_witness():
 # statistics and spans
 
 
-def test_percentile_interpolates_between_ranks():
-    assert percentile([3.0], 95) == 3.0
-    assert percentile([1, 2, 3, 4, 5], 50) == 3
-    assert percentile([5, 1, 4, 2, 3], 25) == 2
-    assert percentile(range(1, 21), 95) == pytest.approx(19.05)
+def test_percentile_is_the_harrell_davis_estimate():
+    assert percentile([3.0], 95) == pytest.approx(3.0)
+    assert percentile([7.0] * 30, 95) == pytest.approx(7.0)
+    assert percentile([5, 1, 4, 2, 3], 50) == pytest.approx(3)
+    # on 1..n the estimate is about q*n + 1/2
+    assert percentile(range(1, 1002), 95) == pytest.approx(951.45, rel=1e-3)
+    assert percentile(range(1, 1002), 25) == pytest.approx(250.75, rel=1e-3)
+    # between two classes it weighs both, where the order statistic jumps
+    two_classes = [1.0] * 21 + [2.0] * 23
+    assert 1.0 < percentile(two_classes, 50) < 2.0
     with pytest.raises(ValueError):
         percentile([], 50)
 
@@ -150,6 +156,9 @@ def test_self_time_subtracts_covered_child_time():
     st = self_times(spans)
     assert st == {"bench.op": 100 - 80 - 4, "variety.decide": 80 - 50,
                   "shield.class": 60, "groupspec.parse": 4}
+    assert entries(spans, "shield.class") == 2
+    assert entries([("groupspec.parse", 0, 9, None, 1), ("groupspec.parse", 2, 5, 0, 1)],
+                   "groupspec.parse") == 1
     # without overlap, self times add up to the root's wall time
     nested = [s for s in spans if s[1] != 40]
     assert sum(self_times(nested).values()) == 100
@@ -166,6 +175,37 @@ def test_tracer_records_nesting_and_counters(tmp_path):
     tr.write(tmp_path / "spans.jsonl")
     lines = [json.loads(x) for x in (tmp_path / "spans.jsonl").read_text().splitlines()]
     assert lines[1]["layer"] == "groupspec" and lines[1]["op"] == 7
+
+
+def test_instrument_spans_calls_inside_the_package_and_restores_them():
+    from wreathvar import shield, variety
+
+    op = next(op for op in first_round("symbolic-wide") if op.kind == "witness")
+    originals = (variety.shield_class, shield.shield_class, shield.kp_series)
+    tr = Tracer()
+    with workloads.instrument(tr):
+        assert variety.shield_class is not originals[0]
+        traced = workloads.run_witness(op.inputs)
+    assert (variety.shield_class, shield.shield_class, shield.kp_series) == originals
+    assert traced == workloads.run_witness(op.inputs)
+    names = [s[0] for s in tr.spans]
+    assert names.count("variety.witness") == 1 and "groupspec.equivalence" in names
+    # separation_witness -> shield_class -> shield_params -> kp_series, all inside the package
+    path, i = [], names.index("shield.kp_series")
+    while i is not None:
+        path.append(tr.spans[i][0])
+        i = tr.spans[i][3]
+    assert path == ["shield.kp_series", "shield.params", "shield.class", "variety.witness"]
+    assert tr.counters["shield.chain_terms"] > 0
+
+
+def test_classify_checker_accepts_a_sparsely_stored_chain():
+    op = next(op for op in first_round("symbolic-deep") if op.stratum == "classify/2^9")
+    fp, chain, params = workloads.run_classify(op.inputs)
+    sparse = types.SimpleNamespace(p=chain.p, d=chain.d, terms=(chain.terms[0], chain.terms[-1]))
+    assert check.check_classify((fp, sparse, params), op.want) is None
+    short = types.SimpleNamespace(p=chain.p, d=chain.d // 2, terms=sparse.terms)
+    assert check.check_classify((fp, short, params), op.want)
 
 
 def test_compare_verdicts():

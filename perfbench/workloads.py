@@ -5,60 +5,24 @@ from every stratum of the workload, in a seeded order, so any whole
 number of rounds has exactly the same mix of sizes and kinds.  The
 runner always measures whole rounds.
 
-The traced form of each op calls the same public functions that
-``decide_equal``, ``separation_witness``, ``fingerprint``,
-``shield_class`` and ``verify_shield`` compose, in the same order, each
-inside a span; the runner asserts that it returns the untraced answer.
+A traced op runs the same function as an untraced one, inside
+``instrument``: the package's own functions listed in ``TRACED`` then
+open spans wherever they are called from, and the runner asserts that
+the traced answer equals the untraced one.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import random
 import subprocess
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from wreathvar import (
-    DecisionInput,
-    Fingerprint,
-    ShieldParams,
-    baumslag_nilpotent,
-    concrete_abelian,
-    concrete_passive,
-    concrete_wreath,
-    decide_equal,
-    divergence,
-    equivalent_p,
-    exponent_concrete,
-    fingerprint,
-    kp_series,
-    kp_series_concrete,
-    lower_central_series,
-    normalize,
-    parse_abelian,
-    parse_passive,
-    passive_atoms,
-    prime_divisors,
-    separation_witness,
-    shield_params,
-    verify_shield,
-    wreath_exponent,
-)
+from wreathvar import groupspec, oracle, shield, variety
 from wreathvar.oracle import VerifyReport
-from wreathvar.shield import NotNilpotentError, baumslag_reason
-from wreathvar.variety import (
-    Decision,
-    PrimeVerdict,
-    SeparatingVariety,
-    SeparationWitness,
-    Verdict,
-    check_hypotheses,
-)
-from wreathvar.cardinal import Cardinal, ZERO
-from wreathvar.groupspec import PassiveGroupSpec, PrimaryFactor
+from wreathvar.variety import Decision, DecisionInput, SeparationWitness
 
 import check
 import gen
@@ -332,217 +296,88 @@ def cli_op(rng: random.Random, stratum) -> Op:
 
 
 # ---------------------------------------------------------------------------
-# running, tracing and checking one op
-
-
-def _parse(tr, fn: Callable, text: str):
-    spec = tr.call("groupspec.parse", fn, text)
-    if fn is parse_abelian:
-        tr.count("groupspec.factors_parsed", len(spec.factors))
-    return spec
+# running and tracing one op
+#
+# The run functions reach the package through its module attributes, so
+# that under ``instrument`` the traced run calls the same code through
+# the spanned wrappers.
 
 
 def run_decide(inputs) -> Decision:
     a1, a2, b1, b2 = inputs
-    return decide_equal(DecisionInput(parse_passive(a1), parse_passive(a2),
-                                      parse_abelian(b1), parse_abelian(b2)))
-
-
-def traced_decide(tr, inputs) -> Decision:
-    a1, a2, b1, b2 = inputs
-    inp = DecisionInput(_parse(tr, parse_passive, a1), _parse(tr, parse_passive, a2),
-                        _parse(tr, parse_abelian, b1), _parse(tr, parse_abelian, b2))
-    decision = tr.call("variety.decide", _decide_body, tr, inp)
-    tr.count("variety.verdict_" + decision.verdict.value)
-    return decision
-
-
-def _compare_at(b1, b2, p: int) -> PrimeVerdict:
-    c1, c2 = b1.p_component(p), b2.p_component(p)
-    eq = equivalent_p(c1, c2, p)
-    return PrimeVerdict(p, eq, None if eq else divergence(c1, c2, p))
-
-
-def _decide_body(tr, inp: DecisionInput) -> Decision:
-    # mirrors variety.decide_equal
-    violations = tr.call("variety.hypotheses", check_hypotheses, inp)
-    trivial = inp.b1.is_trivial() or inp.b2.is_trivial()
-    n1, n2 = inp.b1.exponent(), inp.b2.exponent()
-    bexp = None if trivial or n1 == n2 else f"active exponent mismatch: exp(B1)={n1}, exp(B2)={n2}"
-    fatal = [v for v in violations if v != bexp]
-    fps = () if trivial else (
-        tr.call("variety.fingerprint", _fingerprint_body, tr, inp.a1, inp.b1),
-        tr.call("variety.fingerprint", _fingerprint_body, tr, inp.a2, inp.b2))
-    if fatal:
-        return Decision(Verdict.NOT_APPLICABLE, "; ".join(fatal), tuple(violations), (), None, fps)
-    if bexp:
-        return Decision(Verdict.UNEQUAL, bexp, tuple(violations), (), None, fps)
-    primes = tr.call("groupspec.equivalence", prime_divisors, n1)
-    per = tuple(tr.call("groupspec.equivalence", _compare_at, inp.b1, inp.b2, p) for p in primes)
-    failing = [pv.p for pv in per if not pv.equivalent]
-    if not failing:
-        return Decision(Verdict.EQUAL, None, (), per, None, fps)
-    witness = tr.call("variety.witness", _witness_body, tr, inp.a1, inp.b1, inp.b2, failing[0])
-    return Decision(Verdict.UNEQUAL, f"p-components differ at p={failing[0]}", (), per, witness, fps)
-
-
-def _fingerprint_body(tr, passive, active) -> Fingerprint:
-    # mirrors variety.fingerprint
-    nilpotent = baumslag_nilpotent(passive, active)
-    cls = tr.call("shield.class", _class_body, tr, passive, active) if nilpotent else None
-    dl = passive.derived_length
-    return Fingerprint(wreath_exponent(passive, active), nilpotent, cls,
-                       dl + 1 if dl is not None else None)
-
-
-def _class_body(tr, passive, active) -> int:
-    # mirrors shield.shield_class
-    if not baumslag_nilpotent(passive, active):
-        raise NotNilpotentError(baumslag_reason(passive, active))
-    part = passive.parts[0]
-    params = tr.call("shield.params", _params_body, tr, active, part.prime)
-    return max(params.a * h + (s_h - 1) * params.b for h, s_h in enumerate(part.gamma_exponents, 1))
-
-
-def _kp_series(tr, active, p: int):
-    chain = tr.call("shield.kp_series", kp_series, active, p)
-    tr.count("shield.chain_terms", len(chain.terms))
-    return chain
-
-
-def _params_body(tr, active, p: int) -> ShieldParams:
-    # mirrors shield.shield_params
-    chain = _kp_series(tr, active, p)
-    logs = [sum(f.power * f.copies.as_int() for f in t.factors) for t in chain.terms]
-    e = tuple(logs[s - 1] - logs[s] for s in range(1, chain.d + 1))
-    a = 1 + (p - 1) * sum(s * es for s, es in enumerate(e, 1))
-    return ShieldParams(chain.d, e, a, (p - 1) * chain.d)
-
-
-def _slot(component, t: int, w: int) -> Cardinal:
-    if len(component.factors) >= t and component.factors[t - 1].power == w:
-        return component.factors[t - 1].copies
-    return ZERO
-
-
-def _witness_body(tr, passive, b1, b2, p: int) -> SeparationWitness:
-    # mirrors variety.separation_witness
-    comp1, comp2 = b1.p_component(p), b2.p_component(p)
-    div = tr.call("groupspec.equivalence", divergence, comp1, comp2, p)
-    part = passive.part_for(p)
-    t, w = div.t, div.w
-    prefix = comp1.factors[: t - 1]
-    slot1, slot2 = _slot(comp1, t, w), _slot(comp2, t, w)
-    if slot2 < slot1:
-        larger_input, big, small = 1, slot1, slot2
-    else:
-        larger_input, big, small = 2, slot2, slot1
-    small_n = small.as_int()
-    big_n = big.as_int() if not big.is_infinite else small_n + 1
-    shift = p ** (w - 1)
-    small_slot = (PrimaryFactor(p, w, Cardinal.finite(small_n)),) if small_n else ()
-    reduced_big = normalize(prefix + (PrimaryFactor(p, w, Cardinal.finite(big_n)),)).power(shift)
-    reduced_small = normalize(prefix + small_slot).power(shift)
-    a_p = PassiveGroupSpec((part,))
-    class_big = tr.call("shield.class", _class_body, tr, a_p, reduced_big)
-    if reduced_small.is_trivial():
-        class_small = part.nilpotency_class
-    else:
-        class_small = tr.call("shield.class", _class_body, tr, a_p, reduced_small)
-    return SeparationWitness(p, t, w, class_big, class_small,
-                             SeparatingVariety(class_small, shift), larger_input)
+    return variety.decide_equal(DecisionInput(
+        groupspec.parse_passive(a1), groupspec.parse_passive(a2),
+        groupspec.parse_abelian(b1), groupspec.parse_abelian(b2)))
 
 
 def run_witness(inputs) -> SeparationWitness:
     a1, b1, b2, p = inputs
-    return separation_witness(parse_passive(a1), parse_abelian(b1), parse_abelian(b2), p)
-
-
-def traced_witness(tr, inputs) -> SeparationWitness:
-    a1, b1, b2, p = inputs
-    passive = _parse(tr, parse_passive, a1)
-    g1, g2 = _parse(tr, parse_abelian, b1), _parse(tr, parse_abelian, b2)
-    return tr.call("variety.witness", _witness_body, tr, passive, g1, g2, p)
+    return variety.separation_witness(groupspec.parse_passive(a1), groupspec.parse_abelian(b1),
+                                      groupspec.parse_abelian(b2), p)
 
 
 def run_classify(inputs):
-    passive, active = parse_passive(inputs[0]), parse_abelian(inputs[1])
-    fp = fingerprint(passive, active)
+    passive, active = groupspec.parse_passive(inputs[0]), groupspec.parse_abelian(inputs[1])
     p = passive.parts[0].prime
-    return fp, kp_series(active, p), shield_params(active, p)
-
-
-def traced_classify(tr, inputs):
-    passive, active = _parse(tr, parse_passive, inputs[0]), _parse(tr, parse_abelian, inputs[1])
-    fp = tr.call("variety.fingerprint", _fingerprint_body, tr, passive, active)
-    p = passive.parts[0].prime
-    return fp, _kp_series(tr, active, p), tr.call("shield.params", _params_body, tr, active, p)
+    return (variety.fingerprint(passive, active), shield.kp_series(active, p),
+            shield.shield_params(active, p))
 
 
 def run_verify(inputs) -> VerifyReport:
-    atoms = passive_atoms(inputs[0])
-    a_spec, b_spec = parse_passive(inputs[0]), parse_abelian(inputs[1])
-    return verify_shield(a_spec, concrete_passive(atoms), b_spec, concrete_abelian(b_spec))
+    atoms = groupspec.passive_atoms(inputs[0])
+    a_spec, b_spec = groupspec.parse_passive(inputs[0]), groupspec.parse_abelian(inputs[1])
+    return oracle.verify_shield(a_spec, oracle.concrete_passive(atoms),
+                                b_spec, oracle.concrete_abelian(b_spec))
 
 
-def traced_verify(tr, inputs) -> VerifyReport:
-    atoms = _parse(tr, passive_atoms, inputs[0])
-    a_spec, b_spec = _parse(tr, parse_passive, inputs[0]), _parse(tr, parse_abelian, inputs[1])
-    a_conc = tr.call("oracle.construct", concrete_passive, atoms)
-    b_conc = tr.call("oracle.construct", concrete_abelian, b_spec)
-    return tr.call("oracle.verify", _verify_body, tr, a_spec, a_conc, b_spec, b_conc)
+def _count_wreath(tr, group) -> None:
+    """Counts the wreath product's elements, and every ``mul`` on it from here on."""
+    tr.count("oracle.elements", group.order)
+    mul = group.mul
 
-
-def _verify_body(tr, a_spec, a_conc, b_spec, b_conc) -> VerifyReport:
-    # mirrors oracle.verify_shield
-    if not baumslag_nilpotent(a_spec, b_spec):
-        raise ValueError("pair fails the nilpotency criterion; nothing to verify")
-    for spec, conc in ((a_spec, a_conc), (b_spec, b_conc)):
-        if tr.call("oracle.exponent", conc.exponent) != spec.exponent():
-            raise ValueError(f"spec exponent {spec.exponent()} does not describe {conc.label}")
-    if not b_conc.is_abelian() or b_spec.order() != b_conc.order:
-        raise ValueError(f"active group {b_conc.label} does not match its spec")
-    part = a_spec.parts[0]
-    a_chain = tr.call("oracle.lcs", lower_central_series, a_conc)
-    tr.count("oracle.lcs_terms", len(a_chain.terms))
-    if len(a_chain.terms) - 1 != part.nilpotency_class or len(a_chain.terms[-1]) != 1:
-        raise ValueError(f"passive group: profile class does not match {a_conc.label}")
-    for h in range(1, part.nilpotency_class + 1):
-        gamma_exp = tr.call("oracle.exponent", _term_exponent, a_conc, a_chain.terms[h - 1])
-        if gamma_exp != part.prime ** part.s(h):
-            raise ValueError(f"passive group: term {h} has exponent {gamma_exp}")
-    p = part.prime
-    wreath = tr.call("oracle.construct", concrete_wreath, a_conc, b_conc)
-    tr.count("oracle.elements", wreath.order)
-    wreath.mul = _counted(tr, wreath.mul)
-    symbolic_chain = _kp_series(tr, b_spec, p)
-    concrete_chain = tr.call("oracle.kp_concrete", kp_series_concrete, b_conc, p)
-    cls = tr.call("shield.class", _class_body, tr, a_spec, b_spec)
-    lcs = tr.call("oracle.lcs", lower_central_series, wreath)
-    tr.count("oracle.lcs_terms", len(lcs.terms))
-    oracle_class = len(lcs.terms) - 1 if len(lcs.terms[-1]) == 1 else None
-    return VerifyReport(
-        label=wreath.label,
-        wreath_order=wreath.order,
-        shield_class=cls,
-        oracle_class=oracle_class,
-        spec_exponent=wreath_exponent(a_spec, b_spec),
-        oracle_exponent=tr.call("oracle.exponent", exponent_concrete, wreath),
-        symbolic_chain_orders=tuple(t.order() for t in symbolic_chain.terms),
-        concrete_chain_orders=concrete_chain.orders(),
-    )
-
-
-def _term_exponent(G, term) -> int:
-    return math.lcm(*(G.element_order(x) for x in term))
-
-
-def _counted(tr, mul):
     def counted_mul(x, y):
         tr.counters["oracle.mul_calls"] += 1
         return mul(x, y)
 
-    return counted_mul
+    group.mul = counted_mul
+
+
+# (module, function, span, hook(tracer, result)): what a traced op records
+TRACED = (
+    (groupspec, "parse_abelian", "groupspec.parse",
+     lambda tr, spec: tr.count("groupspec.factors_parsed", len(spec.factors))),
+    (groupspec, "parse_passive", "groupspec.parse", None),
+    (groupspec, "passive_atoms", "groupspec.parse", None),
+    (groupspec, "prime_divisors", "groupspec.primes", None),
+    (groupspec, "equivalent_p", "groupspec.equivalence", None),
+    (groupspec, "divergence", "groupspec.equivalence", None),
+    (shield, "kp_series", "shield.kp_series",
+     lambda tr, chain: tr.count("shield.chain_terms", len(chain.terms))),
+    (shield, "shield_params", "shield.params", None),
+    (shield, "shield_class", "shield.class", None),
+    (variety, "check_hypotheses", "variety.hypotheses", None),
+    (variety, "fingerprint", "variety.fingerprint", None),
+    (variety, "separation_witness", "variety.witness", None),
+    (variety, "decide_equal", "variety.decide",
+     lambda tr, decision: tr.count("variety.verdict_" + decision.verdict.value)),
+    (oracle, "concrete_passive", "oracle.construct", None),
+    (oracle, "concrete_abelian", "oracle.construct", None),
+    (oracle, "concrete_wreath", "oracle.construct", _count_wreath),
+    (oracle, "lower_central_series", "oracle.lcs",
+     lambda tr, chain: tr.count("oracle.lcs_terms", len(chain.terms))),
+    (oracle, "exponent_concrete", "oracle.exponent", None),
+    (oracle, "kp_series_concrete", "oracle.kp_concrete", None),
+    (oracle, "verify_shield", "oracle.verify", None),
+)
+_TARGETS = {getattr(mod, fn): (span, hook) for mod, fn, span, hook in TRACED}
+
+
+def instrument(tr):
+    """A block in which the package's calls to the ``TRACED`` functions,
+    from any of its modules, open spans in ``tr``."""
+    modules = [m for name, m in sys.modules.items()
+               if name == "wreathvar" or name.startswith("wreathvar.")]
+    return tr.instrument(modules, _TARGETS)
 
 
 # -- cli ----------------------------------------------------------------------
@@ -645,14 +480,14 @@ def _decide_key(d: Decision):
 
 def _classify_key(result):
     fp, chain, params = result
-    return fp, len(chain.terms), chain.terms[0], chain.terms[-1], params
+    return fp, chain.d, chain.terms[0], chain.terms[-1], params
 
 
-KINDS = {  # run, traced, check, comparable form of the answer
-    "decide": (run_decide, traced_decide, check.check_decision, _decide_key),
-    "witness": (run_witness, traced_witness, check.check_witness, lambda w: w),
-    "classify": (run_classify, traced_classify, check.check_classify, _classify_key),
-    "verify": (run_verify, traced_verify, check.check_report, lambda r: r),
+KINDS = {  # run, check, comparable form of the answer
+    "decide": (run_decide, check.check_decision, _decide_key),
+    "witness": (run_witness, check.check_witness, lambda w: w),
+    "classify": (run_classify, check.check_classify, _classify_key),
+    "verify": (run_verify, check.check_report, lambda r: r),
 }
 
 
@@ -663,10 +498,10 @@ class Workload:
     make_op: Callable
     trace_rounds_per_s: float  # rounds a traced run covers per second of --seconds
 
-    def rounds(self, seed: int, extra_strata: tuple = ()):
+    def rounds(self, seed: int):
         """Endless rounds of ops; the same seed gives the same ops."""
         rng = random.Random(f"{self.name}:{seed}")
-        strata = list(self.strata + extra_strata)
+        strata = list(self.strata)
         while True:
             rng.shuffle(strata)
             yield [self.make_op(rng, s) for s in strata]
@@ -685,4 +520,6 @@ WORKLOADS = {
     )
 }
 
+# symbolic-deep classify ops whose chain is longer than MAX_CHAIN: they raise
+# at the seed, so no workload runs them; the benchmark's tests do
 KNOWN_FAILURES = tuple(("classify", base) for base in BEYOND_CHAIN)
