@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Run one benchmark workload against the ``wreathvar`` sources of this checkout.
 
-    python3 perfbench/run.py --workload symbolic-wide --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload symbolic-wide --seed 1 --seconds 36 --trace 0
 
 One closed-loop client (this process, no threads) sends each op after the
 previous one returns; ``cli-verbs`` runs one child process at a time.
-With ``--trace 0`` the run reports the end-to-end metrics; with
+With ``--trace 0`` the run passes again and again over one fixed pool of
+ops and reports the end-to-end metrics from each op's best latency; with
 ``--trace 1`` it runs a fixed number of rounds, each op once untraced and
 once traced, and reports the per-layer metrics.  Every answer is checked
 against values the benchmark computes itself.  The last line of standard
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import platform
 import resource
@@ -29,6 +31,7 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
+from typing import Callable
 
 from tracing import Tracer, entries, layer_of, percentile, self_times
 
@@ -62,7 +65,7 @@ PER_LAYER = {
     "bench.trace_overhead_pct": "%",
 }
 LAYERS = ("groupspec", "shield", "variety", "oracle", "cli")
-SETUP_PROBES = 9
+SETUP_PROBES = 12
 IMPORT_PROBE = ("import time; t = time.perf_counter(); import wreathvar; "
                 "print(time.perf_counter() - t)")
 
@@ -87,18 +90,24 @@ def run_probe(env: dict, code: str) -> tuple[float, str]:
     return wall, proc.stdout
 
 
-def setup(env: dict, bare: bool) -> dict:
-    """Fresh-process imports of ``wreathvar`` (after one that compiles
-    bytecode), and with ``bare`` an empty interpreter run before each."""
+def setup(env: dict, bare: bool, n: int) -> dict:
+    """``n`` fresh-process imports of ``wreathvar``, after one that compiles
+    bytecode."""
     run_probe(env, IMPORT_PROBE)
-    walls, imports, bares = [], [], []
-    for _ in range(SETUP_PROBES):
-        if bare:
-            bares.append(run_probe(env, "pass")[0])
-        wall, out = run_probe(env, IMPORT_PROBE)
-        walls.append(wall)
-        imports.append(float(out))
-    return {"wall": walls, "import": imports, "bare": bares}
+    probes = {"wall": [], "import": [], "bare": []}
+    for _ in range(n):
+        probe_setup(env, probes, bare)
+    return probes
+
+
+def probe_setup(env: dict, probes: dict, bare: bool = False) -> None:
+    """One fresh-process import of ``wreathvar`` into ``probes``, and with
+    ``bare`` an empty interpreter run before it."""
+    if bare:
+        probes["bare"].append(run_probe(env, "pass")[0])
+    wall, out = run_probe(env, IMPORT_PROBE)
+    probes["wall"].append(wall)
+    probes["import"].append(float(out))
 
 
 def git_commit() -> str:
@@ -165,23 +174,34 @@ class Runner:
             return result, time.perf_counter() - start
 
 
-def measure(runner: Runner, rounds, seconds: float) -> list[float]:
-    """Whole rounds, starting another while less than ``seconds`` have
-    passed; returns each round's completed ops per second spent inside
-    its ops."""
-    start = time.perf_counter()
-    rates = []
-    while not rates or time.perf_counter() - start < seconds:
-        first = len(runner.latencies)
-        for op in next(rounds):
+def measure(runner: Runner, pool: list, seconds: float,
+            between: Callable[[], None], every: float) -> list[float]:
+    """Whole passes over the same ``pool`` of ops, starting another while
+    less than ``seconds`` have passed; returns the best latency of each op
+    that completed.  ``between()`` runs between two ops once ``every``
+    seconds.
+
+    The host's speed drifts by up to 1.6x over a few seconds.  An op's best
+    over passes spread across the run is taken at the host's fast phases,
+    so it moves with the program rather than with the host."""
+    best = [math.inf] * len(pool)
+    start = last = time.perf_counter()
+    while True:
+        for i, op in enumerate(pool):
+            if time.perf_counter() - last >= every:
+                between()
+                last = time.perf_counter()
             runner.attempted += 1
+            done = len(runner.latencies)
             runner.untraced(op)
-        done = runner.latencies[first:]
-        if done:
-            rates.append(len(done) / sum(done))
-        elif not runner.latencies:
-            raise NoResult(f"no op completed; first failure: {runner.failures[0]}")
-    return rates
+            if len(runner.latencies) > done:
+                best[i] = min(best[i], runner.latencies[-1])
+        if time.perf_counter() - start >= seconds:
+            break
+    best = [b for b in best if b < math.inf]
+    if not best:
+        raise NoResult(f"no op completed; first failure: {runner.failures[0]}")
+    return best
 
 
 def measure_traced(runner: Runner, rounds, n_rounds: int, tr) -> dict:
@@ -300,35 +320,37 @@ def run(args) -> int:
     manifest = OUT / f"manifest-{os.getpid()}.txt"
     cli = workloads.CliRunner(env, str(manifest))
     runner = Runner(workloads, cli)
-    rounds = workload.rounds(args.seed)
     try:
-        probes = setup(env, bare=bool(args.trace))
+        # a timed run spreads its set-up probes over the timed phase, so
+        # that their median covers the host's slow and fast phases alike
+        probes = setup(env, bare=bool(args.trace), n=SETUP_PROBES if args.trace else 1)
         if args.trace:
             tr = Tracer()
             n_rounds = max(1, round(args.seconds * workload.trace_rounds_per_s))
-            traced = measure_traced(runner, rounds, n_rounds, tr)
+            traced = measure_traced(runner, workload.rounds(args.seed), n_rounds, tr)
             metrics = layer_metrics(tr, traced, probes)
             units = PER_LAYER
             spans_path = OUT / f"spans-{workload.name}-seed{args.seed}.jsonl"
             tr.write(spans_path)
             print(f"spans written to {spans_path.relative_to(ROOT)}")
         else:
-            rates = measure(runner, rounds, args.seconds)
-            lat = runner.latencies
+            best = measure(runner, workload.pool(args.seed), args.seconds,
+                           functools.partial(probe_setup, env, probes),
+                           args.seconds / SETUP_PROBES)
             who = resource.RUSAGE_CHILDREN if workload.name == "cli-verbs" else resource.RUSAGE_SELF
             metrics = {
                 "setup_s": statistics.median(probes["wall"]),
-                # every round has the same mix; the median round resists bursts
-                # of interference from outside the benchmark
-                "ops_per_s": statistics.median(rates),
-                "latency_p50_ms": 1e3 * percentile(lat, 50),
-                "latency_p95_ms": 1e3 * percentile(lat, 95),
+                "ops_per_s": len(best) / sum(best),
+                "latency_p50_ms": 1e3 * percentile(best, 50),
+                "latency_p95_ms": 1e3 * percentile(best, 95),
                 "peak_rss_mb": resource.getrusage(who).ru_maxrss / 1024,
             }
             units = END_TO_END
     finally:
         manifest.unlink(missing_ok=True)
-    lat = runner.latencies
+    # the latencies behind the metrics: every run of an op traced, or each
+    # op's best untraced
+    lat = runner.latencies if args.trace else best
     p95 = percentile(lat, 95) if lat else 0.0
     record = {
         "workload": workload.name,
@@ -341,7 +363,7 @@ def run(args) -> int:
         "fail_ratio": len(runner.failed_ops) / runner.attempted,
         "failures": runner.failures[:20],
         "samples": {"latency": len(lat), "beyond_p95": sum(1 for x in lat if x > p95),
-                    "setup_probes": len(probes["wall"])},
+                    "op_runs": len(runner.latencies), "setup_probes": len(probes["wall"])},
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "cpu_affinity": len(os.sched_getaffinity(0)),

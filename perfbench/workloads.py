@@ -2,8 +2,8 @@
 
 An op is one user request.  Ops come in rounds: one round holds one op
 from every stratum of the workload, in a seeded order, so any whole
-number of rounds has exactly the same mix of sizes and kinds.  The
-runner always measures whole rounds.
+number of rounds has exactly the same mix of sizes and kinds.  A timed
+run repeats a pool of whole rounds; a traced run covers whole rounds.
 
 A traced op runs the same function as an untraced one, inside
 ``instrument``: the package's own functions listed in ``TRACED`` then
@@ -111,7 +111,18 @@ WIDE_D_CAP = 100  # d = p**(u-1) stays below this, so witnesses build short chai
 
 
 def wide_pair(rng: random.Random, kind: str, n_terms: int, n_primes=(2, 6)):
-    """Two active groups over 2-6 primes built so that ``kind`` fixes the verdict."""
+    """Two active groups over 2-6 primes built so that ``kind`` fixes the
+    verdict.  A draw whose multiplicities are too small to spell both
+    groups in ``n_terms`` terms is drawn again, so the stratum fixes the
+    input's size."""
+    for _ in range(100):
+        pair = _draw_wide_pair(rng, kind, n_terms, n_primes)
+        if all(b.count(" * ") + 1 >= n_terms for b in pair[0][2:]):
+            break
+    return pair
+
+
+def _draw_wide_pair(rng: random.Random, kind: str, n_terms: int, n_primes):
     primes = sorted(rng.sample(gen.SMALL_PRIMES, rng.randint(*n_primes)))
     umax = {p: gen.max_power(p, WIDE_D_CAP) for p in primes}
     g1 = {p: gen.random_component(rng, umax[p]) for p in primes}
@@ -210,7 +221,7 @@ def deep_op(rng: random.Random, stratum) -> Op:
 
 
 # ---------------------------------------------------------------------------
-# oracle-sweep: every nilpotent pair of the sweep lists with at most 20 000 elements
+# oracle-sweep: the nilpotent pairs of the sweep lists with at most 20 000 elements
 
 
 SWEEP_PASSIVES = (  # text, prime, s(h), order
@@ -237,6 +248,16 @@ def sweep_pairs() -> list[tuple]:
             if order <= SWEEP_CAP:
                 pairs.append((a_text, b_text, p, s, comp, order))
     return pairs
+
+
+# The workload runs the pairs of at most ORACLE_CAP elements (8 to 2 187).
+# The seven larger ones take about 2 s each; in a 25-s run they got two or
+# five samples each, and their best varied with the host's speed by 22%.
+ORACLE_CAP = 2_500
+
+
+def oracle_pairs() -> list[tuple]:
+    return [pair for pair in sweep_pairs() if pair[5] <= ORACLE_CAP]
 
 
 def sweep_op(rng: random.Random, stratum) -> Op:
@@ -497,6 +518,7 @@ class Workload:
     strata: tuple
     make_op: Callable
     trace_rounds_per_s: float  # rounds a traced run covers per second of --seconds
+    pool_rounds: int  # rounds in the pool that a timed run passes over again and again
 
     def rounds(self, seed: int):
         """Endless rounds of ops; the same seed gives the same ops."""
@@ -506,17 +528,23 @@ class Workload:
             rng.shuffle(strata)
             yield [self.make_op(rng, s) for s in strata]
 
+    def pool(self, seed: int) -> list:
+        """The first ``pool_rounds`` rounds, as one list."""
+        rounds = self.rounds(seed)
+        return [op for _ in range(self.pool_rounds) for op in next(rounds)]
+
 
 WORKLOADS = {
     w.name: w
     for w in (
         Workload("symbolic-wide", tuple((k, n) for k in WIDE_KINDS for n in WIDE_TERMS),
-                 wide_op, 2.0),
+                 wide_op, 2.0, 6),
         Workload("symbolic-deep", tuple((k, b) for k in DEEP_KINDS
                                         for b in DEEP_CHAINS + tuple(("big", n) for n in DEEP_BIG_DIGITS)),
-                 deep_op, 0.08),
-        Workload("oracle-sweep", tuple(sweep_pairs()), sweep_op, 0.04),
-        Workload("cli-verbs", tuple((v, j) for v in CLI_VERBS for j in (False, True)), cli_op, 0.3),
+                 deep_op, 0.08, 1),
+        Workload("oracle-sweep", tuple(oracle_pairs()), sweep_op, 0.2, 1),
+        Workload("cli-verbs", tuple((v, j) for v in CLI_VERBS for j in (False, True)), cli_op,
+                 0.3, 1),
     )
 }
 
