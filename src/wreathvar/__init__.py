@@ -45,9 +45,9 @@ from .variety import (
     SeparatingVariety,
     SeparationWitness,
     Verdict,
+    Violation,
     check_hypotheses,
     decide_equal,
-    decide_finite,
     fingerprint,
     separation_witness,
 )

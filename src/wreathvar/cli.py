@@ -15,15 +15,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Optional
 
 from . import oracle
 from .groupspec import (
-    AbelianGroupSpec,
     ParseError,
-    PassiveGroupSpec,
     equivalent,
     equivalent_p,
     parse_abelian,
@@ -183,7 +180,7 @@ def _print_witness_text(w: SeparationWitness) -> None:
 def _print_decision_text(decision: Decision) -> None:
     if decision.hypotheses:
         for v in decision.hypotheses:
-            print(f"hypothesis: {v}")
+            print(f"hypothesis: {v.detail}")
     else:
         print("hypotheses: ok")
     for pv in decision.per_prime:
@@ -223,11 +220,10 @@ def run_decide(args, as_json: bool) -> int:
 def run_witness(args, as_json: bool) -> int:
     inp = _decision_input(args)
     p = args.prime
-    violations = check_hypotheses(inp)
-    fatal = [v for v in violations if not v.startswith("active exponent mismatch")]
+    fatal = [v for v in check_hypotheses(inp) if v.fatal]
     if fatal:
         for v in fatal:
-            print(f"hypothesis: {v}", file=sys.stderr)
+            print(f"hypothesis: {v.detail}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     c1, c2 = inp.b1.p_component(p), inp.b2.p_component(p)
     if equivalent_p(c1, c2, p):
@@ -283,7 +279,7 @@ def run_oracle_verify(manifest: str, budget: int, as_json: bool) -> int:
             print(f"{manifest}:{lineno}: error: {err}", file=sys.stderr)
             return EXIT_PARSE
         entry: dict = {"line": line}
-        skip = _skip_reason(atoms, a_spec, b_spec, budget)
+        skip = oracle.skip_reason(atoms, b_spec, budget)
         if skip is not None:
             entry.update(status="skipped", reason=skip)
         else:
@@ -310,28 +306,6 @@ def run_oracle_verify(manifest: str, budget: int, as_json: bool) -> int:
                       f"chain {r['symbolic_chain_orders']} vs {r['concrete_chain_orders']})")
         print(f"{mismatches} mismatch(es) in {len(results)} line(s)")
     return EXIT_ORACLE if mismatches else EXIT_EQUAL
-
-
-def _skip_reason(atoms, a_spec: PassiveGroupSpec, b_spec: AbelianGroupSpec,
-                 budget: int) -> Optional[str]:
-    if not b_spec.is_finite():
-        return "active group is infinite"
-    for atom in atoms:
-        if atom[0] == "profile":
-            return "inline profiles cannot be enumerated"
-        if atom[0] == "cyclic" and atom[3].is_infinite:
-            return "passive group is infinite"
-    a_order = oracle.passive_order(atoms, cap=budget)
-    if a_order is None:
-        return f"budget exceeded (passive group alone is larger than {budget})"
-    b_log2 = sum(f.copies.as_int() * f.power * math.log2(f.prime)
-                 for f in b_spec.factors)
-    if b_log2 > math.log2(budget) + 1:
-        return f"budget exceeded (active group alone is larger than {budget})"
-    b_order = b_spec.order()
-    if oracle.wreath_order(a_order, b_order, cap=budget) is None:
-        return f"budget exceeded ({a_order}^{b_order} * {b_order} elements)"
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -386,13 +386,6 @@ class PassiveGroupSpec:
                 return part
         return None
 
-    def p_part(self, p: int) -> "PassiveGroupSpec":
-        """The Sylow part for ``p`` as a standalone passive group."""
-        part = self.part_for(p)
-        if part is None:
-            raise ValueError(f"prime {p} does not divide the exponent {self.exponent()}")
-        return PassiveGroupSpec((part,))
-
     def render(self) -> str:
         if self.label is not None:
             return self.label

@@ -17,9 +17,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from . import shield
 from .groupspec import AbelianGroupSpec, PassiveAtom, PassiveGroupSpec
-from .shield import kp_series, shield_class, wreath_exponent
+from .shield import baumslag_nilpotent, kp_series, shield_class, wreath_exponent
 
 __all__ = [
     "BudgetExceededError",
@@ -35,6 +34,7 @@ __all__ = [
     "concrete_passive",
     "passive_order",
     "wreath_order",
+    "skip_reason",
     "subgroup_generated",
     "normal_closure",
     "lower_central_series",
@@ -66,7 +66,6 @@ class ConcreteGroup:
         inv: Callable,
         identity,
         generators: Sequence,
-        check: bool = True,
     ):
         self.label = label
         self.elements = tuple(elements)
@@ -76,8 +75,7 @@ class ConcreteGroup:
         self.identity = identity
         self.generators = tuple(generators)
         self._exponent: Optional[int] = None
-        if check:
-            self._check_axioms()
+        self._check_axioms()
 
     @property
     def order(self) -> int:
@@ -152,6 +150,23 @@ class SubgroupChain:
 # constructions
 
 
+def _order_within(powers: Iterable[tuple[int, int]], cap: int) -> Optional[int]:
+    """The product of ``base ** count`` over the pairs, or None above ``cap``.
+
+    A log2 bound comes first, so absurd counts are refused without ever
+    forming the huge integer.
+    """
+    powers = tuple(powers)
+    if sum(count * math.log2(base) for base, count in powers) > math.log2(cap) + 1:
+        return None
+    order = math.prod(base**count for base, count in powers)
+    return order if order <= cap else None
+
+
+def _abelian_powers(spec: AbelianGroupSpec) -> Iterable[tuple[int, int]]:
+    return ((f.prime, f.power * f.copies.as_int()) for f in spec.factors)
+
+
 def _check_budget(order: int, budget: int, what: str) -> None:
     if order > budget:
         raise BudgetExceededError(f"{what}: {order} elements exceed the budget {budget}")
@@ -219,14 +234,9 @@ def concrete_preset(name: str) -> ConcreteGroup:
     )
 
 
-def wreath_order(a_order: int, b_order: int, cap: Optional[int] = None) -> Optional[int]:
+def wreath_order(a_order: int, b_order: int, cap: int) -> Optional[int]:
     """``a_order ** b_order * b_order``; None instead of a value above ``cap``."""
-    if cap is not None and a_order > 1 and b_order * math.log2(a_order) > math.log2(cap) + 1:
-        return None
-    order = a_order**b_order * b_order
-    if cap is not None and order > cap:
-        return None
-    return order
+    return _order_within(((a_order, b_order), (b_order, 1)), cap)
 
 
 def concrete_wreath(A: ConcreteGroup, B: ConcreteGroup, budget: int = DEFAULT_BUDGET) -> ConcreteGroup:
@@ -280,54 +290,57 @@ def concrete_abelian(spec: AbelianGroupSpec, budget: int = DEFAULT_BUDGET) -> Co
     """Realize a finite abelian spec as a product of cyclic groups."""
     if not spec.is_finite():
         raise ValueError(f"cannot enumerate the infinite group {spec}")
-    # order check before expanding multiplicities into factor lists; the
-    # log bound keeps absurd multiplicities from computing huge integers
-    log2_order = sum(f.copies.as_int() * f.power * math.log2(f.prime)
-                     for f in spec.factors)
-    if log2_order > math.log2(budget) + 1 or spec.order() > budget:
+    # order check before expanding multiplicities into factor lists
+    if _order_within(_abelian_powers(spec), budget) is None:
         raise BudgetExceededError(f"{spec.render()}: order exceeds the budget {budget}")
     factors = []
     for f in spec.factors:
         factors.extend([f.cyclic_order] * f.copies.as_int())
     group = concrete_product([concrete_cyclic(n, budget) for n in factors], budget)
-    return ConcreteGroup(
-        label=spec.render(),
-        elements=group.elements,
-        mul=group.mul,
-        inv=group.inv,
-        identity=group.identity,
-        generators=group.generators,
-        check=False,
-    )
+    group.label = spec.render()
+    return group
 
 
-def passive_order(atoms: Iterable[PassiveAtom], cap: Optional[int] = None) -> Optional[int]:
+def passive_order(atoms: Iterable[PassiveAtom], cap: int) -> Optional[int]:
     """Order of the group a passive expression denotes, or None above ``cap``.
 
     Infinite and inline-profile factors have no enumerable order and raise.
     """
-    log2_order = 0.0
+    powers = []
     for atom in atoms:
         if atom[0] == "preset":
-            log2_order += 3
+            powers.append((8, 1))
         elif atom[0] == "cyclic":
             _, p, u, copies = atom
             if copies.is_infinite:
                 raise ValueError("cannot enumerate infinitely many cyclic copies")
-            log2_order += copies.as_int() * u * math.log2(p)
+            powers.append((p, u * copies.as_int()))
         else:
             raise ValueError("an inline nilpotent(...) profile cannot be enumerated")
-    if cap is not None and log2_order > math.log2(cap) + 1:
-        return None
-    order = 1
+    return _order_within(powers, cap)
+
+
+def skip_reason(atoms: Sequence[PassiveAtom], b_spec: AbelianGroupSpec,
+                budget: int) -> Optional[str]:
+    """Why ``A wr B`` cannot be enumerated within ``budget``, or None when it can."""
+    if not b_spec.is_finite():
+        return "active group is infinite"
     for atom in atoms:
-        if atom[0] == "preset":
-            order *= 8
-        else:
-            order *= (atom[1] ** atom[2]) ** atom[3].as_int()
-    if cap is not None and order > cap:
-        return None
-    return order
+        if atom[0] == "profile":
+            return "inline profiles cannot be enumerated"
+        if atom[0] == "cyclic" and atom[3].is_infinite:
+            return "passive group is infinite"
+    a_order = passive_order(atoms, budget)
+    if a_order is None:
+        return f"budget exceeded (passive group alone is larger than {budget})"
+    # B alone is named only past twice the budget; up to there the
+    # wreath line below names its exact order
+    b_order = _order_within(_abelian_powers(b_spec), 2 * budget)
+    if b_order is None:
+        return f"budget exceeded (active group alone is larger than {budget})"
+    if wreath_order(a_order, b_order, budget) is None:
+        return f"budget exceeded ({a_order}^{b_order} * {b_order} elements)"
+    return None
 
 
 def concrete_passive(atoms: Iterable[PassiveAtom], budget: int = DEFAULT_BUDGET) -> ConcreteGroup:
@@ -542,7 +555,7 @@ def verify_shield(
     Raises when the specs do not describe the concrete groups (that is a
     caller bug, not a disagreement between the two routes).
     """
-    if not shield.baumslag_nilpotent(a_spec, b_spec):
+    if not baumslag_nilpotent(a_spec, b_spec):
         raise ValueError("pair fails the nilpotency criterion; nothing to verify")
     _check_describes(a_spec.exponent(), a_conc, "passive group")
     _check_describes(b_spec.exponent(), b_conc, "active group")
@@ -575,6 +588,6 @@ def verify_shield(
         oracle_class=nilpotency_class(wreath),
         spec_exponent=wreath_exponent(a_spec, b_spec),
         oracle_exponent=exponent_concrete(wreath),
-        symbolic_chain_orders=tuple(p ** shield._plog(t) for t in symbolic_chain.terms),
+        symbolic_chain_orders=tuple(t.order() for t in symbolic_chain.terms),
         concrete_chain_orders=concrete_chain.orders(),
     )

@@ -13,6 +13,7 @@ profile ``s(h)`` of the passive group ``A``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .groupspec import AbelianGroupSpec, PassiveGroupSpec
 
@@ -101,38 +102,38 @@ def shield_params(B: AbelianGroupSpec, p: int) -> ShieldParams:
     return ShieldParams(chain.d, e, a, b)
 
 
-def baumslag_nilpotent(A: PassiveGroupSpec, B: AbelianGroupSpec) -> bool:
-    """Whether ``A wr B`` is nilpotent: both must be p-groups for one prime
-    ``p``, ``A`` of finite exponent (true by construction) and ``B`` finite."""
+def baumslag_reason(A: PassiveGroupSpec, B: AbelianGroupSpec) -> Optional[str]:
+    """Why ``A wr B`` fails Baumslag's nilpotency criterion, or None when it
+    passes: both must be p-groups for one prime ``p``, ``A`` of finite
+    exponent (true by construction) and ``B`` finite."""
     if B.is_trivial():
         raise ValueError("the active group must be nontrivial")
     if not A.is_p_group():
-        return False
-    return B.is_finite() and B.primes() == [A.parts[0].prime]
+        return "passive group is not a p-group"
+    if not B.is_finite():
+        return "active group is infinite"
+    p = A.parts[0].prime
+    if B.primes() != [p]:
+        return f"active group is not a {p}-group"
+    return None
+
+
+def baumslag_nilpotent(A: PassiveGroupSpec, B: AbelianGroupSpec) -> bool:
+    """Whether ``A wr B`` is nilpotent."""
+    return baumslag_reason(A, B) is None
 
 
 def shield_class(A: PassiveGroupSpec, B: AbelianGroupSpec) -> int:
     """Nilpotency class of ``A wr B``; the pair must pass Baumslag's criterion."""
-    if not baumslag_nilpotent(A, B):
-        raise NotNilpotentError(baumslag_reason(A, B))
+    reason = baumslag_reason(A, B)
+    if reason is not None:
+        raise NotNilpotentError(reason)
     part = A.parts[0]
     params = shield_params(B, part.prime)
     return max(
         params.a * h + (s_h - 1) * params.b
         for h, s_h in enumerate(part.gamma_exponents, 1)
     )
-
-
-def baumslag_reason(A: PassiveGroupSpec, B: AbelianGroupSpec) -> str:
-    """Why the pair fails the nilpotency criterion, for error messages."""
-    if not A.is_p_group():
-        return "passive group is not a p-group"
-    p = A.parts[0].prime
-    if not B.is_finite():
-        return "active group is infinite"
-    if B.primes() != [p]:
-        return f"active group is not a {p}-group"
-    return "criterion not satisfied"
 
 
 def wreath_exponent(A: PassiveGroupSpec, B: AbelianGroupSpec) -> int:

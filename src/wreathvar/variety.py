@@ -24,12 +24,12 @@ from .groupspec import (
     divergence,
     equivalent_p,
     normalize,
-    prime_divisors,
 )
 from .shield import baumslag_nilpotent, shield_class, wreath_exponent
 
 __all__ = [
     "Verdict",
+    "Violation",
     "DecisionInput",
     "PrimeVerdict",
     "SeparatingVariety",
@@ -39,7 +39,6 @@ __all__ = [
     "PASSIVE_VARIETY_WHITELIST",
     "check_hypotheses",
     "decide_equal",
-    "decide_finite",
     "separation_witness",
     "fingerprint",
 ]
@@ -53,6 +52,21 @@ class Verdict(str, enum.Enum):
     EQUAL = "equal"
     UNEQUAL = "unequal"
     NOT_APPLICABLE = "not_applicable"
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One failed hypothesis of the decision.
+
+    ``code`` names the hypothesis, ``detail`` says how it failed, and
+    ``fatal`` says whether it leaves the decision undecidable.  The one
+    nonfatal violation, ``active_exponent_mismatch``, forces the verdict
+    to unequal instead.
+    """
+
+    code: str
+    detail: str
+    fatal: bool = True
 
 
 @dataclass(frozen=True)
@@ -149,7 +163,7 @@ class Fingerprint:
 class Decision:
     verdict: Verdict
     reason: Optional[str]
-    hypotheses: tuple[str, ...]
+    hypotheses: tuple[Violation, ...]
     per_prime: tuple[PrimeVerdict, ...]
     witness: Optional[SeparationWitness]
     fingerprints: tuple[Fingerprint, ...]
@@ -157,7 +171,7 @@ class Decision:
     def to_json_dict(self) -> dict:
         return {
             "verdict": self.verdict.value,
-            "hypotheses": list(self.hypotheses),
+            "hypotheses": [v.detail for v in self.hypotheses],
             "per_prime": [
                 {
                     "p": pv.p,
@@ -176,46 +190,37 @@ class Decision:
 # hypotheses
 
 
-def _b_exponent_violation(inp: DecisionInput) -> Optional[str]:
-    n1, n2 = inp.b1.exponent(), inp.b2.exponent()
-    if n1 != n2:
-        return f"active exponent mismatch: exp(B1)={n1}, exp(B2)={n2}"
-    return None
-
-
-def check_hypotheses(inp: DecisionInput) -> list[str]:
-    """All hypothesis violations, as human-readable strings (empty = ok).
-
-    An active exponent mismatch is listed here but is not fatal to the
-    decision: it forces the verdict to unequal instead.
-    """
+def check_hypotheses(inp: DecisionInput) -> list[Violation]:
+    """All hypothesis violations (empty = ok); see :class:`Violation`."""
     violations = []
     if inp.b1.is_trivial():
-        violations.append("trivial group: B1")
+        violations.append(Violation("trivial_active", "trivial group: B1"))
     if inp.b2.is_trivial():
-        violations.append("trivial group: B2")
+        violations.append(Violation("trivial_active", "trivial group: B2"))
     if violations:
         return violations
     m1, m2 = inp.a1.exponent(), inp.a2.exponent()
     if m1 != m2:
-        violations.append(f"passive exponent mismatch: exp(A1)={m1}, exp(A2)={m2}")
-    bexp = _b_exponent_violation(inp)
-    if bexp:
-        violations.append(bexp)
-    active_primes = sorted(set(prime_divisors(inp.b1.exponent()))
-                           | set(prime_divisors(inp.b2.exponent())))
-    for p in active_primes:
+        violations.append(Violation(
+            "passive_exponent_mismatch",
+            f"passive exponent mismatch: exp(A1)={m1}, exp(A2)={m2}"))
+    n1, n2 = inp.b1.exponent(), inp.b2.exponent()
+    if n1 != n2:
+        violations.append(Violation(
+            "active_exponent_mismatch",
+            f"active exponent mismatch: exp(B1)={n1}, exp(B2)={n2}", fatal=False))
+    for p in sorted(set(inp.b1.primes()) | set(inp.b2.primes())):
         if m1 % p != 0 or m2 % p != 0:
-            violations.append(
-                f"prime {p} of the active exponent does not divide the passive exponent"
-            )
+            violations.append(Violation(
+                "prime_not_dividing_passive",
+                f"prime {p} of the active exponent does not divide the passive exponent"))
     if not inp.assert_passive_var_equal and inp.a1 != inp.a2:
         labels = frozenset({inp.a1.label, inp.a2.label})
         if labels not in PASSIVE_VARIETY_WHITELIST:
-            violations.append(
+            violations.append(Violation(
+                "passive_variety_not_asserted",
                 "passive variety equality not asserted: A1 and A2 differ and are "
-                "not a whitelisted pair"
-            )
+                "not a whitelisted pair"))
     return violations
 
 
@@ -233,22 +238,22 @@ def decide_equal(inp: DecisionInput) -> Decision:
     """The full decision: equal iff the p-components are equivalent at
     every prime of the active exponent.
 
-    An active exponent mismatch short-circuits to unequal (the generated
-    varieties then have distinct exponents); any other hypothesis
-    violation yields ``not_applicable``.  When unequal with matching
+    A fatal hypothesis violation yields ``not_applicable``; otherwise an
+    active exponent mismatch short-circuits to unequal (the generated
+    varieties then have distinct exponents).  When unequal with matching
     exponents, a witness is attached for the smallest failing prime.
     """
     violations = check_hypotheses(inp)
-    bexp = _b_exponent_violation(inp) if not (inp.b1.is_trivial() or inp.b2.is_trivial()) else None
-    fatal = [v for v in violations if v != bexp]
+    fatal = [v for v in violations if v.fatal]
     fps = _fingerprints(inp)
     if fatal:
-        return Decision(Verdict.NOT_APPLICABLE, "; ".join(fatal), tuple(violations),
-                        (), None, fps)
-    if bexp:
-        return Decision(Verdict.UNEQUAL, bexp, tuple(violations), (), None, fps)
+        return Decision(Verdict.NOT_APPLICABLE, "; ".join(v.detail for v in fatal),
+                        tuple(violations), (), None, fps)
+    if violations:  # only the nonfatal active exponent mismatch
+        return Decision(Verdict.UNEQUAL, "; ".join(v.detail for v in violations),
+                        tuple(violations), (), None, fps)
     per = []
-    for p in prime_divisors(inp.b1.exponent()):
+    for p in inp.b1.primes():
         c1, c2 = inp.b1.p_component(p), inp.b2.p_component(p)
         eq = equivalent_p(c1, c2, p)
         per.append(PrimeVerdict(p, eq, None if eq else divergence(c1, c2, p)))
@@ -258,18 +263,6 @@ def decide_equal(inp: DecisionInput) -> Decision:
     witness = separation_witness(inp.a1, inp.b1, inp.b2, failing[0])
     return Decision(Verdict.UNEQUAL, f"p-components differ at p={failing[0]}",
                     (), tuple(per), witness, fps)
-
-
-def decide_finite(inp: DecisionInput) -> Decision:
-    """Specialization when at least one active group is finite.
-
-    Both finite: equal exactly when the normalized specs are identical.
-    One finite, one infinite: always unequal.  Two infinite groups are
-    outside this specialization; use :func:`decide_equal`.
-    """
-    if not inp.b1.is_finite() and not inp.b2.is_finite():
-        raise ValueError("decide_finite needs at least one finite active group")
-    return decide_equal(inp)
 
 
 # ---------------------------------------------------------------------------

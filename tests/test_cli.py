@@ -174,6 +174,29 @@ def test_witness_equivalent_prime_exit_0(capsys):
     assert "no witness" in out
 
 
+def test_witness_after_only_an_active_exponent_mismatch_exit_1(capsys):
+    code, out, err = run(capsys, "witness", "--a1", "C_2", "--a2", "C_2",
+                         "--b1", "C_2", "--b2", "C_{2^2}", "--prime", "2")
+    assert code == 1
+    assert err == ""
+    assert "p = 2: NOT equivalent" in out
+    assert "divergence t = 1, w = 2" in out
+    assert "separating variety N_1 B_2" in out
+
+
+def test_witness_fatal_hypothesis_exit_3(capsys):
+    code, out, err = run(capsys, "witness", "--a1", "C_2", "--a2", "C_3",
+                         "--b1", "C_5", "--b2", "C_{5^2}", "--prime", "5")
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
+        "hypothesis: passive exponent mismatch: exp(A1)=2, exp(A2)=3",
+        "hypothesis: prime 5 of the active exponent does not divide the passive exponent",
+        "hypothesis: passive variety equality not asserted: A1 and A2 differ and are "
+        "not a whitelisted pair",
+    ]
+
+
 def test_witness_json(capsys):
     code, out, _ = run(capsys, "--json", "witness", *DECIDE_ARGS, "--prime", "2")
     assert code == 1
@@ -202,10 +225,28 @@ def test_oracle_verify_all_match(capsys, tmp_path):
 
 
 def test_oracle_verify_budget_skip(capsys, tmp_path):
-    manifest = write_manifest(tmp_path, "C_3 Wr C_{3^2}^2\n")
+    # one line per skip reason
+    manifest = write_manifest(tmp_path, "\n".join([
+        "C_2 Wr C_2^{aleph_0}",
+        "nilpotent(p=2, s=[1]) Wr C_2",
+        "C_2^{aleph_0} Wr C_2",
+        "C_2^999999999 Wr C_2",
+        "C_2 Wr C_2^999999999",
+        "C_3 Wr C_{3^2}^2",
+    ]) + "\n")
     code, out, _ = run(capsys, "oracle-verify", "--manifest", manifest)
     assert code == 0
-    assert "skipped (budget exceeded" in out
+    assert out.splitlines() == [
+        "C_2 Wr C_2^{aleph_0}: skipped (active group is infinite)",
+        "nilpotent(p=2, s=[1]) Wr C_2: skipped (inline profiles cannot be enumerated)",
+        "C_2^{aleph_0} Wr C_2: skipped (passive group is infinite)",
+        "C_2^999999999 Wr C_2: skipped "
+        "(budget exceeded (passive group alone is larger than 200000))",
+        "C_2 Wr C_2^999999999: skipped "
+        "(budget exceeded (active group alone is larger than 200000))",
+        "C_3 Wr C_{3^2}^2: skipped (budget exceeded (3^81 * 81 elements))",
+        "0 mismatch(es) in 6 line(s)",
+    ]
 
 
 def test_oracle_verify_skips_absurd_multiplicities_quickly(capsys, tmp_path):

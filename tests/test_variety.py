@@ -11,7 +11,6 @@ from wreathvar import (
     concrete_cyclic,
     concrete_wreath,
     decide_equal,
-    decide_finite,
     fingerprint,
     nilpotency_class,
     parse_abelian,
@@ -52,11 +51,14 @@ def test_hypotheses_pass_for_c3_pair():
     assert check_hypotheses(C3_PAIR) == []
 
 
+def codes(violations):
+    return [(v.code, v.fatal) for v in violations]
+
+
 def test_hypotheses_prime_not_dividing_passive_exponent():
     inp = DecisionInput(parse_passive("C_2"), parse_passive("C_2"),
                         parse_abelian("C_3"), parse_abelian("C_3"))
-    violations = check_hypotheses(inp)
-    assert any("prime 3" in v for v in violations)
+    assert codes(check_hypotheses(inp)) == [("prime_not_dividing_passive", True)]
     assert decide_equal(inp).verdict is Verdict.NOT_APPLICABLE
 
 
@@ -67,7 +69,7 @@ def test_hypotheses_whitelist_covers_d4_q8():
 def test_hypotheses_demand_assertion_for_unknown_pairs():
     inp = DecisionInput(parse_passive("C_2"), parse_passive("nilpotent(p=2, s=[1])"),
                         parse_abelian("C_2"), parse_abelian("C_2"))
-    assert any("not asserted" in v for v in check_hypotheses(inp))
+    assert codes(check_hypotheses(inp)) == [("passive_variety_not_asserted", True)]
     asserted = DecisionInput(inp.a1, inp.a2, inp.b1, inp.b2,
                              assert_passive_var_equal=True)
     assert check_hypotheses(asserted) == []
@@ -76,7 +78,7 @@ def test_hypotheses_demand_assertion_for_unknown_pairs():
 def test_hypotheses_trivial_active_group():
     inp = DecisionInput(parse_passive("C_2"), parse_passive("C_2"),
                         parse_abelian("1"), parse_abelian("C_2"))
-    assert any("trivial" in v for v in check_hypotheses(inp))
+    assert codes(check_hypotheses(inp)) == [("trivial_active", True)]
     assert decide_equal(inp).verdict is Verdict.NOT_APPLICABLE
 
 
@@ -84,7 +86,7 @@ def test_hypotheses_passive_exponent_mismatch():
     inp = DecisionInput(parse_passive("C_2"), parse_passive("C_{2^2}"),
                         parse_abelian("C_2"), parse_abelian("C_2"),
                         assert_passive_var_equal=True)
-    assert any("passive exponent mismatch" in v for v in check_hypotheses(inp))
+    assert codes(check_hypotheses(inp)) == [("passive_exponent_mismatch", True)]
     assert decide_equal(inp).verdict is Verdict.NOT_APPLICABLE
 
 
@@ -122,7 +124,22 @@ def test_decide_exponent_mismatch_short_circuits_to_unequal():
     decision = decide_equal(inp)
     assert decision.verdict is Verdict.UNEQUAL
     assert decision.per_prime == ()
-    assert "mismatch" in decision.reason
+    assert codes(decision.hypotheses) == [("active_exponent_mismatch", False)]
+    assert decision.reason == "active exponent mismatch: exp(B1)=2, exp(B2)=4"
+
+
+def test_hypotheses_fatal_violations_outrank_the_exponent_mismatch():
+    inp = DecisionInput(parse_passive("C_2"), parse_passive("C_3"),
+                        parse_abelian("C_5"), parse_abelian("C_{5^2}"))
+    assert codes(check_hypotheses(inp)) == [
+        ("passive_exponent_mismatch", True),
+        ("active_exponent_mismatch", False),
+        ("prime_not_dividing_passive", True),
+        ("passive_variety_not_asserted", True),
+    ]
+    decision = decide_equal(inp)
+    assert decision.verdict is Verdict.NOT_APPLICABLE
+    assert decision.reason == "; ".join(v.detail for v in decision.hypotheses if v.fatal)
 
 
 def test_decide_symmetric_under_swapping_sides():
@@ -138,30 +155,30 @@ def test_decide_does_not_depend_on_the_passive_pair():
         assert decide_equal(inp).verdict is Verdict.UNEQUAL
 
 
-def test_decide_finite_specializations():
+def test_decide_equal_finite_specializations():
+    # both finite: equal exactly when the normalized specs are identical;
+    # one finite, one infinite: always unequal
     b = parse_abelian("C_{3^2}^2")
     eq = DecisionInput(C3_PAIR.a1, C3_PAIR.a2, b, parse_abelian("C_{3^2}^2"))
-    assert decide_finite(eq).verdict is Verdict.EQUAL
-    assert decide_finite(C3_PAIR).verdict is Verdict.UNEQUAL
+    assert decide_equal(eq).verdict is Verdict.EQUAL
+    assert decide_equal(C3_PAIR).verdict is Verdict.UNEQUAL
     mixed = DecisionInput(parse_passive("D4"), parse_passive("D4"),
                           parse_abelian("C_{2^2}^3 * C_2"),
                           parse_abelian("C_{2^2}^3 * C_2^{aleph_0}"))
-    assert decide_finite(mixed).verdict is Verdict.UNEQUAL
+    assert decide_equal(mixed).verdict is Verdict.UNEQUAL
     both_infinite = DecisionInput(parse_passive("C_2"), parse_passive("C_2"),
                                   parse_abelian("C_2^{aleph_0}"),
                                   parse_abelian("C_2^{aleph_0}"))
-    with pytest.raises(ValueError):
-        decide_finite(both_infinite)
+    assert decide_equal(both_infinite).verdict is Verdict.EQUAL
 
 
 @given(p_components(2, min_factors=1, allow_infinite=False),
        p_components(2, min_factors=1, allow_infinite=False))
-def test_decide_finite_agrees_with_decide_equal(b1, b2):
+def test_decide_equal_on_finite_actives_is_spec_identity(b1, b2):
     if b1.exponent() != b2.exponent():
         return
     a = parse_passive("C_2")
     inp = DecisionInput(a, a, b1, b2)
-    assert decide_finite(inp).verdict is decide_equal(inp).verdict
     assert decide_equal(inp).verdict is (Verdict.EQUAL if b1 == b2 else Verdict.UNEQUAL)
 
 
