@@ -28,7 +28,6 @@ from .groupspec import (
 )
 from .shield import (
     KpChain,
-    MAX_CHAIN,
     NotNilpotentError,
     ShieldParams,
     baumslag_nilpotent,

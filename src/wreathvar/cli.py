@@ -7,8 +7,8 @@ wreath products, with witnesses), ``witness`` (the separation witness
 at one prime), ``oracle-verify`` (batch cross-check of the symbolic
 route against enumeration).  Every verb accepts ``--json``.
 
-Exit codes: 0 equal/success, 1 unequal, 2 parse error, 3 hypothesis
-failure, 4 oracle mismatch.
+Exit codes: 0 equal/success, 1 unequal, 2 parse error or unreadable
+input, 3 hypothesis failure, 4 oracle mismatch.
 """
 
 from __future__ import annotations
@@ -126,7 +126,8 @@ def run_classify(passive_expr: str, active_expr: str, as_json: bool) -> int:
                 "fingerprint": fp.to_json_dict(),
                 "params": None
                 if params is None
-                else {"d": params.d, "e": list(params.e), "a": params.a, "b": params.b},
+                else {"d": params.d, "steps": list(params.steps), "a": params.a,
+                      "b": params.b},
                 "chain": None if chain is None else [t.render() for t in chain.terms],
                 "reason": reason,
             }
@@ -142,9 +143,9 @@ def run_classify(passive_expr: str, active_expr: str, as_json: bool) -> int:
             print(f"solubility bound: {fp.solubility_bound}")
         return EXIT_EQUAL
     p = passive.parts[0].prime
-    rendered = ", ".join(f"K_{i} = {t.render()}" for i, t in enumerate(chain.terms, 1))
-    print(f"K_{p}-series: {rendered}")
-    print(f"d = {params.d}, e = {list(params.e)}, a = {params.a}, b = {params.b}")
+    rendered = ", ".join(t.render() for t in chain.terms)
+    print(f"K_{p}-series, K_i = B^({p}^j) for the least j with {p}^j >= i: {rendered}")
+    print(f"d = {params.d}, e({p}^j) = {list(params.steps)}, a = {params.a}, b = {params.b}")
     s = list(passive.parts[0].gamma_exponents)
     print(f"s(h) = {s}")
     print(f"nilpotency class: {fp.nilpotency_class}")
@@ -280,6 +281,8 @@ def run_oracle_verify(manifest: str, budget: int, as_json: bool) -> int:
             return EXIT_PARSE
         entry: dict = {"line": line}
         skip = oracle.skip_reason(atoms, b_spec, budget)
+        if skip is None and (why := baumslag_reason(a_spec, b_spec)) is not None:
+            skip = f"not nilpotent ({why})"
         if skip is not None:
             entry.update(status="skipped", reason=skip)
         else:
@@ -446,7 +449,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except NotNilpotentError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except (ValueError, OSError) as err:
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_PARSE
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     raise AssertionError(f"unhandled verb {args.verb!r}")

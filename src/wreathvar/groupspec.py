@@ -14,6 +14,7 @@ central series; that profile is all the class formula ever reads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -79,6 +80,23 @@ def _prime_power(n: int) -> Optional[tuple[int, int]]:
         n //= p
         u += 1
     return (p, u) if n == 1 else None
+
+
+def _too_many_digits(p: int, u: int, limit: int) -> bool:
+    """Whether ``p**u`` (``2 <= p < 10**limit``) has more than ``limit``
+    decimal digits, decided without forming ``p**u``.  Below
+    ``2**(3 * limit) < 10**limit`` it cannot; otherwise ``u`` is compared
+    with the largest ``k`` such that ``p**k < 10**limit``, estimated by
+    floats and then corrected with exact powers no larger than ``10**limit``."""
+    if not limit or u * p.bit_length() <= 3 * limit:
+        return False
+    top = 10**limit
+    k = int(math.log(top) / math.log(p))
+    while k and p**k >= top:
+        k -= 1
+    while p ** (k + 1) < top:
+        k += 1
+    return u > k
 
 
 def _valuation(n: int, p: int) -> int:
@@ -426,7 +444,7 @@ class _Tok:
 _SYMBOLS = set("_^*{}()[]=,")
 
 
-def _tokenize(text: str) -> list[_Tok]:
+def _tokenize(text: str, limit: int) -> list[_Tok]:
     toks = []
     i, n = 0, len(text)
     while i < n:
@@ -438,6 +456,8 @@ def _tokenize(text: str) -> list[_Tok]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if limit and j - i > limit:
+                raise ParseError(f"integer literal has more than {limit} digits", i, text)
             toks.append(_Tok("int", text[i:j], i))
             i = j
         elif ch.isalpha():
@@ -465,7 +485,10 @@ PassiveAtom = tuple
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.toks = _tokenize(text)
+        # no literal or cyclic order may have more decimal digits than
+        # Python converts to a string (0: no limit, or an older Python)
+        self.limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        self.toks = _tokenize(text, self.limit)
         self.i = 0
 
     def peek(self) -> _Tok:
@@ -511,6 +534,8 @@ class _Parser:
                 raise self.error(f"{n} is not a prime", ntok)
             if u < 1:
                 raise self.error("cyclic exponent must be >= 1", utok)
+            if _too_many_digits(n, u, self.limit):
+                raise self.error(f"cyclic order has more than {self.limit} digits", utok)
             return n, u
         self.expect("}")
         pu = _prime_power(n)

@@ -153,11 +153,12 @@ class SubgroupChain:
 def _order_within(powers: Iterable[tuple[int, int]], cap: int) -> Optional[int]:
     """The product of ``base ** count`` over the pairs, or None above ``cap``.
 
-    A log2 bound comes first, so absurd counts are refused without ever
-    forming the huge integer.
+    An integer bound comes first, ``base ** count >= 2 ** (count * k)``
+    with ``k = base.bit_length() - 1``, so absurd counts are refused
+    without ever forming the huge integer or converting it to a float.
     """
     powers = tuple(powers)
-    if sum(count * math.log2(base) for base, count in powers) > math.log2(cap) + 1:
+    if sum(count * (base.bit_length() - 1) for base, count in powers) > cap.bit_length():
         return None
     order = math.prod(base**count for base, count in powers)
     return order if order <= cap else None
@@ -588,6 +589,7 @@ def verify_shield(
         oracle_class=nilpotency_class(wreath),
         spec_exponent=wreath_exponent(a_spec, b_spec),
         oracle_exponent=exponent_concrete(wreath),
-        symbolic_chain_orders=tuple(t.order() for t in symbolic_chain.terms),
+        symbolic_chain_orders=tuple(symbolic_chain.term(i).order()
+                                    for i in range(1, symbolic_chain.d + 2)),
         concrete_chain_orders=concrete_chain.orders(),
     )

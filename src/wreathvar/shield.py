@@ -2,10 +2,11 @@
 
 For abelian ``B`` only the power subgroups of the whole group enter the
 series: the ``i``-th term is ``B**(p**j)`` for the least ``j`` with
-``p**j >= i``.  From the chain come the classical parameters ``d`` (last
-nontrivial index), ``e(s)`` (p-logarithms of consecutive quotient
-orders), ``a = 1 + (p-1) * sum(s * e(s))`` and ``b = (p-1) * d``, and the
-nilpotency class of a wreath product ``A wr B`` satisfying Baumslag's
+``p**j >= i``, so only ``j = 0..u`` give distinct terms, ``p**u`` being
+the exponent of ``B``.  From them come ``d = p**(u-1)`` (last nontrivial
+index), ``e(s)`` (p-logarithms of consecutive quotient orders, zero
+unless ``s = p**j``), ``a = 1 + (p-1) * sum(s * e(s))`` and
+``b = (p-1) * d``; the nilpotency class of ``A wr B`` under Baumslag's
 criterion is ``max_h { a*h + (s(h)-1)*b }`` over the lower central
 profile ``s(h)`` of the passive group ``A``.
 """
@@ -27,12 +28,7 @@ __all__ = [
     "baumslag_reason",
     "shield_class",
     "wreath_exponent",
-    "MAX_CHAIN",
 ]
-
-# The chain has d + 1 = exponent(B)/p + 1 terms and is stored densely so
-# it can be printed and reused; beyond this bound that is pointless.
-MAX_CHAIN = 1_000_000
 
 
 class NotNilpotentError(ValueError):
@@ -41,24 +37,39 @@ class NotNilpotentError(ValueError):
 
 @dataclass(frozen=True)
 class KpChain:
-    """Terms ``K_1 .. K_{d+1}`` of the series; the last term is trivial."""
+    """The distinct terms ``B**(p**j)``, ``j = 0..u``; the last is trivial."""
 
     p: int
     terms: tuple[AbelianGroupSpec, ...]
 
     @property
     def d(self) -> int:
-        return len(self.terms) - 1
+        return self.p ** (len(self.terms) - 2)
+
+    def term(self, i: int) -> AbelianGroupSpec:
+        """``K_i`` (``i >= 1``): the term for the least ``j`` with ``p**j >= i``."""
+        j, q = 0, 1
+        while q < i and j < len(self.terms) - 1:
+            j, q = j + 1, q * self.p
+        return self.terms[j]
 
 
 @dataclass(frozen=True)
 class ShieldParams:
-    """The tuple ``(d, e(1..d), a, b)`` extracted from a K_p-series."""
+    """``d``, ``a``, ``b`` and ``steps[j] = e(p**j)``, the nonzero part of ``e``."""
 
     d: int
-    e: tuple[int, ...]
+    steps: tuple[int, ...]
     a: int
     b: int
+
+    @property
+    def e(self) -> tuple[int, ...]:
+        """``e(1..d)`` written out: length ``d``, so only for short chains."""
+        p, e = self.b // self.d + 1, [0] * self.d  # b = (p-1) * d
+        for j, step in enumerate(self.steps):
+            e[p**j - 1] = step
+        return tuple(e)
 
 
 def _require_finite_p_group(B: AbelianGroupSpec, p: int) -> None:
@@ -77,29 +88,22 @@ def _plog(spec: AbelianGroupSpec) -> int:
 
 
 def kp_series(B: AbelianGroupSpec, p: int) -> KpChain:
-    """The series of a nontrivial finite abelian p-group, trivial term included."""
+    """The distinct terms of the series of a nontrivial finite abelian p-group."""
     _require_finite_p_group(B, p)
-    u1 = B.factors[0].power  # normal form puts the largest power first
-    d = p ** (u1 - 1)
-    if d > MAX_CHAIN:
-        raise ValueError(f"chain of length {d + 1} exceeds MAX_CHAIN={MAX_CHAIN}")
-    by_j = [B.power(p**j) for j in range(u1 + 1)]
-    terms = []
-    j = 0
-    for i in range(1, d + 2):
-        while p**j < i:
-            j += 1
-        terms.append(by_j[j])
+    terms = [B]
+    while not terms[-1].is_trivial():
+        terms.append(terms[-1].power(p))
     return KpChain(p, tuple(terms))
 
 
 def shield_params(B: AbelianGroupSpec, p: int) -> ShieldParams:
     chain = kp_series(B, p)
     logs = [_plog(t) for t in chain.terms]
-    e = tuple(logs[s - 1] - logs[s] for s in range(1, chain.d + 1))
-    a = 1 + (p - 1) * sum(s * es for s, es in enumerate(e, 1))
-    b = (p - 1) * chain.d
-    return ShieldParams(chain.d, e, a, b)
+    steps = tuple(x - y for x, y in zip(logs, logs[1:]))
+    weighted = 0  # sum of p**j * steps[j], by Horner's rule
+    for step in reversed(steps):
+        weighted = weighted * p + step
+    return ShieldParams(chain.d, steps, 1 + (p - 1) * weighted, (p - 1) * chain.d)
 
 
 def baumslag_reason(A: PassiveGroupSpec, B: AbelianGroupSpec) -> Optional[str]:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import wreathvar.oracle
 from wreathvar.cli import main
 
@@ -50,6 +52,31 @@ def test_parse_error_has_caret_and_exit_2(capsys):
     assert lines[-1].index("^") == lines[-2].index("6")
 
 
+@pytest.mark.parametrize("u", ["20000", "3000000", "7" * 4000])
+def test_parse_order_beyond_the_digit_limit_exit_2(capsys, u):
+    expr = f"C_{{2^{u}}}"
+    code, _, err = run(capsys, "parse", expr)
+    assert code == 2
+    assert "cyclic order has more than 4300 digits" in err
+    lines = err.splitlines()
+    assert lines[-1].index("^") == lines[-2].index(u)
+
+
+def test_parse_order_at_the_digit_limit(capsys):
+    # 2^14284 has 4300 digits, 2^14285 one more
+    assert run(capsys, "parse", "C_{2^14284}")[0] == 0
+    assert run(capsys, "parse", "C_{2^14285}")[0] == 2
+
+
+def test_parse_literal_beyond_the_digit_limit_exit_2(capsys):
+    assert run(capsys, "parse", "C_2^" + "1" * 4300)[0] == 0
+    for digits in (4301, 5000):
+        code, _, err = run(capsys, "parse", "C_2^" + "1" * digits)
+        assert code == 2
+        assert "integer literal has more than 4300 digits" in err
+        assert err.splitlines()[-1].index("^") == len("  C_2^")
+
+
 def test_parse_json_round_trip(capsys):
     code, out, _ = run(capsys, "--json", "parse", SAMPLE)
     assert code == 0
@@ -69,7 +96,9 @@ def test_classify_c3_pair(capsys):
     code, out, _ = run(capsys, "classify", "--passive", "C_3",
                        "--active", "C_{3^2}^2")
     assert code == 0
-    assert "d = 3, e = [2, 0, 2], a = 17, b = 6" in out
+    assert ("K_3-series, K_i = B^(3^j) for the least j with 3^j >= i: "
+            "C_{3^2}^2, C_3^2, 1") in out
+    assert "d = 3, e(3^j) = [2, 2], a = 17, b = 6" in out
     assert "nilpotency class: 17" in out
     assert "wreath exponent: 27" in out
 
@@ -100,9 +129,18 @@ def test_classify_json_agrees_with_text(capsys):
                        "--active", "C_{3^2}^2")
     assert code == 0
     doc = json.loads(out)
-    assert doc["params"] == {"d": 3, "e": [2, 0, 2], "a": 17, "b": 6}
+    assert doc["params"] == {"d": 3, "steps": [2, 2], "a": 17, "b": 6}
     assert doc["fingerprint"]["class"] == 17
-    assert doc["chain"] == ["C_{3^2}^2", "C_3^2", "C_3^2", "1"]
+    assert doc["chain"] == ["C_{3^2}^2", "C_3^2", "1"]
+
+
+def test_classify_chain_far_beyond_a_dense_write_out(capsys):
+    code, out, _ = run(capsys, "--json", "classify", "--passive", "C_2",
+                       "--active", "C_{2^60}")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["params"] == {"d": 2**59, "steps": [1] * 60, "a": 2**60, "b": 2**59}
+    assert len(doc["chain"]) == 61 and doc["chain"][-1] == "1"
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +293,33 @@ def test_oracle_verify_skips_absurd_multiplicities_quickly(capsys, tmp_path):
     code, out, _ = run(capsys, "oracle-verify", "--manifest", manifest)
     assert code == 0
     assert out.count("skipped (budget exceeded") == 2
+
+
+def test_oracle_verify_skips_a_multiplicity_beyond_float_range(capsys, tmp_path):
+    line = "C_2 Wr C_2^1" + "0" * 400
+    manifest = write_manifest(tmp_path, line + "\n")
+    code, out, _ = run(capsys, "oracle-verify", "--manifest", manifest)
+    assert code == 0
+    assert out.splitlines()[0] == (
+        f"{line}: skipped (budget exceeded (active group alone is larger than 200000))")
+
+
+def test_oracle_verify_skips_a_non_nilpotent_line(capsys, tmp_path):
+    manifest = write_manifest(tmp_path, "C_2 Wr C_2\nC_2 Wr C_3\n")
+    code, out, _ = run(capsys, "oracle-verify", "--manifest", manifest)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("C_2 Wr C_2: ok ")
+    assert lines[1:] == [
+        "C_2 Wr C_3: skipped (not nilpotent (active group is not a 2-group))",
+        "0 mismatch(es) in 2 line(s)",
+    ]
+
+
+def test_oracle_verify_missing_manifest_exit_2(capsys, tmp_path):
+    code, _, err = run(capsys, "oracle-verify", "--manifest", str(tmp_path / "missing.txt"))
+    assert code == 2
+    assert err.startswith("error: [Errno 2] No such file or directory")
 
 
 def test_oracle_verify_empty_manifest(capsys, tmp_path):

@@ -26,8 +26,9 @@ from wreathvar.shield import _plog
 
 
 def symbolic_orders(expr, p):
-    spec = parse_abelian(expr)
-    return tuple(p ** _plog(t) for t in kp_series(spec, p).terms)
+    """Orders of ``K_1 .. K_{d+1}``, the chain written out."""
+    chain = kp_series(parse_abelian(expr), p)
+    return tuple(p ** _plog(chain.term(i)) for i in range(1, chain.d + 2))
 
 
 # ---------------------------------------------------------------------------

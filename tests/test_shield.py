@@ -28,25 +28,40 @@ def finite_p_specs(p, max_factors=3, max_power=4):
                         allow_infinite=False, min_factors=1)
 
 
+def written_out(chain):
+    """``K_1 .. K_{d+1}``, rendered."""
+    return [chain.term(i).render() for i in range(1, chain.d + 2)]
+
+
+def factor_form(B, p):
+    """``(d, a, b)`` straight from the factors: ``a = 1 + sum m_f (p^u_f - 1)``."""
+    u = B.factors[0].power
+    a = 1 + sum(f.copies.as_int() * (p**f.power - 1) for f in B.factors)
+    return p ** (u - 1), a, (p - 1) * p ** (u - 1)
+
+
 # ---------------------------------------------------------------------------
 # the chain
 
 
 def test_chain_c9_squared():
     chain = kp_series(parse_abelian("C_{3^2}^2"), 3)
-    assert [t.render() for t in chain.terms] == ["C_{3^2}^2", "C_3^2", "C_3^2", "1"]
+    assert [t.render() for t in chain.terms] == ["C_{3^2}^2", "C_3^2", "1"]
+    assert written_out(chain) == ["C_{3^2}^2", "C_3^2", "C_3^2", "1"]
     assert chain.d == 3
 
 
 def test_chain_c4_cubed_times_c2():
     chain = kp_series(parse_abelian("C_{2^2}^3 * C_2"), 2)
     assert [t.render() for t in chain.terms] == ["C_{2^2}^3 * C_2", "C_2^3", "1"]
+    assert written_out(chain) == ["C_{2^2}^3 * C_2", "C_2^3", "1"]
     assert chain.d == 2
 
 
 def test_chain_exponent_p_group_dies_immediately():
     chain = kp_series(parse_abelian("C_2"), 2)
     assert [t.render() for t in chain.terms] == ["C_2", "1"]
+    assert written_out(chain) == ["C_2", "1"]
     assert chain.d == 1
 
 
@@ -61,24 +76,29 @@ def test_chain_rejects_bad_input():
         kp_series(parse_abelian("C_3 * C_5"), 3)
 
 
-def test_chain_length_guard():
-    with pytest.raises(ValueError, match="MAX_CHAIN"):
-        kp_series(parse_abelian("C_{2^21}"), 2)
-    # one power below the bound still works
-    assert kp_series(parse_abelian("C_{2^20}"), 2).d == 2**19
+@pytest.mark.parametrize("expr", ["C_{2^21}", "C_{2^60}", "C_{2^60}^3 * C_{2^7} * C_2^5"])
+def test_long_chains_match_the_factor_form(expr):
+    B = parse_abelian(expr)
+    chain = kp_series(B, 2)
+    assert len(chain.terms) == B.factors[0].power + 1
+    params = shield_params(B, 2)
+    assert (params.d, params.a, params.b) == factor_form(B, 2)
+    assert params.d == chain.d == B.exponent() // 2
 
 
 @given(st.sampled_from(SMALL_PRIMES), st.data())
 def test_chain_terms_recompute_from_the_definition(p, data):
     B = data.draw(finite_p_specs(p))
     chain = kp_series(B, p)
+    u = B.factors[0].power
+    assert chain.terms == tuple(B.power(p**j) for j in range(u + 1))
     assert chain.terms[0] == B
     assert chain.terms[-1].is_trivial()
-    for i, term in enumerate(chain.terms, 1):
+    for i in range(1, chain.d + 2):
         j = 0
         while p**j < i:
             j += 1
-        assert term == B.power(p**j)
+        assert chain.term(i) == B.power(p**j)
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +130,17 @@ def test_d_is_exponent_over_p(p, data):
 def test_e_sums_to_log_order(p, data):
     B = data.draw(finite_p_specs(p))
     assert sum(shield_params(B, p).e) == _plog(B)
+
+
+@given(st.sampled_from(SMALL_PRIMES), st.data())
+def test_a_matches_the_factor_form_and_the_written_out_e(p, data):
+    B = data.draw(finite_p_specs(p, max_power=5))
+    params = shield_params(B, p)
+    assert (params.d, params.a, params.b) == factor_form(B, p)
+    e = params.e
+    assert len(e) == params.d
+    assert params.a == 1 + (p - 1) * sum(s * es for s, es in enumerate(e, 1))
+    assert params.steps == tuple(e[p**j - 1] for j in range(len(params.steps)))
 
 
 # ---------------------------------------------------------------------------
