@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from functools import total_ordering
 
-_ALEPH_RE = re.compile(r"\Aaleph(?:_(\d+))?\Z")
+_ALEPH_RE = re.compile(r"\Aaleph(?:_([0-9]+))?\Z")
 
 
 @total_ordering
@@ -40,7 +40,7 @@ class Cardinal:
     def parse(cls, text: str) -> "Cardinal":
         """Inverse of :meth:`render`; bare ``aleph`` normalizes to ``aleph_0``."""
         text = text.strip()
-        if text.isdigit():
+        if text.isascii() and text.isdigit():
             return cls.finite(int(text))
         m = _ALEPH_RE.match(text)
         if m is None:

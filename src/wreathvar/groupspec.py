@@ -442,6 +442,9 @@ class _Tok:
 
 
 _SYMBOLS = set("_^*{}()[]=,")
+# only ASCII digits: str.isdigit also accepts characters such as "²",
+# which int() rejects
+_DIGITS = frozenset("0123456789")
 
 
 def _tokenize(text: str, limit: int) -> list[_Tok]:
@@ -452,9 +455,9 @@ def _tokenize(text: str, limit: int) -> list[_Tok]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             if limit and j - i > limit:
                 raise ParseError(f"integer literal has more than {limit} digits", i, text)
@@ -462,7 +465,7 @@ def _tokenize(text: str, limit: int) -> list[_Tok]:
             i = j
         elif ch.isalpha():
             j = i
-            while j < n and text[j].isalnum():
+            while j < n and (text[j].isalpha() or text[j] in _DIGITS):
                 j += 1
             toks.append(_Tok("word", text[i:j], i))
             i = j

@@ -1,7 +1,7 @@
 """Brute-force validation engine over explicitly enumerated finite groups.
 
 Groups are element lists with rule-based multiplication and inversion;
-subgroup computations are elementwise sets.  The point of the module is
+subgroups are explicit element sets, built from generators.  The point of the module is
 to recompute, by sheer enumeration, everything the symbolic modules
 derive: lower central series, nilpotency classes, exponents, derived
 lengths and the general K_p-series (including the commutator terms an
@@ -11,13 +11,14 @@ on desk-scale instances.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Collection, Iterable, Optional, Sequence
 
-from .groupspec import AbelianGroupSpec, PassiveAtom, PassiveGroupSpec
+from .groupspec import AbelianGroupSpec, PassiveAtom, PassiveGroupSpec, prime_divisors
 from .shield import baumslag_nilpotent, kp_series, shield_class, wreath_exponent
 
 __all__ = [
@@ -39,8 +40,10 @@ __all__ = [
     "normal_closure",
     "lower_central_series",
     "nilpotency_class",
+    "derived_series",
     "derived_length_concrete",
     "exponent_concrete",
+    "subgroup_exponent",
     "kp_series_concrete",
     "element_order_profile",
     "verify_shield",
@@ -122,7 +125,7 @@ class ConcreteGroup:
 
     def exponent(self) -> int:
         if self._exponent is None:
-            self._exponent = math.lcm(*(self.element_order(x) for x in self.elements))
+            self._exponent = subgroup_exponent(self, self.elements)
         return self._exponent
 
     def is_abelian(self) -> bool:
@@ -144,6 +147,10 @@ class SubgroupChain:
 
     def orders(self) -> tuple[int, ...]:
         return tuple(len(t) for t in self.terms)
+
+    def length(self) -> Optional[int]:
+        """Steps down to the trivial group; None when the chain stops above it."""
+        return len(self.terms) - 1 if len(self.terms[-1]) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -363,46 +370,79 @@ def concrete_passive(atoms: Iterable[PassiveAtom], budget: int = DEFAULT_BUDGET)
 
 # ---------------------------------------------------------------------------
 # subgroup machinery
+#
+# Subgroups are grown from generators.  Adjoining a generator extends the
+# subgroup by whole right cosets of the one it had (Dimino's algorithm;
+# G. Butler, Fundamental Algorithms for Permutation Groups, LNCS 559,
+# 1991), and a normal closure conjugates only the subgroup's generators.
+# An element costs one product when it joins a subgroup, plus one per
+# coset representative and generator; none is formed for every element
+# of a term and every generator of the group.
+
+
+class _Subgroup:
+    """A subgroup being grown: its elements (identity first) and the
+    generators adjoined so far, each of which enlarged it."""
+
+    def __init__(self, G: ConcreteGroup):
+        self.G = G
+        self.elements = [G.identity]
+        self.members = {G.identity}
+        self.gens: list = []
+
+    def adjoin(self, g) -> bool:
+        """Extend to ``<self, g>``; False when ``g`` is already inside.
+
+        The new subgroup is a union of right cosets ``H t`` of the old one,
+        ``H``.  Since ``H t s = H (t s)``, one product per coset
+        representative ``t`` and generator ``s`` finds every new coset.
+        """
+        if g in self.members:
+            return False
+        mul, members, elements = self.G.mul, self.members, self.elements
+        rest = elements[1:]  # H without its identity
+        self.gens.append(g)
+        reps = []
+
+        def add_coset(t):
+            reps.append(t)
+            coset = [t] + [mul(h, t) for h in rest]
+            elements.extend(coset)
+            members.update(coset)
+
+        add_coset(g)
+        for r in reps:  # grows while new cosets appear
+            for s in self.gens:
+                t = mul(r, s)
+                if t not in members:
+                    add_coset(t)
+        return True
+
+    def make_normal(self, conjugators: Sequence) -> None:
+        """Close under conjugation by ``conjugators``, which generate the
+        group to be normal in: conjugating the generators suffices, new
+        ones included."""
+        mul, inv = self.G.mul, self.G.inv
+        pairs = [(inv(c), c) for c in conjugators]
+        for s in self.gens:  # grows as conjugates are adjoined
+            for ci, c in pairs:
+                self.adjoin(mul(mul(ci, s), c))
 
 
 def subgroup_generated(G: ConcreteGroup, gens: Iterable) -> frozenset:
-    # seeds already inside the current closure are skipped, so huge
-    # elementwise seed sets cost one membership test each
-    seen = {G.identity}
-    active: list = []
+    H = _Subgroup(G)
     for g in gens:
-        if g in seen:
-            continue
-        active.append(g)
-        seen = {G.identity}
-        frontier = [G.identity]
-        while frontier:
-            fresh = []
-            for x in frontier:
-                for a in active:
-                    y = G.mul(x, a)
-                    if y not in seen:
-                        seen.add(y)
-                        fresh.append(y)
-            frontier = fresh
-    return frozenset(seen)
+        H.adjoin(g)
+    return frozenset(H.elements)
 
 
 def normal_closure(G: ConcreteGroup, seeds: Iterable) -> frozenset:
-    """Smallest normal subgroup containing the seeds: close under the
-    subgroup operations and conjugation by the group's generators."""
-    H = subgroup_generated(G, seeds)
-    while True:
-        extra = []
-        for g in G.generators:
-            gi = G.inv(g)
-            for h in H:
-                c = G.mul(G.mul(gi, h), g)
-                if c not in H:
-                    extra.append(c)
-        if not extra:
-            return H
-        H = subgroup_generated(G, list(H) + extra)
+    """Smallest normal subgroup containing the seeds."""
+    N = _Subgroup(G)
+    for s in seeds:
+        N.adjoin(s)
+    N.make_normal(G.generators)
+    return frozenset(N.elements)
 
 
 def _commutator(G: ConcreteGroup, x, y):
@@ -411,35 +451,77 @@ def _commutator(G: ConcreteGroup, x, y):
 
 def lower_central_series(G: ConcreteGroup) -> SubgroupChain:
     """Commutator chain with the whole group first, stopping at the first
-    trivial or stable term."""
+    trivial or stable term.
+
+    Each term is carried by normal generators: if ``N`` is the normal
+    closure of ``S`` and ``G = <X>``, then ``[N, G]`` is the normal closure
+    of the ``[s, x]`` (Holt, Eick and O'Brien, Handbook of Computational
+    Group Theory, 2005).  Only the commutators that enlarge the next term
+    as it is built are kept as its normal generators.
+    """
     terms = [frozenset(G.elements)]
+    normal_gens = list(G.generators)
     while len(terms[-1]) > 1:
-        current = terms[-1]
-        comms = {_commutator(G, x, g) for x in current for g in G.generators}
-        nxt = normal_closure(G, comms)
-        if nxt == current:
+        N = _Subgroup(G)
+        normal_gens = [c for c in (_commutator(G, s, x)
+                                   for s in normal_gens for x in G.generators)
+                       if N.adjoin(c)]
+        N.make_normal(G.generators)
+        if len(N.elements) == len(terms[-1]):
             break
-        terms.append(nxt)
+        terms.append(frozenset(N.elements))
     return SubgroupChain(tuple(terms))
 
 
 def nilpotency_class(G: ConcreteGroup) -> Optional[int]:
-    chain = lower_central_series(G)
-    if len(chain.terms[-1]) == 1:
-        return len(chain.terms) - 1
-    return None
+    return lower_central_series(G).length()
+
+
+def derived_series(G: ConcreteGroup) -> SubgroupChain:
+    """Derived chain with the whole group first, stopping at the first
+    trivial or stable term.
+
+    If ``H = <T>``, then ``[H, H]`` is the normal closure in ``H`` of the
+    ``[s, t]`` over pairs from ``T``; the generators it was built from
+    generate it for the next step.
+    """
+    terms = [frozenset(G.elements)]
+    gens = list(G.generators)
+    while len(terms[-1]) > 1:
+        D = _Subgroup(G)
+        for s, t in itertools.combinations(gens, 2):
+            D.adjoin(_commutator(G, s, t))
+        D.make_normal(gens)
+        if len(D.elements) == len(terms[-1]):
+            break
+        terms.append(frozenset(D.elements))
+        gens = D.gens
+    return SubgroupChain(tuple(terms))
 
 
 def derived_length_concrete(G: ConcreteGroup) -> Optional[int]:
-    terms = [frozenset(G.elements)]
-    while len(terms[-1]) > 1:
-        current = terms[-1]
-        comms = {_commutator(G, x, y) for x in current for y in current}
-        nxt = subgroup_generated(G, comms)
-        if nxt == current:
-            return None
-        terms.append(nxt)
-    return len(terms) - 1
+    return derived_series(G).length()
+
+
+def subgroup_exponent(G: ConcreteGroup, H: Collection) -> int:
+    """Exponent of the subgroup of ``G`` with the elements ``H``.
+
+    For each prime ``q`` dividing ``|H|`` a ladder starts from the
+    ``q``-parts of the elements (their powers to the ``q'``-part of
+    ``|H|``) and raises each to the ``q``-th power, ``q - 1`` products
+    apiece, until only the identity is left; the ``q``-part of the
+    exponent is ``q`` to the number of rungs.
+    """
+    exponent = 1
+    for q in prime_divisors(len(H)):
+        m = len(H)
+        while m % q == 0:
+            m //= q
+        level = H if m == 1 else {G.power(x, m) for x in H}
+        while len(level) > 1:  # every rung holds the identity
+            level = {functools.reduce(G.mul, (y,) * q) for y in level}
+            exponent *= q
+    return exponent
 
 
 def exponent_concrete(G: ConcreteGroup) -> int:
@@ -568,11 +650,11 @@ def verify_shield(
         )
     part = a_spec.parts[0]
     a_chain = lower_central_series(a_conc)
-    if len(a_chain.terms) - 1 != part.nilpotency_class or len(a_chain.terms[-1]) != 1:
+    if a_chain.length() != part.nilpotency_class:
         raise ValueError(f"passive group: profile class {part.nilpotency_class} "
                          f"does not match {a_conc.label}")
     for h in range(1, part.nilpotency_class + 1):
-        gamma_exp = math.lcm(*(a_conc.element_order(x) for x in a_chain.terms[h - 1]))
+        gamma_exp = subgroup_exponent(a_conc, a_chain.terms[h - 1])
         if gamma_exp != part.prime ** part.s(h):
             raise ValueError(
                 f"passive group: term {h} has exponent {gamma_exp}, "

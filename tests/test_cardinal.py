@@ -71,6 +71,14 @@ def test_parse_rejects_junk():
             Cardinal.parse(bad)
 
 
+def test_parse_takes_ascii_digits_only():
+    # str.isdigit accepts "²", which int() rejects, and the Arabic-Indic
+    # three, which int() reads as 3
+    for bad in ("²", "aleph_²", "\u0663", "aleph_\u0663"):
+        with pytest.raises(ValueError, match="not a cardinal"):
+            Cardinal.parse(bad)
+
+
 @given(cardinals())
 def test_render_round_trip(c):
     assert Cardinal.parse(c.render()) == c

@@ -62,6 +62,18 @@ def test_parse_order_beyond_the_digit_limit_exit_2(capsys, u):
     assert lines[-1].index("^") == lines[-2].index(u)
 
 
+@pytest.mark.parametrize("expr", ["C_²", "C_{3^²}", "C_3^²", "C_\u0663"])
+def test_parse_non_ascii_digit_exit_2(capsys, expr):
+    # str.isdigit accepts "²" and the Arabic-Indic three; the grammar
+    # takes ASCII digits only
+    code, _, err = run(capsys, "parse", expr)
+    assert code == 2
+    assert "unexpected character" in err
+    bad = next(ch for ch in expr if not ch.isascii())
+    lines = err.splitlines()
+    assert lines[-1].index("^") == lines[-2].index(bad)
+
+
 def test_parse_order_at_the_digit_limit(capsys):
     # 2^14284 has 4300 digits, 2^14285 one more
     assert run(capsys, "parse", "C_{2^14284}")[0] == 0

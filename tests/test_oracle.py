@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from wreathvar import (
@@ -10,6 +12,7 @@ from wreathvar import (
     concrete_wreath,
     derived_length_concrete,
     exponent_concrete,
+    fingerprint,
     kp_series,
     kp_series_concrete,
     lower_central_series,
@@ -21,7 +24,12 @@ from wreathvar import (
     subgroup_generated,
     verify_shield,
 )
-from wreathvar.oracle import element_order_profile, wreath_order
+from wreathvar.oracle import (
+    derived_series,
+    element_order_profile,
+    subgroup_exponent,
+    wreath_order,
+)
 from wreathvar.shield import _plog
 
 
@@ -157,8 +165,12 @@ def test_nilpotency_classes_of_small_wreaths():
 
 def test_non_nilpotent_group_has_no_class():
     s3 = concrete_wreath(concrete_cyclic(3), concrete_cyclic(2))
-    # C_3 wr C_2 has order 18 and is not nilpotent (2 does not equal 3)
+    # C_3 wr C_2 has order 18 and is not nilpotent (2 does not equal 3):
+    # its series stops at a non-trivial term, its exponent has two primes
     assert nilpotency_class(s3) is None
+    assert lower_central_series(s3).orders() == (18, 3)
+    assert exponent_concrete(s3) == 6
+    assert derived_series(s3).orders() == (18, 3, 1)
 
 
 def test_derived_lengths():
@@ -182,6 +194,136 @@ def test_exponents_multiply_in_wreaths():
     for a, b in pairs:
         w = concrete_wreath(a, b)
         assert exponent_concrete(w) == exponent_concrete(a) * exponent_concrete(b)
+
+
+# ---------------------------------------------------------------------------
+# the generator-based engine against the element-wise definitions
+#
+# The reference helpers below form a product for every element of a term:
+# a commutator with each generator, or with each element, and every
+# power up to an element's order.  They are slow, and independent of the
+# package's coset and normal-generator reasoning.
+
+
+def ref_subgroup_generated(G, seeds):
+    """Closure of the identity under right multiplication by the seeds."""
+    seeds = list(dict.fromkeys(seeds))
+    seen, frontier = {G.identity}, [G.identity]
+    while frontier:
+        fresh = [y for x in frontier for y in (G.mul(x, a) for a in seeds) if y not in seen]
+        seen.update(fresh)
+        frontier = list(dict.fromkeys(fresh))
+    return frozenset(seen)
+
+
+def ref_normal_closure(G, seeds):
+    H = ref_subgroup_generated(G, seeds)
+    while True:
+        conj = {G.mul(G.mul(G.inv(g), h), g) for g in G.generators for h in H}
+        if conj <= H:
+            return H
+        H = ref_subgroup_generated(G, H | conj)
+
+
+def ref_commutator(G, x, y):
+    return G.mul(G.mul(G.inv(x), G.inv(y)), G.mul(x, y))
+
+
+def ref_lower_central_series(G):
+    terms = [frozenset(G.elements)]
+    while len(terms[-1]) > 1:
+        nxt = ref_normal_closure(
+            G, {ref_commutator(G, x, g) for x in terms[-1] for g in G.generators})
+        if nxt == terms[-1]:
+            break
+        terms.append(nxt)
+    return tuple(terms)
+
+
+def ref_derived_series(G):
+    terms = [frozenset(G.elements)]
+    while len(terms[-1]) > 1:
+        nxt = ref_subgroup_generated(
+            G, {ref_commutator(G, x, y) for x in terms[-1] for y in terms[-1]})
+        if nxt == terms[-1]:
+            break
+        terms.append(nxt)
+    return tuple(terms)
+
+
+def ref_exponent(G, H):
+    return math.lcm(*(G.element_order(x) for x in H))
+
+
+def assert_engine_matches_reference(G, derived=True):
+    lcs = lower_central_series(G).terms
+    assert lcs == ref_lower_central_series(G), G.label
+    assert [subgroup_exponent(G, t) for t in lcs] == [ref_exponent(G, t) for t in lcs], G.label
+    assert exponent_concrete(G) == ref_exponent(G, G.elements), G.label
+    if derived:
+        assert derived_series(G).terms == ref_derived_series(G), G.label
+
+
+SMALL_GROUPS = {
+    "D4": lambda: concrete_preset("D4"),
+    "Q8": lambda: concrete_preset("Q8"),
+    "C_6": lambda: concrete_cyclic(6),
+    "D4 x C_3": lambda: concrete_passive(passive_atoms("D4 * C_3")),
+    "C_3 wr C_2": lambda: concrete_wreath(concrete_cyclic(3), concrete_cyclic(2)),
+}
+
+
+@pytest.mark.parametrize("name", SMALL_GROUPS)
+def test_engine_matches_reference_on_small_groups(name):
+    assert_engine_matches_reference(SMALL_GROUPS[name]())
+
+
+@pytest.mark.parametrize("name", ["D4", "D4 x C_3", "C_3 wr C_2"])
+def test_closures_match_reference_on_every_pair_of_elements(name):
+    # adjoining the second element to a subgroup it does not normalize
+    # must add cosets by every generator, not by the new one alone
+    G = SMALL_GROUPS[name]()
+    for x in G.elements:
+        for y in G.elements:
+            assert subgroup_generated(G, [x, y]) == ref_subgroup_generated(G, [x, y])
+            assert normal_closure(G, [x, y]) == ref_normal_closure(G, [x, y])
+
+
+def test_engine_matches_reference_on_the_oracle_sweep():
+    # the derived series' reference forms |H|^2 commutators, so it runs
+    # on the pairs of at most 128 elements only
+    checked = 0
+    for _, _, a_conc, b_spec in sweep_pairs(2_500):
+        G = concrete_wreath(a_conc, concrete_abelian(b_spec))
+        assert_engine_matches_reference(G, derived=G.order <= 128)
+        checked += 1
+    assert checked == 15
+
+
+def count_mul_calls(G):
+    """Wraps ``G.mul`` so that every product on ``G`` is counted."""
+    calls = [0]
+    mul = G.mul
+
+    def counted_mul(x, y):
+        calls[0] += 1
+        return mul(x, y)
+
+    G.mul = counted_mul
+    return calls
+
+
+def test_engine_cost_is_far_below_one_product_per_element():
+    # C_2 wr C_2^3, 2 048 elements.  The series takes 398 products from
+    # normal generators and 29 142 element-wise; the exponent 2 120 on
+    # the ladder and 5 407 walking each element up to its order.
+    G = concrete_wreath(concrete_cyclic(2), concrete_abelian(parse_abelian("C_2^3")))
+    calls = count_mul_calls(G)
+    assert lower_central_series(G).orders() == (2048, 128, 16, 2, 1)
+    assert calls[0] <= 2_000
+    calls[0] = 0
+    assert exponent_concrete(G) == 4
+    assert calls[0] <= 3_000
 
 
 # ---------------------------------------------------------------------------
@@ -259,22 +401,39 @@ SWEEP_ACTIVES = {
 }
 
 
-def test_verify_shield_sweep_over_every_desk_scale_pair():
-    # every nilpotent pair whose wreath product has at most 20000 elements
-    cap = 20_000
-    checked = 0
+def sweep_pairs(cap):
+    """Every nilpotent sweep pair whose wreath product has at most ``cap``
+    elements, as (label, passive spec, passive group, active spec)."""
     for pexpr in SWEEP_PASSIVES:
         a_spec = parse_passive(pexpr)
         p = a_spec.parts[0].prime
         a_conc = concrete_passive(passive_atoms(pexpr))
         for bexpr in SWEEP_ACTIVES[p]:
             b_spec = parse_abelian(bexpr)
-            if wreath_order(a_conc.order, b_spec.order(), cap=cap) is None:
-                continue
-            report = verify_shield(a_spec, a_conc, b_spec, concrete_abelian(b_spec))
-            assert report.ok, f"{pexpr} wr {bexpr}: {report}"
-            checked += 1
+            if wreath_order(a_conc.order, b_spec.order(), cap=cap) is not None:
+                yield f"{pexpr} wr {bexpr}", a_spec, a_conc, b_spec
+
+
+def test_verify_shield_sweep_over_every_desk_scale_pair():
+    checked = 0
+    for label, a_spec, a_conc, b_spec in sweep_pairs(20_000):
+        report = verify_shield(a_spec, a_conc, b_spec, concrete_abelian(b_spec))
+        assert report.ok, f"{label}: {report}"
+        checked += 1
     assert checked == 22
+
+
+def test_derived_length_within_the_solubility_bound_on_the_sweep():
+    checked = attained = 0
+    for label, a_spec, a_conc, b_spec in sweep_pairs(20_000):
+        dl = derived_length_concrete(concrete_wreath(a_conc, concrete_abelian(b_spec)))
+        bound = fingerprint(a_spec, b_spec).solubility_bound
+        assert dl <= bound, f"{label}: derived length {dl} > {bound}"
+        checked += 1
+        attained += dl == bound
+    # the bound dl(A) + 1 is attained on every pair: 2 over an abelian
+    # passive group, 3 over D4 and Q8
+    assert attained == checked == 22
 
 
 def test_verify_report_serializes():
