@@ -265,13 +265,6 @@ def _check_component(spec: AbelianGroupSpec, p: int) -> None:
         raise ValueError(f"not a {p}-component: contains prime {bad[0]}")
 
 
-def _first_infinite(spec: AbelianGroupSpec) -> Optional[int]:
-    for i, f in enumerate(spec.factors):
-        if f.copies.is_infinite:
-            return i
-    return None
-
-
 def equivalent_p(a: AbelianGroupSpec, b: AbelianGroupSpec, p: Optional[int] = None) -> bool:
     """Equivalence of two p-components of abelian groups.
 
@@ -287,18 +280,7 @@ def equivalent_p(a: AbelianGroupSpec, b: AbelianGroupSpec, p: Optional[int] = No
         if len(ps) > 1:
             raise ValueError(f"mixed primes: {sorted(ps)}")
         p = ps.pop() if ps else 2
-    _check_component(a, p)
-    _check_component(b, p)
-    ka, kb = _first_infinite(a), _first_infinite(b)
-    if ka is None and kb is None:
-        return a == b
-    if (ka is None) != (kb is None):
-        return False
-    if ka != kb:
-        return False
-    if a.factors[:ka] != b.factors[:ka]:
-        return False
-    return a.factors[ka].power == b.factors[kb].power
+    return divergence(a, b, p) is None
 
 
 def equivalent(a: AbelianGroupSpec, b: AbelianGroupSpec) -> bool:
@@ -308,23 +290,27 @@ def equivalent(a: AbelianGroupSpec, b: AbelianGroupSpec) -> bool:
 
 
 def divergence(a: AbelianGroupSpec, b: AbelianGroupSpec, p: int) -> Optional[DivergenceReport]:
-    """First disagreement of two p-components, or None when equivalent."""
+    """First disagreement of two p-components, or None when equivalent.
+
+    The walk stops at the first position where the lists are not equal
+    finite factors.  The components are equivalent when both lists end
+    there, or when both factors there are infinite of the same power.
+    """
     _check_component(a, p)
     _check_component(b, p)
-    if equivalent_p(a, b, p):
-        return None
     i = 0
     while i < len(a.factors) and i < len(b.factors):
         fa, fb = a.factors[i], b.factors[i]
         if fa != fb or fa.copies.is_infinite:
             break
         i += 1
-    powers = []
-    if i < len(a.factors):
-        powers.append(a.factors[i].power)
-    if i < len(b.factors):
-        powers.append(b.factors[i].power)
-    return DivergenceReport(t=i + 1, w=max(powers))
+    here = a.factors[i:i + 1] + b.factors[i:i + 1]  # the factors at the stop
+    if not here:
+        return None
+    if (len(here) == 2 and all(f.copies.is_infinite for f in here)
+            and here[0].power == here[1].power):
+        return None
+    return DivergenceReport(t=i + 1, w=max(f.power for f in here))
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,6 @@ class ConcreteGroup:
     ):
         self.label = label
         self.elements = tuple(elements)
-        self.index = {g: i for i, g in enumerate(self.elements)}
         self.mul = mul
         self.inv = inv
         self.identity = identity
@@ -86,7 +85,7 @@ class ConcreteGroup:
 
     def _check_axioms(self) -> None:
         e = self.identity
-        if e not in self.index:
+        if e not in self.elements:
             raise ValueError(f"{self.label}: identity not among the elements")
         for x in self.elements:
             if self.mul(e, x) != x or self.mul(x, e) != x:
@@ -257,9 +256,10 @@ def concrete_wreath(A: ConcreteGroup, B: ConcreteGroup, budget: int = DEFAULT_BU
     nb = B.order
     amul, ainv = A.mul, A.inv
     bmul, binv = B.mul, B.inv
+    position = {x: k for k, x in enumerate(B.elements)}
     # shift[b][k] = index of elements[k] * b in B's element list
     shift = {
-        b: tuple(B.index[bmul(x, b)] for x in B.elements) for b in B.elements
+        b: tuple(position[bmul(x, b)] for x in B.elements) for b in B.elements
     }
 
     def mul(x, y):
@@ -275,7 +275,7 @@ def concrete_wreath(A: ConcreteGroup, B: ConcreteGroup, budget: int = DEFAULT_BU
         return (tuple(ainv(f[s[k]]) for k in range(nb)), bi)
 
     trivial_f = (A.identity,) * nb
-    e_at = B.index[B.identity]
+    e_at = position[B.identity]
     generators = [
         (trivial_f[:e_at] + (g,) + trivial_f[e_at + 1 :], B.identity)
         for g in A.generators

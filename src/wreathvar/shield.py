@@ -3,14 +3,16 @@
 For abelian ``B`` only the power subgroups of the whole group enter the
 series: the ``i``-th term is ``B**(p**j)`` for the least ``j`` with
 ``p**j >= i``, so only ``j = 0..u`` give distinct terms, ``p**u`` being
-the exponent of ``B``.  From them come ``d = p**(u-1)`` (last nontrivial
+the exponent of ``B``.  Shield's parameters come straight from the
+factors ``C_{p^u_f}^{m_f}`` of ``B``: ``d = p**(u-1)`` (last nontrivial
 index), ``e(s)`` (p-logarithms of consecutive quotient orders, zero
-unless ``s = p**j``), ``a = 1 + (p-1) * sum(s * e(s))`` and
-``b = (p-1) * d``; the nilpotency class of ``A wr B`` under Baumslag's
-criterion is ``max_h { a*h + (s(h)-1)*b }`` over the lower central
-profile ``s(h)`` of the passive group ``A``.
+unless ``s = p**j``, and ``e(p**j)`` is the number of factors with
+``u_f > j``), ``a = 1 + sum_f m_f * (p**u_f - 1)`` and ``b = (p-1) * d``.
+The nilpotency class of ``A wr B`` under Baumslag's criterion is
+``max_h { a*h + (s(h)-1)*b }`` over the lower central profile ``s(h)`` of
+the passive group ``A``.  The series itself is built only for display and
+for cross-checks against enumeration.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -82,11 +84,6 @@ def _require_finite_p_group(B: AbelianGroupSpec, p: int) -> None:
         raise ValueError("the active group must be finite")
 
 
-def _plog(spec: AbelianGroupSpec) -> int:
-    """log_p of the order of a finite single-prime spec."""
-    return sum(f.power * f.copies.as_int() for f in spec.factors)
-
-
 def kp_series(B: AbelianGroupSpec, p: int) -> KpChain:
     """The distinct terms of the series of a nontrivial finite abelian p-group."""
     _require_finite_p_group(B, p)
@@ -97,13 +94,16 @@ def kp_series(B: AbelianGroupSpec, p: int) -> KpChain:
 
 
 def shield_params(B: AbelianGroupSpec, p: int) -> ShieldParams:
-    chain = kp_series(B, p)
-    logs = [_plog(t) for t in chain.terms]
-    steps = tuple(x - y for x, y in zip(logs, logs[1:]))
-    weighted = 0  # sum of p**j * steps[j], by Horner's rule
-    for step in reversed(steps):
-        weighted = weighted * p + step
-    return ShieldParams(chain.d, steps, 1 + (p - 1) * weighted, (p - 1) * chain.d)
+    """Shield's parameters of a nontrivial finite abelian p-group, read off
+    its factors: ``B**(p**j)`` loses one copy of ``C_p`` per cyclic factor
+    of power above ``j``, so ``steps[j]`` counts those factors, and
+    ``sum_j p**j * steps[j] = sum_f m_f * (p**u_f - 1) / (p - 1)``."""
+    _require_finite_p_group(B, p)
+    u = B.factors[0].power  # factors come in descending power
+    d = p ** (u - 1)
+    steps = tuple(sum(f.copies.as_int() for f in B.factors if f.power > j) for j in range(u))
+    a = 1 + sum(f.copies.as_int() * (p**f.power - 1) for f in B.factors)
+    return ShieldParams(d, steps, a, (p - 1) * d)
 
 
 def baumslag_reason(A: PassiveGroupSpec, B: AbelianGroupSpec) -> Optional[str]:

@@ -22,7 +22,6 @@ from .groupspec import (
     PassiveGroupSpec,
     PrimaryFactor,
     divergence,
-    equivalent_p,
     normalize,
 )
 from .shield import baumslag_nilpotent, shield_class, wreath_exponent
@@ -254,9 +253,8 @@ def decide_equal(inp: DecisionInput) -> Decision:
                         tuple(violations), (), None, fps)
     per = []
     for p in inp.b1.primes():
-        c1, c2 = inp.b1.p_component(p), inp.b2.p_component(p)
-        eq = equivalent_p(c1, c2, p)
-        per.append(PrimeVerdict(p, eq, None if eq else divergence(c1, c2, p)))
+        div = divergence(inp.b1.p_component(p), inp.b2.p_component(p), p)
+        per.append(PrimeVerdict(p, div is None, div))
     failing = [pv.p for pv in per if not pv.equivalent]
     if not failing:
         return Decision(Verdict.EQUAL, None, (), tuple(per), None, fps)
@@ -340,8 +338,6 @@ def separation_witness(
 
 def fingerprint(passive: PassiveGroupSpec, active: AbelianGroupSpec) -> Fingerprint:
     """Exponent, nilpotency, class and solubility bound of one wreath product."""
-    if active.is_trivial():
-        raise ValueError("the active group must be nontrivial")
     nilpotent = baumslag_nilpotent(passive, active)
     cls = shield_class(passive, active) if nilpotent else None
     dl = passive.derived_length

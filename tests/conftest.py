@@ -1,4 +1,4 @@
-"""Shared hypothesis strategies for the symbolic layer."""
+"""Shared hypothesis strategies and helpers for the symbolic layer."""
 
 from __future__ import annotations
 
@@ -50,3 +50,8 @@ def abelian_specs(primes=PRIMES, max_factors: int = 5, max_power: int = 4,
 def p_components(p: int, max_factors: int = 4, max_power: int = 4,
                  allow_infinite: bool = True, min_factors: int = 0):
     return abelian_specs((p,), max_factors, max_power, allow_infinite, min_factors)
+
+
+def plog(spec) -> int:
+    """log_p of the order of a finite single-prime spec."""
+    return sum(f.power * f.copies.as_int() for f in spec.factors)

@@ -33,7 +33,8 @@ from wreathvar import (
     shield_params,
     verify_shield,
 )
-from wreathvar.shield import _plog
+
+from conftest import plog
 
 
 def _report(num: int, text: str) -> None:
@@ -332,7 +333,7 @@ def test_criterion_8_series_cross_check():
     for expr, p in (("C_{2^2}", 2), ("C_{3^2}^2", 3), ("C_{2^2} * C_2", 2)):
         spec = parse_abelian(expr)
         chain = kp_series(spec, p)
-        symbolic = tuple(p ** _plog(chain.term(i)) for i in range(1, chain.d + 2))
+        symbolic = tuple(p ** plog(chain.term(i)) for i in range(1, chain.d + 2))
         concrete = kp_series_concrete(concrete_abelian(spec), p).orders()
         assert symbolic == concrete, expr
     # non-abelian case: the commutator terms of the general definition

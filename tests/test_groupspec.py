@@ -319,9 +319,26 @@ def test_divergence_uses_larger_power_at_the_break():
     assert divergence(spec((2, 2, 1)), spec((2, 2, 1), (2, 1, 1)), 2) == DivergenceReport(2, 1)
 
 
-@given(p_components(3), p_components(3))
-def test_divergence_none_iff_equivalent(a, b):
-    assert (divergence(a, b, 3) is None) == equivalent_p(a, b, 3)
+def ref_equivalent_p(a, b):
+    """The equivalence rule on its own terms: finite components must be
+    equal; infinite ones need an equal prefix before the first infinite
+    factor and the same cyclic power there."""
+    def first_infinite(spec):
+        return next((i for i, f in enumerate(spec.factors) if f.copies.is_infinite), None)
+
+    ka, kb = first_infinite(a), first_infinite(b)
+    if ka is None or kb is None:
+        return ka is None and kb is None and a == b
+    return (ka == kb and a.factors[:ka] == b.factors[:kb]
+            and a.factors[ka].power == b.factors[kb].power)
+
+
+@given(st.tuples(p_components(3), p_components(3))
+       | component_with_equivalent_mutation().map(lambda triple: triple[:2]))
+def test_divergence_none_iff_equivalent(pair):
+    a, b = pair
+    assert (divergence(a, b, 3) is None) == ref_equivalent_p(a, b)
+    assert equivalent_p(a, b, 3) == ref_equivalent_p(a, b)
 
 
 @given(p_components(5), p_components(5))

@@ -30,13 +30,14 @@ from wreathvar.oracle import (
     subgroup_exponent,
     wreath_order,
 )
-from wreathvar.shield import _plog
+
+from conftest import plog
 
 
 def symbolic_orders(expr, p):
     """Orders of ``K_1 .. K_{d+1}``, the chain written out."""
     chain = kp_series(parse_abelian(expr), p)
-    return tuple(p ** _plog(chain.term(i)) for i in range(1, chain.d + 2))
+    return tuple(p ** plog(chain.term(i)) for i in range(1, chain.d + 2))
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,8 @@ from wreathvar import (
     shield_params,
     wreath_exponent,
 )
-from wreathvar.shield import _plog
 
-from conftest import SMALL_PRIMES, p_components
+from conftest import SMALL_PRIMES, p_components, plog
 
 
 def spec(*triples):
@@ -121,6 +120,15 @@ def test_params_golden(expr, p, expected):
 
 
 @given(st.sampled_from(SMALL_PRIMES), st.data())
+def test_steps_are_the_log_drops_along_the_chain(p, data):
+    B = data.draw(finite_p_specs(p, max_power=5))
+    chain = kp_series(B, p)
+    params = shield_params(B, p)
+    assert params.d == chain.d
+    assert params.steps == tuple(plog(x) - plog(y) for x, y in zip(chain.terms, chain.terms[1:]))
+
+
+@given(st.sampled_from(SMALL_PRIMES), st.data())
 def test_d_is_exponent_over_p(p, data):
     B = data.draw(finite_p_specs(p))
     assert shield_params(B, p).d == B.exponent() // p
@@ -129,7 +137,7 @@ def test_d_is_exponent_over_p(p, data):
 @given(st.sampled_from(SMALL_PRIMES), st.data())
 def test_e_sums_to_log_order(p, data):
     B = data.draw(finite_p_specs(p))
-    assert sum(shield_params(B, p).e) == _plog(B)
+    assert sum(shield_params(B, p).e) == plog(B)
 
 
 @given(st.sampled_from(SMALL_PRIMES), st.data())

@@ -291,6 +291,11 @@ def test_fingerprint_values():
     assert (fp.exponent, fp.nilpotent, fp.nilpotency_class) == (4, False, None)
 
 
+def test_fingerprint_rejects_a_trivial_active():
+    with pytest.raises(ValueError, match="the active group must be nontrivial"):
+        fingerprint(parse_passive("C_2"), parse_abelian("1"))
+
+
 def test_fingerprints_agree_while_varieties_differ():
     for pair in (C3_PAIR, D4Q8_PAIR):
         decision = decide_equal(pair)
