@@ -607,7 +607,7 @@ class _Parser:
         raise self.error(f"unknown preset {tok.text!r}", tok)
 
     def profile_atom(self) -> PassiveAtom:
-        self.next()  # 'nilpotent'
+        tok = self.next()  # 'nilpotent'
         self.expect("(")
         self.keyword("p")
         p, ptok = self.expect_int("a prime")
@@ -627,6 +627,10 @@ class _Parser:
             self.keyword("dl")
             dl, _ = self.expect_int("a derived length")
         self.expect(")")
+        try:
+            PassivePrimePart(p, tuple(s), derived_length=dl)
+        except ValueError as err:
+            raise self.error(str(err), tok) from None
         return ("profile", p, tuple(s), dl)
 
     def keyword(self, name: str) -> None:

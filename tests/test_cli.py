@@ -136,6 +136,21 @@ def test_classify_trivial_active_is_a_hypothesis_failure(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("passive,message", [
+    ("nilpotent(p=2, s=[1, 2])", "lower central exponents must be non-increasing: (1, 2)"),
+    ("nilpotent(p=2, s=[0])", "lower central exponents must end at >= 1"),
+    ("nilpotent(p=2, s=[1], dl=0)", "derived length must be >= 1"),
+    ("C_2 * nilpotent(p=2, s=[0])", "lower central exponents must end at >= 1"),
+])
+def test_classify_malformed_profile_is_a_parse_error(capsys, passive, message):
+    code, out, err = run(capsys, "classify", "--passive", passive, "--active", "C_2")
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert lines == [f"error: {message}", f"  {passive}", lines[-1]]
+    assert lines[-1].index("^") == lines[-2].index("nilpotent")
+
+
 def test_classify_json_agrees_with_text(capsys):
     code, out, _ = run(capsys, "classify", "--json", "--passive", "C_3",
                        "--active", "C_{3^2}^2")
@@ -346,6 +361,14 @@ def test_oracle_verify_bad_line_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "oracle-verify", "--manifest", manifest)
     assert code == 2
     assert "expected" in err
+
+
+def test_oracle_verify_malformed_profile_exit_2(capsys, tmp_path):
+    manifest = write_manifest(tmp_path, "C_2 Wr C_2\nnilpotent(p=2, s=[1], dl=0) Wr C_2\n")
+    code, out, err = run(capsys, "oracle-verify", "--manifest", manifest)
+    assert code == 2
+    assert out == ""
+    assert err == f"{manifest}:2: error: derived length must be >= 1 (at position 0)\n"
 
 
 def test_oracle_verify_mismatch_exit_4(capsys, tmp_path, monkeypatch):
