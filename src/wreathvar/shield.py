@@ -13,6 +13,7 @@ The nilpotency class of ``A wr B`` under Baumslag's criterion is
 the passive group ``A``.  The series itself is built only for display and
 for cross-checks against enumeration.
 """
+
 from __future__ import annotations
 
 from dataclasses import dataclass
