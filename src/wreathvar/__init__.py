@@ -39,6 +39,7 @@ from .shield import (
 from .variety import (
     Decision,
     DecisionInput,
+    EquivalentComponentsError,
     Fingerprint,
     PrimeVerdict,
     SeparatingVariety,

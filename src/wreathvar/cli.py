@@ -22,7 +22,6 @@ from . import oracle
 from .groupspec import (
     ParseError,
     equivalent,
-    equivalent_p,
     parse_abelian,
     parse_passive,
     passive_atoms,
@@ -31,6 +30,7 @@ from .shield import NotNilpotentError, baumslag_reason, kp_series, shield_params
 from .variety import (
     Decision,
     DecisionInput,
+    EquivalentComponentsError,
     SeparationWitness,
     Verdict,
     check_hypotheses,
@@ -223,14 +223,14 @@ def run_witness(args, as_json: bool) -> int:
         for v in fatal:
             print(f"hypothesis: {v.detail}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    c1, c2 = inp.b1.p_component(p), inp.b2.p_component(p)
-    if equivalent_p(c1, c2, p):
+    try:
+        witness = separation_witness(inp.a1, inp.b1, inp.b2, p)
+    except EquivalentComponentsError:
         if as_json:
             _emit_json({"p": p, "equivalent": True, "witness": None})
         else:
             print(f"p = {p}: equivalent; no witness exists")
         return EXIT_EQUAL
-    witness = separation_witness(inp.a1, inp.b1, inp.b2, p)
     if as_json:
         _emit_json({"p": p, "equivalent": False, "witness": witness.to_json_dict()})
     else:

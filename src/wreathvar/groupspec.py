@@ -467,7 +467,7 @@ def _tokenize(text: str, limit: int) -> list[_Tok]:
 # passive atoms, also consumed by the oracle to build concrete groups:
 #   ("preset", name)                       D4 or Q8
 #   ("cyclic", p, u, copies)               C_{p^u}^copies
-#   ("profile", p, gamma_exponents, dl)    inline nilpotent(...) profile
+#   ("profile", part)                      inline nilpotent(...) profile
 PassiveAtom = tuple
 
 
@@ -628,10 +628,9 @@ class _Parser:
             dl, _ = self.expect_int("a derived length")
         self.expect(")")
         try:
-            PassivePrimePart(p, tuple(s), derived_length=dl)
+            return ("profile", PassivePrimePart(p, tuple(s), derived_length=dl))
         except ValueError as err:
             raise self.error(str(err), tok) from None
-        return ("profile", p, tuple(s), dl)
 
     def keyword(self, name: str) -> None:
         tok = self.expect("word", f"'{name}='")
@@ -658,10 +657,10 @@ def _atom_render(atom: PassiveAtom) -> str:
     if atom[0] == "cyclic":
         _, p, u, copies = atom
         return PrimaryFactor(p, u, copies).render()
-    _, p, s, dl = atom
-    body = f"p={p}, s=[{', '.join(str(x) for x in s)}]"
-    if dl is not None:
-        body += f", dl={dl}"
+    part = atom[1]
+    body = f"p={part.prime}, s=[{', '.join(str(x) for x in part.gamma_exponents)}]"
+    if part.derived_length is not None:
+        body += f", dl={part.derived_length}"
     return f"nilpotent({body})"
 
 
@@ -673,8 +672,7 @@ def _atom_part(atom: PassiveAtom) -> Optional[PassivePrimePart]:
         if copies == ZERO:
             return None
         return PassivePrimePart(p, (u,), derived_length=1)
-    _, p, s, dl = atom
-    return PassivePrimePart(p, s, derived_length=dl)
+    return atom[1]
 
 
 def _merge_parts(parts: Sequence[PassivePrimePart]) -> PassivePrimePart:

@@ -35,6 +35,7 @@ __all__ = [
     "SeparationWitness",
     "Fingerprint",
     "Decision",
+    "EquivalentComponentsError",
     "PASSIVE_VARIETY_WHITELIST",
     "check_hypotheses",
     "decide_equal",
@@ -45,6 +46,10 @@ __all__ = [
 # Passive pairs whose variety equality is an established fact the caller
 # need not assert; everything else requires the explicit flag.
 PASSIVE_VARIETY_WHITELIST = frozenset({frozenset({"D4", "Q8"})})
+
+
+class EquivalentComponentsError(ValueError):
+    """The p-components are equivalent, so no separation witness exists."""
 
 
 class Verdict(str, enum.Enum):
@@ -293,7 +298,7 @@ def separation_witness(
     comp1, comp2 = b1.p_component(p), b2.p_component(p)
     div = divergence(comp1, comp2, p)
     if div is None:
-        raise ValueError(f"p-components are equivalent at p={p}; no witness exists")
+        raise EquivalentComponentsError(f"p-components are equivalent at p={p}; no witness exists")
     part = passive.part_for(p)
     if part is None:
         raise ValueError(f"prime {p} does not divide the passive exponent")
