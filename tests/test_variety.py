@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from wreathvar import (
     DecisionInput,
+    EquivalentComponentsError,
     Verdict,
     check_hypotheses,
     concrete_abelian,
@@ -225,7 +226,7 @@ def test_witness_infinite_against_shorter_finite_side():
 
 
 def test_witness_requires_divergence():
-    with pytest.raises(ValueError):
+    with pytest.raises(EquivalentComponentsError):
         separation_witness(parse_passive("C_3"), C3_PAIR.b1, C3_PAIR.b1, 3)
     with pytest.raises(ValueError):
         separation_witness(parse_passive("C_2"), C3_PAIR.b1, C3_PAIR.b2, 3)
