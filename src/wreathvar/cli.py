@@ -253,12 +253,23 @@ def _manifest_lines(path: str) -> list[tuple[int, str]]:
     return out
 
 
-def _split_wreath_line(line: str) -> tuple[str, str]:
+def _split_wreath_line(line: str) -> tuple[str, str, int]:
+    """The passive and active expressions of a manifest line, and the
+    column at which the active one starts (the passive one starts at 0)."""
     for sep in (" Wr ", " wr "):
         if sep in line:
             left, right = line.split(sep, 1)
-            return left.strip(), right.strip()
+            return left.strip(), right.strip(), len(line) - len(right.lstrip())
     raise ValueError("expected '<passive> Wr <active>'")
+
+
+def _parse_in_line(parse, expr: str, start: int, line: str):
+    """``parse(expr)``, where ``expr`` starts at column ``start`` of
+    ``line``; a parse error points into the line."""
+    try:
+        return parse(expr)
+    except ParseError as err:
+        raise ParseError(err.message, start + err.pos, line) from None
 
 
 def run_oracle_verify(manifest: str, budget: int, as_json: bool) -> int:
@@ -269,12 +280,14 @@ def run_oracle_verify(manifest: str, budget: int, as_json: bool) -> int:
     mismatches = 0
     for lineno, line in _manifest_lines(manifest):
         try:
-            passive_expr, active_expr = _split_wreath_line(line)
-            atoms = passive_atoms(passive_expr)
-            a_spec = parse_passive(passive_expr)
-            b_spec = parse_abelian(active_expr)
-        except (ParseError, ValueError) as err:
+            passive_expr, active_expr, active_at = _split_wreath_line(line)
+            atoms = _parse_in_line(passive_atoms, passive_expr, 0, line)
+            a_spec = _parse_in_line(parse_passive, passive_expr, 0, line)
+            b_spec = _parse_in_line(parse_abelian, active_expr, active_at, line)
+        except ValueError as err:
             print(f"{manifest}:{lineno}: error: {err}", file=sys.stderr)
+            if isinstance(err, ParseError):
+                print(err.caret(), file=sys.stderr)
             return EXIT_PARSE
         entry: dict = {"line": line}
         skip = oracle.skip_reason(atoms, b_spec, budget)

@@ -13,6 +13,7 @@ central series; that profile is all the class formula ever reads.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -40,23 +41,67 @@ __all__ = [
 ]
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+# the primes <= 41: the trial divisors (one gcd with their product tries
+# them all), and the Miller-Rabin bases
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
+# (n, bases): n is the smallest strong pseudoprime to all of ``bases``, so
+# below n they decide primality exactly (Pomerance, Selfridge and Wagstaff
+# 1980; Jaeschke 1993; Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_TIERS = (
+    (1_373_653, _SMALL_PRIMES[:2]),
+    (3_215_031_751, _SMALL_PRIMES[:4]),
+    (3_474_749_660_383, _SMALL_PRIMES[:6]),
+    (3_317_044_064_679_887_385_961_981, _SMALL_PRIMES),
+)
+# From the last bound on no proof is at hand.  A composite there is still
+# named as one when a base witnesses it, but only up to this size: the cost
+# of a Miller-Rabin round grows with the cube of the number of digits, and
+# past a few hundred digits it would dominate every other step.
+_WITNESS_BITS = 1024
+
+
+def _strong_probable_prime(n: int, bases: Sequence[int]) -> bool:
+    """Whether odd ``n > max(bases)`` passes the strong test to every base."""
+    s = ((n - 1) & -(n - 1)).bit_length() - 1  # n - 1 == d * 2**s, d odd
+    d = (n - 1) >> s
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
+def is_prime(n: int) -> bool:
+    """Whether ``n`` is a prime, by trial division by the primes <= 41 and
+    then deterministic Miller-Rabin, with the fewest bases proven exact
+    for the size of ``n``.  Above the last tier no proof is at hand:
+    ``False`` when a base witnesses that ``n`` is composite, otherwise
+    ``ValueError``."""
+    if n < 2:
+        return False
+    if math.gcd(n, _SMALL_PRODUCT) != 1:
+        return n in _SMALL_PRIMES
+    if n < _SMALL_PRIMES[-1] ** 2:
+        return True
+    for bound, bases in _MR_TIERS:
+        if n < bound:
+            return _strong_probable_prime(n, bases)
+    if n.bit_length() <= _WITNESS_BITS and not _strong_probable_prime(n, _SMALL_PRIMES):
+        return False
+    raise ValueError(f"primality of {n} cannot be certified: deterministic "
+                     f"Miller-Rabin is proven only below {_MR_TIERS[-1][0]}")
+
+
 def prime_divisors(n: int) -> list[int]:
-    """Distinct prime divisors of ``n >= 1``, ascending."""
+    """Distinct prime divisors of ``n >= 1``, ascending, by trial division:
+    for group orders within an enumeration budget only."""
     out = []
     f = 2
     while f * f <= n:
@@ -70,16 +115,46 @@ def prime_divisors(n: int) -> list[int]:
     return out
 
 
+def _iroot(n: int, k: int) -> int:
+    """The integer part of the ``k``-th root of ``n >= 1``.  Newton's method
+    descends from an upper bound read off the top bits of ``n``: floats
+    only ever see a root below ``2**54``."""
+    if k == 2:
+        return math.isqrt(n)
+    shift = max(0, n.bit_length() // k - 52)
+    r = int(math.exp(math.log(n >> (shift * k)) / k))
+    x = (r + (r >> 40) + 2) << shift  # above the root: floats err by < 2**-40
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _prime_power(n: int) -> Optional[tuple[int, int]]:
-    """``(p, u)`` with ``n == p**u`` and ``u >= 1``, or None."""
+    """``(p, u)`` with ``n == p**u`` and ``u >= 1``, or None.  Nothing is
+    factored: a prime <= 41 is divided out, and otherwise ``n`` is reduced
+    by integer ``k``-th roots, prime ``k`` only, to a number that is no
+    perfect power, whose primality decides.  Raises ``ValueError`` when
+    that primality cannot be certified (see :func:`is_prime`)."""
     if n < 2:
         return None
-    p = prime_divisors(n)[0]
-    u = 0
-    while n % p == 0:
-        n //= p
-        u += 1
-    return (p, u) if n == 1 else None
+    q = math.gcd(n, _SMALL_PRODUCT)
+    if q != 1:  # so q is p, or n has two primes
+        if q not in _SMALL_PRIMES:
+            return None
+        u = _valuation(n, q)
+        return (q, u) if n == q**u else None
+    u, k = 1, 2
+    # any root is >= 43 > 2**5, so a k-th power has more than 5k bits
+    while 5 * k <= n.bit_length():
+        r = _iroot(n, k)
+        if r**k == n:
+            n, u = r, u * k  # r may be a k-th power again
+        else:  # the next prime k, by trial division: k is below a bit count
+            k = next(j for j in itertools.count(k + 1)
+                     if all(j % f for f in range(2, math.isqrt(j) + 1)))
+    return (n, u) if is_prime(n) else None
 
 
 def _too_many_digits(p: int, u: int, limit: int) -> bool:
@@ -99,6 +174,15 @@ def _too_many_digits(p: int, u: int, limit: int) -> bool:
     return u > k
 
 
+def _derived(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` built from parts of
+    already validated ones, so ``__post_init__`` and its primality test
+    are skipped."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _valuation(n: int, p: int) -> int:
     v = 0
     while n % p == 0:
@@ -113,7 +197,11 @@ def _valuation(n: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class PrimaryFactor:
-    """``copies`` direct copies of the cyclic group of order ``prime**power``."""
+    """``copies`` direct copies of the cyclic group of order ``prime**power``.
+
+    A factor built here has its prime tested; the factors that the module
+    derives from it (powers, normal forms, parsed terms) inherit the test.
+    """
 
     prime: int
     power: int
@@ -200,7 +288,8 @@ class AbelianGroupSpec:
         for f in self.factors:
             drop = _valuation(k, f.prime)
             if f.power > drop:
-                out.append(PrimaryFactor(f.prime, f.power - drop, f.copies))
+                out.append(_derived(PrimaryFactor, prime=f.prime, power=f.power - drop,
+                                    copies=f.copies))
         return AbelianGroupSpec(tuple(out))
 
     def direct_product(self, other: "AbelianGroupSpec") -> "AbelianGroupSpec":
@@ -230,7 +319,7 @@ def normalize(factors: Iterable[PrimaryFactor]) -> AbelianGroupSpec:
         key = (f.prime, f.power)
         merged[key] = merged.get(key, ZERO) + f.copies
     out = [
-        PrimaryFactor(p, u, copies)
+        _derived(PrimaryFactor, prime=p, power=u, copies=copies)
         for (p, u), copies in merged.items()
         if copies != ZERO
     ]
@@ -257,12 +346,16 @@ class DivergenceReport:
     w: int
 
 
-def _check_component(spec: AbelianGroupSpec, p: int) -> None:
-    if not is_prime(p):
+def _check_components(p: int, *specs: AbelianGroupSpec) -> None:
+    """``p`` is a prime and every spec a ``p``-component.  A factor's prime
+    was tested when it was built, so ``p`` is tested only when no factor
+    carries it."""
+    if all(f.prime != p for spec in specs for f in spec.factors) and not is_prime(p):
         raise ValueError(f"{p} is not a prime")
-    bad = [f.prime for f in spec.factors if f.prime != p]
-    if bad:
-        raise ValueError(f"not a {p}-component: contains prime {bad[0]}")
+    for spec in specs:
+        bad = [f.prime for f in spec.factors if f.prime != p]
+        if bad:
+            raise ValueError(f"not a {p}-component: contains prime {bad[0]}")
 
 
 def equivalent_p(a: AbelianGroupSpec, b: AbelianGroupSpec, p: Optional[int] = None) -> bool:
@@ -296,8 +389,7 @@ def divergence(a: AbelianGroupSpec, b: AbelianGroupSpec, p: int) -> Optional[Div
     finite factors.  The components are equivalent when both lists end
     there, or when both factors there are infinite of the same power.
     """
-    _check_component(a, p)
-    _check_component(b, p)
+    _check_components(p, a, b)
     i = 0
     while i < len(a.factors) and i < len(b.factors):
         fa, fb = a.factors[i], b.factors[i]
@@ -317,6 +409,15 @@ def divergence(a: AbelianGroupSpec, b: AbelianGroupSpec, p: int) -> Optional[Div
 # passive groups
 
 
+def _check_profile(s: tuple[int, ...], derived_length: Optional[int]) -> None:
+    if not s or s[-1] < 1:
+        raise ValueError("lower central exponents must end at >= 1")
+    if any(s[i] < s[i + 1] for i in range(len(s) - 1)):
+        raise ValueError(f"lower central exponents must be non-increasing: {s}")
+    if derived_length is not None and derived_length < 1:
+        raise ValueError("derived length must be >= 1")
+
+
 @dataclass(frozen=True)
 class PassivePrimePart:
     """One Sylow piece of a nilpotent passive group.
@@ -333,13 +434,7 @@ class PassivePrimePart:
     def __post_init__(self) -> None:
         if not is_prime(self.prime):
             raise ValueError(f"{self.prime} is not a prime")
-        s = self.gamma_exponents
-        if not s or s[-1] < 1:
-            raise ValueError("lower central exponents must end at >= 1")
-        if any(s[i] < s[i + 1] for i in range(len(s) - 1)):
-            raise ValueError(f"lower central exponents must be non-increasing: {s}")
-        if self.derived_length is not None and self.derived_length < 1:
-            raise ValueError("derived length must be >= 1")
+        _check_profile(self.gamma_exponents, self.derived_length)
 
     @property
     def nilpotency_class(self) -> int:
@@ -502,6 +597,14 @@ class _Parser:
         tok = self.expect("int", what)
         return int(tok.text), tok
 
+    def certified(self, test, n: int, tok: _Tok):
+        """``test(n)``, with a primality that cannot be certified reported
+        at ``tok``."""
+        try:
+            return test(n)
+        except ValueError as err:
+            raise self.error(str(err), tok) from None
+
     # -- shared pieces ------------------------------------------------
 
     def base(self) -> tuple[int, int]:
@@ -509,7 +612,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "int":
             self.next()
-            pu = _prime_power(int(tok.text))
+            pu = self.certified(_prime_power, int(tok.text), tok)
             if pu is None:
                 raise self.error(f"{tok.text} is not a prime power", tok)
             return pu
@@ -519,7 +622,7 @@ class _Parser:
             self.next()
             u, utok = self.expect_int("an exponent")
             self.expect("}")
-            if not is_prime(n):
+            if not self.certified(is_prime, n, ntok):
                 raise self.error(f"{n} is not a prime", ntok)
             if u < 1:
                 raise self.error("cyclic exponent must be >= 1", utok)
@@ -527,7 +630,7 @@ class _Parser:
                 raise self.error(f"cyclic order has more than {self.limit} digits", utok)
             return n, u
         self.expect("}")
-        pu = _prime_power(n)
+        pu = self.certified(_prime_power, n, ntok)
         if pu is None:
             raise self.error(f"{n} is not a prime power", ntok)
         return pu
@@ -559,7 +662,7 @@ class _Parser:
         self.expect("word", "'C'")  # caller checked the word is C
         self.expect("_", "'_'")
         p, u = self.base()
-        return PrimaryFactor(p, u, self.multiplicity())
+        return _derived(PrimaryFactor, prime=p, power=u, copies=self.multiplicity())
 
     # -- abelian grammar ------------------------------------------------
 
@@ -611,7 +714,7 @@ class _Parser:
         self.expect("(")
         self.keyword("p")
         p, ptok = self.expect_int("a prime")
-        if not is_prime(p):
+        if not self.certified(is_prime, p, ptok):
             raise self.error(f"{p} is not a prime", ptok)
         self.expect(",")
         self.keyword("s")
@@ -627,10 +730,13 @@ class _Parser:
             self.keyword("dl")
             dl, _ = self.expect_int("a derived length")
         self.expect(")")
+        gamma = tuple(s)
         try:
-            return ("profile", PassivePrimePart(p, tuple(s), derived_length=dl))
+            _check_profile(gamma, dl)
         except ValueError as err:
             raise self.error(str(err), tok) from None
+        return ("profile", _derived(PassivePrimePart, prime=p, gamma_exponents=gamma,
+                                    derived_length=dl))
 
     def keyword(self, name: str) -> None:
         tok = self.expect("word", f"'{name}='")
@@ -656,7 +762,7 @@ def _atom_render(atom: PassiveAtom) -> str:
         return atom[1]
     if atom[0] == "cyclic":
         _, p, u, copies = atom
-        return PrimaryFactor(p, u, copies).render()
+        return _derived(PrimaryFactor, prime=p, power=u, copies=copies).render()
     part = atom[1]
     body = f"p={part.prime}, s=[{', '.join(str(x) for x in part.gamma_exponents)}]"
     if part.derived_length is not None:
@@ -666,12 +772,12 @@ def _atom_render(atom: PassiveAtom) -> str:
 
 def _atom_part(atom: PassiveAtom) -> Optional[PassivePrimePart]:
     if atom[0] == "preset":
-        return PassivePrimePart(2, (2, 1), derived_length=2)
+        return _derived(PassivePrimePart, prime=2, gamma_exponents=(2, 1), derived_length=2)
     if atom[0] == "cyclic":
         _, p, u, copies = atom
         if copies == ZERO:
             return None
-        return PassivePrimePart(p, (u,), derived_length=1)
+        return _derived(PassivePrimePart, prime=p, gamma_exponents=(u,), derived_length=1)
     return atom[1]
 
 
@@ -685,7 +791,7 @@ def _merge_parts(parts: Sequence[PassivePrimePart]) -> PassivePrimePart:
     )
     dls = [part.derived_length for part in parts]
     dl = None if any(x is None for x in dls) else max(dls)  # type: ignore[type-var]
-    return PassivePrimePart(p, s, derived_length=dl)
+    return _derived(PassivePrimePart, prime=p, gamma_exponents=s, derived_length=dl)
 
 
 def passive_atoms(text: str) -> tuple[PassiveAtom, ...]:

@@ -1,4 +1,9 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -368,7 +373,20 @@ def test_oracle_verify_malformed_profile_exit_2(capsys, tmp_path):
     code, out, err = run(capsys, "oracle-verify", "--manifest", manifest)
     assert code == 2
     assert out == ""
-    assert err == f"{manifest}:2: error: derived length must be >= 1 (at position 0)\n"
+    line = "nilpotent(p=2, s=[1], dl=0) Wr C_2"
+    assert err == (f"{manifest}:2: error: derived length must be >= 1 (at position 0)\n"
+                   f"  {line}\n  ^\n")
+
+
+def test_oracle_verify_parse_error_points_into_the_line(capsys, tmp_path):
+    line = "C_2 Wr   C_{2^2} * C_{6}"
+    manifest = write_manifest(tmp_path, f"  {line}\n")
+    code, out, err = run(capsys, "oracle-verify", "--manifest", manifest)
+    assert code == 2
+    assert out == ""
+    col = line.index("6")
+    assert err == (f"{manifest}:1: error: 6 is not a prime power (at position {col})\n"
+                   f"  {line}\n  {' ' * col}^\n")
 
 
 def test_oracle_verify_mismatch_exit_4(capsys, tmp_path, monkeypatch):
@@ -401,3 +419,67 @@ def test_demo_reproduces_the_worked_examples(capsys):
     assert "nilpotency class: 22" in out
     assert "p = 7: NOT equivalent" in out
     assert "N_4 B_2" in out
+
+
+# ---------------------------------------------------------------------------
+# hostile inputs: each runs in its own process, so a hang fails the test
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_process(*argv):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "wreathvar.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert "Traceback" not in proc.stderr
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def assert_caret_at(err, expr, col):
+    lines = err.splitlines()
+    assert lines[-2] == f"  {expr}"
+    assert lines[-1] == "  " + " " * col + "^"
+
+
+def test_semiprime_of_two_ten_digit_primes_is_not_a_prime_power():
+    expr = "C_1000000016000000063"  # 1000000007 * 1000000009
+    code, _, err = run_process("parse", expr)
+    assert code == 2
+    assert "1000000016000000063 is not a prime power" in err
+    assert_caret_at(err, expr, 2)
+
+
+def test_braced_semiprime_is_not_a_prime():
+    expr = "C_{1000000016000000063^2}"
+    code, _, err = run_process("parse", expr)
+    assert code == 2
+    assert "1000000016000000063 is not a prime" in err
+    assert_caret_at(err, expr, 3)
+
+
+def test_classify_with_a_seventeen_digit_prime():
+    p = "10000000000000061"
+    code, out, _ = run_process("classify", "--passive", f"C_{p}", "--active", f"C_{{{p}}}")
+    assert code == 0
+    assert f"nilpotency class: {p}" in out  # a = 1 + (p - 1)
+
+
+def test_prime_above_the_proof_bound_cannot_be_certified():
+    expr = f"C_{2**89 - 1}"
+    code, _, err = run_process("parse", expr)
+    assert code == 2
+    assert f"primality of {2**89 - 1} cannot be certified" in err
+    assert_caret_at(err, expr, 2)
+
+
+def test_four_thousand_three_hundred_digit_literal_is_refused():
+    n = 10**4299
+    n += next(c for c in range(1, 100) if math.gcd(n + c, math.factorial(42)) == 1)
+    expr = f"C_{n}"
+    code, out, err = run_process("parse", expr)
+    assert code == 2
+    assert out == ""
+    assert "cannot be certified" in err
+    assert_caret_at(err, expr, 2)

@@ -15,7 +15,9 @@ from wreathvar import (
     parse_abelian,
     parse_passive,
 )
-from wreathvar.groupspec import DivergenceReport, PassivePrimePart
+from wreathvar import groupspec
+from wreathvar.cli import main
+from wreathvar.groupspec import DivergenceReport, PassivePrimePart, _prime_power, is_prime
 
 from conftest import abelian_specs, factors, multiplicities, p_components
 
@@ -406,3 +408,135 @@ def test_passive_profile_validation():
         PassivePrimePart(2, ())
     with pytest.raises(ValueError):
         PassivePrimePart(4, (1,))
+
+
+# ---------------------------------------------------------------------------
+# primality and prime powers
+
+
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+def strong_probable_prime(n, bases):
+    """The strong test, written out as the textbook states it."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    return all(pow(a, d, n) == 1 or any(pow(a, d * 2**r, n) == n - 1 for r in range(s))
+               for a in bases)
+
+
+BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PROOF_BOUND = 3_317_044_064_679_887_385_961_981
+# one prime from every tier of the test: trial division (<= 41, then below
+# 41**2), then Miller-Rabin to 2, 4, 6 and 13 bases
+TIER_PRIMES = (2, 3, 41, 43, 1669, 1693, 1373639, 1373677, 9999999967, 3215031767,
+               3474749660329, 3474749660401, 10000000000000061,
+               3317044064679887385961813)
+
+
+def test_is_prime_matches_trial_division_below_200000():
+    got = [n for n in range(200_000) if is_prime(n)]
+    assert got == [n for n in range(200_000) if trial_division_is_prime(n)]
+
+
+@pytest.mark.parametrize("n", [561, 41041, 825265])
+def test_is_prime_rejects_carmichael_numbers(n):
+    assert not trial_division_is_prime(n)
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("n, fooled", [
+    (1373653, BASES[:2]),
+    (3215031751, BASES[:4]),
+    (3474749660383, BASES[:6]),
+    (3825123056546413051, BASES[:9]),
+])
+def test_is_prime_rejects_the_smallest_strong_pseudoprimes_of_each_tier(n, fooled):
+    # each fools the bases of the tier below it; all 13 bases expose it
+    assert strong_probable_prime(n, fooled)
+    assert not strong_probable_prime(n, BASES)
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("p", TIER_PRIMES)
+def test_is_prime_accepts_primes_next_to_each_tier_bound(p):
+    assert is_prime(p)
+
+
+def test_is_prime_above_the_proof_bound_names_composites_and_certifies_nothing():
+    assert not is_prime((2**89 - 1) * (2**61 - 1))
+    assert not is_prime(PROOF_BOUND + 2)  # 3 * 1105681354893295795320661
+    # primes, and the bound itself: a composite that no base exposes
+    for n in (PROOF_BOUND, 3317044064679887385962123, 2**89 - 1, 2**521 - 1):
+        with pytest.raises(ValueError, match="cannot be certified"):
+            is_prime(n)
+    with pytest.raises(ValueError, match="cannot be certified"):
+        is_prime(10**400 + 1)  # beyond the witness search: not even tested
+
+
+@given(st.sampled_from(TIER_PRIMES), st.sampled_from(TIER_PRIMES), st.integers(1, 40))
+def test_prime_power_finds_every_prime_power_and_nothing_else(p, q, u):
+    u = min(u, (1024 - q.bit_length()) // p.bit_length())  # within the witness search
+    assert _prime_power(p**u) == (p, u)
+    if q != p:
+        assert _prime_power(p**u * q) is None
+
+
+def test_prime_power_reduces_by_roots_of_every_prime_degree():
+    assert _prime_power(43**2 * 47**2) is None
+    assert _prime_power(43**6) == (43, 6)
+    assert _prime_power(1000000007**35) == (1000000007, 35)
+    assert _prime_power(1000000016000000063) is None  # 1000000007 * 1000000009
+    assert _prime_power(4) == (2, 2) and _prime_power(12) is None and _prime_power(1) is None
+
+
+def test_prime_power_never_factors(monkeypatch):
+    monkeypatch.setattr(groupspec, "prime_divisors", None)
+    assert parse_abelian("C_1000000014000000049 * C_{9999999967^3}").render() == \
+        "C_{1000000007^2} * C_{9999999967^3}"
+    with pytest.raises(ParseError, match="not a prime power"):
+        parse_abelian("C_1000000016000000063")
+
+
+def test_prime_power_above_the_proof_bound():
+    with pytest.raises(ParseError, match="not a prime power") as err:
+        parse_abelian("C_3317044064679887385961983")
+    assert err.value.pos == 2
+    with pytest.raises(ParseError, match="cannot be certified") as err:
+        parse_abelian("C_3317044064679887385961981")
+    assert err.value.pos == 2
+    with pytest.raises(ParseError, match="cannot be certified") as err:
+        parse_abelian("C_{618970019642690137449562111^2}")
+    assert err.value.pos == 3
+    with pytest.raises(ParseError, match="cannot be certified"):
+        parse_passive("nilpotent(p=618970019642690137449562111, s=[1])")
+
+
+def test_factors_given_by_hand_are_still_checked():
+    with pytest.raises(ValueError, match="4 is not a prime"):
+        PrimaryFactor(4, 1, Cardinal.finite(1))
+    with pytest.raises(ValueError, match="6 is not a prime"):
+        PassivePrimePart(6, (1,))
+    with pytest.raises(ValueError, match="cannot be certified"):
+        PrimaryFactor(2**89 - 1, 1, Cardinal.finite(1))
+    with pytest.raises(ValueError, match="4 is not a prime"):
+        divergence(TRIVIAL, TRIVIAL, 4)
+    with pytest.raises(ValueError, match="4 is not a prime"):
+        equivalent_p(TRIVIAL, TRIVIAL, 4)
+
+
+def test_each_prime_is_checked_once_per_input(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(groupspec, "is_prime", counted)
+    p = 9999999967
+    code = main(["decide", "--a1", f"C_{p}", "--a2", f"C_{p}",
+                 "--b1", f"C_{p}^3", "--b2", f"C_{p}^4"])
+    assert code == 1
+    assert len(calls) <= 6, calls
