@@ -484,6 +484,13 @@ def test_prime_power_finds_every_prime_power_and_nothing_else(p, q, u):
         assert _prime_power(p**u * q) is None
 
 
+@given(st.integers(1, 2**3000), st.integers(2, 400), st.integers(-1, 1))
+def test_integer_root_is_the_floor_of_the_real_root(n, k, nudge):
+    n = max(1, groupspec._iroot(n, k) ** k + nudge)  # near a perfect power too
+    r = groupspec._iroot(n, k)
+    assert r**k <= n < (r + 1) ** k
+
+
 def test_prime_power_reduces_by_roots_of_every_prime_degree():
     assert _prime_power(43**2 * 47**2) is None
     assert _prime_power(43**6) == (43, 6)
