@@ -24,6 +24,7 @@ from .groupspec import (
     parse_abelian,
     parse_passive,
     passive_atoms,
+    passive_spec,
     prime_divisors,
 )
 from .shield import (

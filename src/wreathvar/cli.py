@@ -25,6 +25,7 @@ from .groupspec import (
     parse_abelian,
     parse_passive,
     passive_atoms,
+    passive_spec,
 )
 from .shield import NotNilpotentError, baumslag_reason, kp_series, shield_params
 from .variety import (
@@ -282,7 +283,7 @@ def run_oracle_verify(manifest: str, budget: int, as_json: bool) -> int:
         try:
             passive_expr, active_expr, active_at = _split_wreath_line(line)
             atoms = _parse_in_line(passive_atoms, passive_expr, 0, line)
-            a_spec = _parse_in_line(parse_passive, passive_expr, 0, line)
+            a_spec = _parse_in_line(lambda expr: passive_spec(atoms, expr), passive_expr, 0, line)
             b_spec = _parse_in_line(parse_abelian, active_expr, active_at, line)
         except ValueError as err:
             print(f"{manifest}:{lineno}: error: {err}", file=sys.stderr)

@@ -35,6 +35,7 @@ __all__ = [
     "parse_abelian",
     "parse_passive",
     "passive_atoms",
+    "passive_spec",
     "equivalent_p",
     "equivalent",
     "divergence",
@@ -278,7 +279,7 @@ class AbelianGroupSpec:
 
     def p_component(self, p: int) -> "AbelianGroupSpec":
         """The subgroup of elements of ``p``-power order (possibly trivial)."""
-        return AbelianGroupSpec(tuple(f for f in self.factors if f.prime == p))
+        return AbelianGroupSpec(tuple([f for f in self.factors if f.prime == p]))
 
     def power(self, k: int) -> "AbelianGroupSpec":
         """The power subgroup of all ``k``-th powers."""
@@ -785,10 +786,10 @@ def _merge_parts(parts: Sequence[PassivePrimePart]) -> PassivePrimePart:
     # direct product within one prime: componentwise maxima
     p = parts[0].prime
     c = max(part.nilpotency_class for part in parts)
-    s = tuple(
-        max(part.gamma_exponents[h] if h < part.nilpotency_class else 0 for part in parts)
+    s = tuple([
+        max([part.gamma_exponents[h] if h < part.nilpotency_class else 0 for part in parts])
         for h in range(c)
-    )
+    ])
     dls = [part.derived_length for part in parts]
     dl = None if any(x is None for x in dls) else max(dls)  # type: ignore[type-var]
     return _derived(PassivePrimePart, prime=p, gamma_exponents=s, derived_length=dl)
@@ -803,13 +804,18 @@ def parse_passive(text: str) -> PassiveGroupSpec:
     """Parse a passive group: products of ``D4``, ``Q8``, cyclic ``C_{p^u}``
     factors (multiplicities allowed but irrelevant to the profile), and
     inline ``nilpotent(p=..., s=[...])`` profiles."""
-    atoms = passive_atoms(text)
+    return passive_spec(passive_atoms(text), text)
+
+
+def passive_spec(atoms: Sequence[PassiveAtom], text: str) -> PassiveGroupSpec:
+    """The spec of the passive expression ``text``, built from its atoms
+    as :func:`passive_atoms` parsed them."""
     parts = [part for part in map(_atom_part, atoms) if part is not None]
     if not parts:
         raise ParseError("passive group must be nontrivial", 0, text)
     by_prime: dict[int, list[PassivePrimePart]] = {}
     for part in parts:
         by_prime.setdefault(part.prime, []).append(part)
-    merged = tuple(_merge_parts(by_prime[p]) for p in sorted(by_prime))
-    label = " * ".join(sorted(_atom_render(a) for a in atoms))
+    merged = tuple([_merge_parts(by_prime[p]) for p in sorted(by_prime)])
+    label = " * ".join(sorted(map(_atom_render, atoms)))
     return PassiveGroupSpec(merged, label=label)

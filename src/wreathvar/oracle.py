@@ -1,12 +1,18 @@
 """Brute-force validation engine over explicitly enumerated finite groups.
 
-Groups are element lists with rule-based multiplication and inversion;
-subgroups are explicit element sets, built from generators.  The point of the module is
-to recompute, by sheer enumeration, everything the symbolic modules
-derive: lower central series, nilpotency classes, exponents, derived
-lengths and the general K_p-series (including the commutator terms an
-abelian group never exercises), so that the two routes can be compared
-on desk-scale instances.
+Cyclic groups, the presets and directly built groups are element lists
+with rule-based multiplication and inversion, and their axioms are
+checked element by element when they are built.  Products and wreath
+products are assembled from such groups, whose axioms already hold, and
+check only what their construction adds (see ``ConcreteGroup``).  A
+wreath product's elements are index vectors into its factors' element
+lists, and its products are table lookups.  Subgroups are explicit
+element sets, built from generators.  The point of the module is to
+recompute, by sheer enumeration, everything the symbolic modules derive:
+lower central series, nilpotency classes, exponents, derived lengths and
+the general K_p-series (including the commutator terms an abelian group
+never exercises), so that the two routes can be compared on desk-scale
+instances.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from operator import getitem, itemgetter
 from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from .groupspec import AbelianGroupSpec, PassiveAtom, PassiveGroupSpec, prime_divisors
@@ -59,7 +66,18 @@ class BudgetExceededError(ValueError):
 
 
 class ConcreteGroup:
-    """A finite group as an element list plus multiplication/inverse rules."""
+    """A finite group as an element list plus multiplication/inverse rules.
+
+    A group built here has its axioms checked: the identity and inverse
+    laws on every element, and associativity on every triple up to
+    ``_FULL_ASSOC_LIMIT`` elements and on ``_SPOT_TRIPLES`` seeded triples
+    above.  Products and wreath products are built by ``_from_factors``
+    instead, from groups checked that way.  Their construction carries the
+    factors' laws to every element, so only the assembled rules are
+    checked there: the identity and inverse laws on the generators and
+    the spot triples (and, in ``concrete_wreath``, the action).  The full
+    check of such groups runs in the tests.
+    """
 
     def __init__(
         self,
@@ -70,6 +88,26 @@ class ConcreteGroup:
         identity,
         generators: Sequence,
     ):
+        self._assign(label, elements, mul, inv, identity, generators)
+        if identity not in self.elements:
+            raise ValueError(f"{label}: identity not among the elements")
+        self._check_laws(self.elements)
+        if self.order <= _FULL_ASSOC_LIMIT:
+            self._check_associative(itertools.product(self.elements, repeat=3))
+        else:
+            self._check_associative(self._spot_triples())
+
+    @classmethod
+    def _from_factors(cls, label: str, elements: Iterable, mul: Callable, inv: Callable,
+                      identity, generators: Sequence) -> "ConcreteGroup":
+        """A group whose rules are assembled from already checked groups."""
+        group = cls.__new__(cls)
+        group._assign(label, elements, mul, inv, identity, generators)
+        group._check_laws(group.generators)
+        group._check_associative(group._spot_triples())
+        return group
+
+    def _assign(self, label, elements, mul, inv, identity, generators) -> None:
         self.label = label
         self.elements = tuple(elements)
         self.mul = mul
@@ -77,31 +115,28 @@ class ConcreteGroup:
         self.identity = identity
         self.generators = tuple(generators)
         self._exponent: Optional[int] = None
-        self._check_axioms()
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    def _check_axioms(self) -> None:
-        e = self.identity
-        if e not in self.elements:
-            raise ValueError(f"{self.label}: identity not among the elements")
-        for x in self.elements:
-            if self.mul(e, x) != x or self.mul(x, e) != x:
+    def _check_laws(self, xs: Iterable) -> None:
+        """The identity and inverse laws on each of ``xs``."""
+        e, mul, inv = self.identity, self.mul, self.inv
+        for x in xs:
+            if mul(e, x) != x or mul(x, e) != x:
                 raise ValueError(f"{self.label}: identity fails on {x!r}")
-            if self.mul(x, self.inv(x)) != e:
+            if mul(x, inv(x)) != e:
                 raise ValueError(f"{self.label}: inverse fails on {x!r}")
-        if self.order <= _FULL_ASSOC_LIMIT:
-            triples = itertools.product(self.elements, repeat=3)
-        else:
-            rng = random.Random(0xC0FFEE)
-            triples = (
-                tuple(rng.choice(self.elements) for _ in range(3))
-                for _ in range(_SPOT_TRIPLES)
-            )
+
+    def _spot_triples(self) -> Iterable[tuple]:
+        draws = iter(random.Random(0xC0FFEE).choices(self.elements, k=3 * _SPOT_TRIPLES))
+        return zip(draws, draws, draws)
+
+    def _check_associative(self, triples: Iterable[tuple]) -> None:
+        mul = self.mul
         for x, y, z in triples:
-            if self.mul(self.mul(x, y), z) != self.mul(x, self.mul(y, z)):
+            if mul(mul(x, y), z) != mul(x, mul(y, z)):
                 raise ValueError(f"{self.label}: associativity fails")
 
     def power(self, x, k: int):
@@ -205,7 +240,7 @@ def concrete_product(groups: Sequence[ConcreteGroup], budget: int = DEFAULT_BUDG
         for i, g in enumerate(groups)
         for gen in g.generators
     ]
-    return ConcreteGroup(
+    return ConcreteGroup._from_factors(
         label=label,
         elements=itertools.product(*(g.elements for g in groups)),
         mul=lambda x, y: tuple(m(a, b) for m, a, b in zip(muls, x, y)),
@@ -246,50 +281,78 @@ def wreath_order(a_order: int, b_order: int, cap: int) -> Optional[int]:
     return _order_within(((a_order, b_order), (b_order, 1)), cap)
 
 
+def _tables(G: ConcreteGroup) -> tuple[dict, list[tuple[int, ...]], tuple[int, ...]]:
+    """``G`` on indices into ``G.elements``: each element's index, the
+    right multiplications (row ``k`` maps ``i`` to the index of
+    ``elements[i] * elements[k]``) and the inverses."""
+    elements, mul = G.elements, G.mul
+    index = {x: i for i, x in enumerate(elements)}
+    right = [tuple([index[mul(x, y)] for x in elements]) for y in elements]
+    return index, right, tuple([index[G.inv(x)] for x in elements])
+
+
 def concrete_wreath(A: ConcreteGroup, B: ConcreteGroup, budget: int = DEFAULT_BUDGET) -> ConcreteGroup:
-    """The wreath product of finite groups: pairs (f, b) with f a tuple of
-    A-elements indexed by B's element list and b acting by translation."""
+    """The wreath product of finite groups on index vectors.
+
+    An element ``(i_0, ..., i_{n-1}, j)``, with ``n = |B|``, is the pair
+    ``(f, b)`` with ``f(B.elements[k]) = A.elements[i_k]`` and
+    ``b = B.elements[j]``; ``b`` acts on ``f`` by right translation.  Both
+    factors' products are tabulated, ``|A|^2 + |B|^2`` entries that the
+    budget bounds when ``|A|, |B| >= 2``, and a product is one tuple built
+    from table lookups.  ``A wr 1`` is ``A`` itself and multiplies by
+    ``A``'s rule, since ``|A|^2`` could be far above the budget there.
+
+    ``B``'s rule is checked to be a translation action on its generators:
+    with ``A`` and ``B`` checked when built, that and the generator laws
+    and spot triples of ``ConcreteGroup._from_factors`` are the wreath
+    product's axiom check.
+    """
     label = f"{A.label} wr {B.label}"
     order = wreath_order(A.order, B.order, cap=budget)
     if order is None:
         raise BudgetExceededError(f"{label}: order exceeds the budget {budget}")
-    nb = B.order
-    amul, ainv = A.mul, A.inv
-    bmul, binv = B.mul, B.inv
-    position = {x: k for k, x in enumerate(B.elements)}
-    # shift[b][k] = index of elements[k] * b in B's element list
-    shift = {
-        b: tuple(position[bmul(x, b)] for x in B.elements) for b in B.elements
-    }
+    na, nb = A.order, B.order
+    b_index, shift, b_inv = _tables(B)  # shift[b][k]: index of elements[k] * elements[b]
+    e_b = b_index[B.identity]
+    if shift[e_b] != tuple(range(nb)):
+        raise ValueError(f"{label}: the identity of {B.label} moves a point")
+    # take[b](y) lists y's coordinates translated by b; one index alone
+    # would make itemgetter return a scalar
+    take = [itemgetter(*s) for s in shift] if nb > 1 else [itemgetter(slice(0, 1))]
+    for g in B.generators:
+        s_g = shift[b_index[g]]
+        if any(shift[s_g[b]] != take[b](s_g) for b in range(nb)):
+            raise ValueError(f"{label}: {B.label} does not act by translation")
+    if nb == 1:
+        a_elements, a_mul, a_invert = A.elements, A.mul, A.inv
+        a_index = {x: i for i, x in enumerate(a_elements)}
 
-    def mul(x, y):
-        f1, b1 = x
-        f2, b2 = y
-        s = shift[b1]
-        return (tuple(amul(f1[k], f2[s[k]]) for k in range(nb)), bmul(b1, b2))
+        def mul(x, y):
+            return (a_index[a_mul(a_elements[x[0]], a_elements[y[0]])], e_b)
 
-    def inv(x):
-        f, b = x
-        bi = binv(b)
-        s = shift[bi]
-        return (tuple(ainv(f[s[k]]) for k in range(nb)), bi)
+        def inv(x):
+            return (a_index[a_invert(a_elements[x[0]])], e_b)
+    else:
+        a_index, a_right, a_inv = _tables(A)
 
-    trivial_f = (A.identity,) * nb
-    e_at = position[B.identity]
+        def mul(x, y):
+            b = x[nb]
+            return (*map(getitem, map(a_right.__getitem__, take[b](y)), x), shift[y[nb]][b])
+
+        def inv(x):
+            b = b_inv[x[nb]]
+            return (*map(a_inv.__getitem__, take[b](x)), b)
+
+    trivial = (a_index[A.identity],) * nb
     generators = [
-        (trivial_f[:e_at] + (g,) + trivial_f[e_at + 1 :], B.identity)
-        for g in A.generators
-    ] + [(trivial_f, g) for g in B.generators]
-    return ConcreteGroup(
+        (*trivial[:e_b], a_index[g], *trivial[e_b + 1:], e_b) for g in A.generators
+    ] + [(*trivial, b_index[g]) for g in B.generators]
+    return ConcreteGroup._from_factors(
         label=label,
-        elements=(
-            (f, b)
-            for f in itertools.product(A.elements, repeat=nb)
-            for b in B.elements
-        ),
+        elements=itertools.product(*[range(na)] * nb, range(nb)),
         mul=mul,
         inv=inv,
-        identity=(trivial_f, B.identity),
+        identity=(*trivial, e_b),
         generators=generators,
     )
 

@@ -21,6 +21,7 @@ from .groupspec import (
     DivergenceReport,
     PassiveGroupSpec,
     PrimaryFactor,
+    _derived,
     divergence,
     normalize,
 )
@@ -315,10 +316,13 @@ def separation_witness(
     small_n = small.as_int()  # the smaller slot is finite in every case
     big_n = big.as_int() if not big.is_infinite else small_n + 1
     shift = p ** (w - 1)
-    big_slot = (PrimaryFactor(p, w, Cardinal.finite(big_n)),)
-    small_slot = (PrimaryFactor(p, w, Cardinal.finite(small_n)),) if small_n else ()
-    reduced_big = normalize(prefix + big_slot).power(shift)
-    reduced_small = normalize(prefix + small_slot).power(shift)
+
+    def w_slot(n: int) -> tuple[PrimaryFactor, ...]:
+        # p was tested where the components were built, or by divergence
+        return (_derived(PrimaryFactor, prime=p, power=w, copies=Cardinal.finite(n)),) if n else ()
+
+    reduced_big = normalize(prefix + w_slot(big_n)).power(shift)
+    reduced_small = normalize(prefix + w_slot(small_n)).power(shift)
     a_p = PassiveGroupSpec((part,))
     class_big = shield_class(a_p, reduced_big)
     if reduced_small.is_trivial():

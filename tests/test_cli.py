@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import wreathvar.oracle
+from wreathvar import groupspec
 from wreathvar.cli import main
 
 SAMPLE = "C_{3^5}^6 * C_{3^3}^{aleph_0} * C_{3^2}^5 * C_3^{aleph_1} * C_{5^3}^4 * C_{5^2}"
@@ -292,6 +293,21 @@ def test_oracle_verify_all_match(capsys, tmp_path):
     assert code == 0
     assert out.count(": ok") == 3
     assert "0 mismatch(es) in 3 line(s)" in out
+
+
+def test_oracle_verify_parses_each_passive_expression_once(capsys, tmp_path, monkeypatch):
+    parsed = []
+    passive = groupspec._Parser.passive
+
+    def recorded(parser):
+        parsed.append(parser.text)
+        return passive(parser)
+
+    monkeypatch.setattr(groupspec._Parser, "passive", recorded)
+    manifest = write_manifest(tmp_path, "C_2 Wr C_2\nD4 * C_2 Wr C_2\n")
+    code, _, _ = run(capsys, "oracle-verify", "--manifest", manifest)
+    assert code == 0
+    assert parsed == ["C_2", "D4 * C_2"]
 
 
 def test_oracle_verify_budget_skip(capsys, tmp_path):

@@ -546,4 +546,4 @@ def test_each_prime_is_checked_once_per_input(monkeypatch):
     code = main(["decide", "--a1", f"C_{p}", "--a2", f"C_{p}",
                  "--b1", f"C_{p}^3", "--b2", f"C_{p}^4"])
     assert code == 1
-    assert len(calls) <= 6, calls
+    assert len(calls) <= 4, calls

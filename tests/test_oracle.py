@@ -1,9 +1,12 @@
+import itertools
 import math
+import random
 
 import pytest
 
 from wreathvar import (
     BudgetExceededError,
+    ConcreteGroup,
     concrete_abelian,
     concrete_cyclic,
     concrete_passive,
@@ -115,6 +118,126 @@ def test_budget_checked_before_expanding_multiplicities():
         concrete_abelian(parse_abelian("C_2^999999999"))
     with pytest.raises(BudgetExceededError):
         concrete_passive(passive_atoms("C_2^999999999"))
+
+
+def test_wreath_of_a_trivial_active_group_is_the_passive_group():
+    # A wr 1 multiplies by A's rule; 1 wr B is B on the translations
+    q8 = concrete_preset("Q8")
+    w = concrete_wreath(q8, concrete_cyclic(1))
+    assert (w.order, w.exponent(), nilpotency_class(w)) == (8, 4, 2)
+    assert element_order_profile(w) == element_order_profile(q8)
+    assert_full_axioms(w)
+    c4 = concrete_wreath(concrete_cyclic(1), concrete_cyclic(4))
+    assert (c4.order, c4.exponent(), nilpotency_class(c4)) == (4, 4, 1)
+    assert_full_axioms(c4)
+
+
+# ---------------------------------------------------------------------------
+# the axioms of products and wreath products
+#
+# Products and wreath products are built from checked groups and check
+# only the laws on their generators, the translation action and 200
+# seeded triples when built.  The checks below are the full ones, on
+# every element and, up to 64 elements, on every triple.
+
+
+def assert_laws_on_every_element(G):
+    e, mul, inv = G.identity, G.mul, G.inv
+    members = set(G.elements)
+    assert len(members) == G.order and e in members, G.label
+    for x in G.elements:
+        assert mul(e, x) == x == mul(x, e), (G.label, x)
+        assert mul(x, inv(x)) == e == mul(inv(x), x), (G.label, x)
+
+
+def assert_full_axioms(G):
+    """The laws on every element, and closure (a product outside the
+    elements has no index) and associativity on every triple, read off
+    ``G``'s multiplication table."""
+    assert_laws_on_every_element(G)
+    index = {x: i for i, x in enumerate(G.elements)}
+    table = [[index[G.mul(x, y)] for y in G.elements] for x in G.elements]
+    for row_x in table:
+        for y, xy in enumerate(row_x):
+            # (x y) z == x (y z) for every z at once
+            assert table[xy] == [row_x[yz] for yz in table[y]], G.label
+
+
+def sweep_factors():
+    """The passive and active groups of the sweep, one per label."""
+    groups = [concrete_passive(passive_atoms(expr)) for expr in SWEEP_PASSIVES]
+    groups += [concrete_abelian(parse_abelian(expr))
+               for exprs in SWEEP_ACTIVES.values() for expr in exprs]
+    return list({g.label: g for g in groups}.values())
+
+
+def test_products_and_wreaths_of_at_most_64_elements_satisfy_every_axiom():
+    factors = sweep_factors()
+    built = [concrete_product([g, h])
+             for g, h in itertools.combinations_with_replacement(factors, 2)
+             if g.order * h.order <= 64]
+    built += [concrete_wreath(a, b) for a, b in itertools.product(factors, repeat=2)
+              if wreath_order(a.order, b.order, cap=64) is not None]
+    built.append(SMALL_GROUPS["C_3 wr C_2"]())
+    labels = {G.label for G in built}
+    assert {"D4 x Q8", "C_5 wr C_2", "C_2 wr C_2^2", "C_3 wr C_2"} <= labels
+    for G in built:
+        assert_full_axioms(G)
+
+
+def test_sweep_wreaths_satisfy_the_laws_on_every_element():
+    checked = 0
+    for label, _, a_conc, b_spec in sweep_pairs(2_500):
+        G = concrete_wreath(a_conc, concrete_abelian(b_spec))
+        assert_laws_on_every_element(G)
+        draws = iter(random.Random(label).choices(G.elements, k=3 * 2_000))
+        for x, y, z in zip(draws, draws, draws):
+            assert G.mul(G.mul(x, y), z) == G.mul(x, G.mul(y, z)), label
+        checked += 1
+    assert checked == 15
+
+
+def test_products_and_wreaths_check_generators_not_every_element(monkeypatch):
+    checked = []
+    check_laws = ConcreteGroup._check_laws
+
+    def recorded(G, xs):
+        xs = tuple(xs)
+        checked.append((G.label, len(xs)))
+        check_laws(G, xs)
+
+    monkeypatch.setattr(ConcreteGroup, "_check_laws", recorded)
+    c3 = concrete_cyclic(3)
+    assert checked == [("C_3", 3)]
+    concrete_product([c3, c3])
+    concrete_wreath(c3, concrete_cyclic(9))
+    assert checked[1:] == [("C_3 x C_3", 2), ("C_9", 9), ("C_3 wr C_9", 2)]
+
+
+def test_a_wrong_rule_is_refused_when_built():
+    with pytest.raises(ValueError, match="identity fails"):
+        ConcreteGroup("C_4?", range(4), mul=lambda a, b: (a - b) % 4,
+                      inv=lambda a: a, identity=0, generators=(1,))
+    with pytest.raises(ValueError, match="inverse fails"):
+        ConcreteGroup("C_4?", range(4), mul=lambda a, b: (a + b) % 4,
+                      inv=lambda a: a, identity=0, generators=(1,))
+    # a Latin square with an identity that is not associative: the
+    # smallest such loop has 5 elements
+    loop = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3),
+            (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+    with pytest.raises(ValueError, match="associativity fails"):
+        ConcreteGroup("loop", range(5), mul=lambda a, b: loop[a][b],
+                      inv=lambda a: a, identity=0, generators=(1, 2))
+
+
+def test_wreath_refuses_an_active_group_that_does_not_act():
+    b = concrete_cyclic(3)
+    b.mul = lambda x, y: (x - y) % 3  # fixes every point, but is no action
+    with pytest.raises(ValueError, match="does not act by translation"):
+        concrete_wreath(concrete_cyclic(2), b)
+    b.mul = lambda x, y: (x + y + 1) % 3  # moves every point by the identity
+    with pytest.raises(ValueError, match="moves a point"):
+        concrete_wreath(concrete_cyclic(2), b)
 
 
 # ---------------------------------------------------------------------------
@@ -417,16 +540,17 @@ def sweep_pairs(cap):
 
 def test_verify_shield_sweep_over_every_desk_scale_pair():
     checked = 0
-    for label, a_spec, a_conc, b_spec in sweep_pairs(20_000):
+    for label, a_spec, a_conc, b_spec in sweep_pairs(200_000):
         report = verify_shield(a_spec, a_conc, b_spec, concrete_abelian(b_spec))
         assert report.ok, f"{label}: {report}"
         checked += 1
-    assert checked == 22
+    # up to C_3 wr C_3^2 (class 5) and C_3 wr C_{3^2} (class 9), 177 147 elements
+    assert checked == 24
 
 
 def test_derived_length_within_the_solubility_bound_on_the_sweep():
     checked = attained = 0
-    for label, a_spec, a_conc, b_spec in sweep_pairs(20_000):
+    for label, a_spec, a_conc, b_spec in sweep_pairs(200_000):
         dl = derived_length_concrete(concrete_wreath(a_conc, concrete_abelian(b_spec)))
         bound = fingerprint(a_spec, b_spec).solubility_bound
         assert dl <= bound, f"{label}: derived length {dl} > {bound}"
@@ -434,7 +558,7 @@ def test_derived_length_within_the_solubility_bound_on_the_sweep():
         attained += dl == bound
     # the bound dl(A) + 1 is attained on every pair: 2 over an abelian
     # passive group, 3 over D4 and Q8
-    assert attained == checked == 22
+    assert attained == checked == 24
 
 
 def test_verify_report_serializes():
