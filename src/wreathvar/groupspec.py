@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -567,12 +568,25 @@ def _tokenize(text: str, limit: int) -> list[_Tok]:
 PassiveAtom = tuple
 
 
+def _digit_limit() -> int:
+    """The most decimal digits a literal or a cyclic order may have: as
+    many as Python converts to a string (0: no limit, or an older Python)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 class _Parser:
+    """Recursive descent over the tokens of a whole expression.
+
+    It is the parser of passive expressions, and the one that locates
+    every error in an abelian expression: :func:`parse_abelian` hands it
+    the text only when its own scan refuses it.  The text is tokenized up
+    front, so an unexpected character or an over-long literal is reported
+    before any error of the grammar.
+    """
+
     def __init__(self, text: str):
         self.text = text
-        # no literal or cyclic order may have more decimal digits than
-        # Python converts to a string (0: no limit, or an older Python)
-        self.limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        self.limit = _digit_limit()
         self.toks = _tokenize(text, self.limit)
         self.i = 0
 
@@ -746,6 +760,79 @@ class _Parser:
         self.expect("=")
 
 
+# One term of an abelian expression, from its 'C' to the next one, with
+# whitespace wherever the tokenizer skips it.  Groups: the base as spelled;
+# the number and exponent of a braced base; a plain and a braced finite
+# multiplicity; 'aleph' and its index; the '*' that follows, if any.
+_TERM = re.compile(r"""
+    C \s* _ \s*
+    ( [0-9]+ | \{ \s* ([0-9]+) \s* (?: \^ \s* ([0-9]+) \s* )? \} )
+    (?: \s* \^ \s* (?: ([0-9]+)
+                      | \{ \s* (?: ([0-9]+) | (aleph) (?: \s* _ \s* ([0-9]+) )? ) \s* \} ) )?
+    \s* (?: (\*) \s* | \Z )
+""", re.VERBOSE)
+
+
+def _base_value(n: str, u: Optional[str], limit: int) -> Optional[tuple[int, int]]:
+    """``(p, u)`` for a plain or braced base whose number is ``n`` and
+    whose exponent, when braced, is ``u``; None where the token parser
+    would refuse it."""
+    try:
+        if u is None:
+            return _prime_power(int(n))
+        p, e = int(n), int(u)
+        if e >= 1 and is_prime(p) and not _too_many_digits(p, e, limit):
+            return p, e
+    except ValueError:  # a primality that cannot be certified
+        pass
+    return None
+
+
+def _scan_abelian(text: str) -> Optional[AbelianGroupSpec]:
+    """The spec of ``text`` read term by term with :data:`_TERM`, or None
+    when the terms do not make up the whole text or one is refused.
+
+    Each distinct base spelling is tested once; multiplicities are merged
+    as plain ints (a sum of finite ones, the largest aleph index), so no
+    factor or cardinal is built per term.
+    """
+    limit = _digit_limit()
+    if limit and re.search(f"(?<![0-9])[0-9]{{{limit + 1}}}", text):
+        return None
+    bases: dict[str, tuple[int, int]] = {}
+    finite: dict[tuple[int, int], int] = {}
+    alephs: dict[tuple[int, int], int] = {}
+    pos = len(text) - len(text.lstrip())
+    star = "*"  # so that a text with no term is refused
+    for m in _TERM.finditer(text, pos):
+        start, end = m.span()
+        if start != pos:
+            return None
+        base, n, u, mult, braced, aleph, index, star = m.groups()
+        key = bases.get(base)
+        if key is None:
+            key = bases[base] = _base_value(n or base, u, limit)
+            if key is None:
+                return None
+        if aleph is None:
+            finite[key] = finite.get(key, 0) + int(mult or braced or 1)
+        else:
+            alephs[key] = max(alephs.get(key, 0), int(index or 0))
+        pos = end
+    if star or pos != len(text):
+        return None
+    out = []
+    for key in sorted(finite.keys() | alephs.keys(), key=lambda k: (k[0], -k[1])):
+        if key in alephs:
+            copies = Cardinal.aleph(alephs[key])
+        elif finite[key]:
+            copies = Cardinal.finite(finite[key])
+        else:
+            continue
+        out.append(_derived(PrimaryFactor, prime=key[0], power=key[1], copies=copies))
+    return AbelianGroupSpec(tuple(out))
+
+
 def parse_abelian(text: str) -> AbelianGroupSpec:
     """Parse an abelian group expression such as ``C_{3^5}^6 * C_{5^2}``.
 
@@ -754,8 +841,16 @@ def parse_abelian(text: str) -> AbelianGroupSpec:
     means one copy and infinite multiplicities are written
     ``^{aleph_0}``; ``1`` is the trivial group.  The result is normalized,
     so ``parse_abelian(spec.render()) == spec``.
+
+    The text is read in one scan, one compiled pattern per term, and each
+    distinct base spelling is tested once.  A text that the scan does not
+    accept whole goes to the token parser, which raises the
+    :class:`ParseError` that locates its first fault.
     """
-    return _Parser(text).abelian()
+    if text.strip() == "1":
+        return TRIVIAL
+    spec = _scan_abelian(text)
+    return spec if spec is not None else _Parser(text).abelian()
 
 
 def _atom_render(atom: PassiveAtom) -> str:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import wreathvar.oracle
-from wreathvar import groupspec
+from wreathvar import Cardinal, PrimaryFactor, groupspec, normalize
 from wreathvar.cli import main
 
 SAMPLE = "C_{3^5}^6 * C_{3^3}^{aleph_0} * C_{3^2}^5 * C_3^{aleph_1} * C_{5^3}^4 * C_{5^2}"
@@ -499,3 +500,35 @@ def test_four_thousand_three_hundred_digit_literal_is_refused():
     assert out == ""
     assert "cannot be certified" in err
     assert_caret_at(err, expr, 2)
+
+
+def test_a_semiprime_deep_in_a_long_expression_is_refused_at_its_column():
+    terms = ["C_{3^2}^4", "C_43 ^ {aleph_1}", "C_{ 9999999967 }^2", "C_8"] * 75
+    terms[249] = "C_1000000016000000063"  # 1000000007 * 1000000009
+    expr = " * ".join(terms)
+    code, out, err = run_process("parse", expr)
+    assert code == 2
+    assert out == ""
+    assert "1000000016000000063 is not a prime power" in err
+    assert_caret_at(err, expr, expr.index("C_1000000016000000063") + 2)
+
+
+def test_parse_twenty_thousand_terms():
+    # one argument may hold at most 128 KiB on Linux, so terms are spelled
+    # without spaces
+    rng = random.Random(20000)
+    bases = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1), (43, 1)]
+    factors, terms = [], []
+    for _ in range(20_000):
+        p, u = rng.choice(bases)
+        if rng.random() < 0.01:
+            copies, mult = Cardinal.aleph(rng.randint(0, 2)), "^{aleph_%d}"
+        else:
+            copies, mult = Cardinal.finite(rng.randint(0, 9)), "^%d"
+        factors.append(PrimaryFactor(p, u, copies))
+        terms.append(f"C_{p**u}" + mult % copies.value)
+    expr = "*".join(terms)
+    assert len(expr) < 2**17
+    code, out, _ = run_process("parse", expr)
+    assert code == 0
+    assert out.splitlines()[0] == f"normalized: {normalize(factors).render()}"

@@ -106,6 +106,129 @@ def test_parse_render_round_trip(s):
 
 
 # ---------------------------------------------------------------------------
+# the scan of parse_abelian against the token parser
+
+
+SPACE = st.text(" \t\n\u2003", max_size=2)
+# characters that a mutation inserts or writes over one of the expression's
+HOSTILE = "²٣Cx*{}_^01"
+
+
+@st.composite
+def spelled_terms(draw):
+    """One ``C_ base (^ mult)?`` term, every gap spelled with whitespace."""
+    def ws():
+        return draw(SPACE)
+
+    p = draw(st.sampled_from((2, 3, 43, 9999999967, 6)))  # 6: not a prime
+    u = draw(st.integers(0, 3))  # 0: refused
+    form = draw(st.sampled_from(("plain", "braced", "power")))
+    if form == "power":
+        base = f"{{{ws()}{p}{ws()}^{ws()}{u}{ws()}}}"
+    else:
+        base = str(p**u)
+        if form == "braced":
+            base = f"{{{ws()}{base}{ws()}}}"
+    mult = draw(st.sampled_from(("", "0", "5", "{7}", "{aleph}", "{aleph_1}", "{aleph_3}")))
+    if mult.startswith("{"):
+        inner = mult[1:-1].replace("_", f"{ws()}_{ws()}")
+        mult = f"{{{ws()}{inner}{ws()}}}"
+    if mult:
+        mult = f"{ws()}^{ws()}{mult}"
+    return f"{ws()}C{ws()}_{ws()}{base}{mult}{ws()}"
+
+
+@st.composite
+def spelled_expressions(draw):
+    """An expression of the grammar, its terms drawn from a small set so
+    that ``(p, u)`` pairs repeat, then perhaps one character inserted,
+    deleted or replaced by one of ``HOSTILE``."""
+    terms = draw(st.lists(spelled_terms(), min_size=1, max_size=4))
+    terms += draw(st.lists(st.sampled_from(terms), max_size=4))
+    text = "*".join(draw(st.permutations(terms)))
+    if draw(st.sampled_from([False] * 9 + [True])):  # now and then the trivial group
+        text = f"{draw(SPACE)}1{draw(SPACE)}"
+    edit = draw(st.sampled_from(("none", "insert", "delete", "replace")))
+    if edit != "none" and text:
+        i = draw(st.integers(0, len(text) - (edit != "insert")))
+        new = "" if edit == "delete" else draw(st.sampled_from(HOSTILE))
+        text = text[:i] + new + text[i + (edit != "insert"):]
+    return text
+
+
+def outcome(parse, text):
+    """What ``parse(text)`` gives: a spec, or a ParseError's message and position."""
+    try:
+        return parse(text)
+    except ParseError as err:
+        return err.message, err.pos
+
+
+@given(spelled_expressions())
+def test_scan_agrees_with_the_token_parser(text):
+    by_tokens = outcome(lambda t: groupspec._Parser(t).abelian(), text)
+    assert outcome(parse_abelian, text) == by_tokens
+    # the scan itself accepts every expression but "1" that the tokens accept
+    if isinstance(by_tokens, groupspec.AbelianGroupSpec) and text.strip() != "1":
+        assert groupspec._scan_abelian(text) == by_tokens
+
+
+# term 250 of TERMS_300 replaced by each literal: (replacement, literal, message)
+DEEP_ERRORS = [
+    ("C_6", "6", "6 is not a prime power"),
+    ("C_" + "7" * 4301, "7" * 4301, "integer literal has more than 4300 digits"),
+    ("C_{2^14285}", "14285", "cyclic order has more than 4300 digits"),
+    ("C_1000000016000000063", "1000000016000000063",
+     "1000000016000000063 is not a prime power"),
+]
+TERMS_300 = ["C_{3^2}^4", "C_43 ^ {aleph_1}", "C_{ 9999999967 }^2", "C_8"] * 75
+
+
+def with_term_250(term):
+    """``TERMS_300`` with term 250 replaced, and where that term starts."""
+    terms = TERMS_300[:249] + [term] + TERMS_300[250:]
+    return " * ".join(terms), len(" * ".join(terms[:249] + [""]))
+
+
+@pytest.mark.parametrize("term, literal, message", DEEP_ERRORS,
+                         ids=["not-a-prime-power", "long-literal", "long-order", "semiprime"])
+def test_an_error_deep_in_a_long_expression_keeps_its_column(term, literal, message):
+    text, start = with_term_250(term)
+    with pytest.raises(ParseError) as err:
+        parse_abelian(text)
+    assert err.value.message == message
+    assert err.value.pos == start + term.index(literal)
+
+
+def test_a_valid_expression_is_scanned_without_tokens_and_each_base_tested_once(monkeypatch):
+    text = " * ".join(TERMS_300 + ["C_{3^2}", "C_{ 43^1 }^0", "C_9999999967^{aleph}"])
+    spellings = {"{3^2}", "43", "{ 9999999967 }", "8", "{ 43^1 }", "9999999967"}
+    want = spec((2, 3, 75), (3, 2, 301), (43, 1, A1), (9999999967, 1, A0))
+
+    def no_tokens(*args):
+        raise AssertionError("the token parser ran on a valid expression")
+
+    tested, inside = [], []
+
+    def counted(fn):
+        def call(n):
+            if not inside:  # not the primality test that _prime_power makes
+                tested.append(n)
+            inside.append(n)
+            try:
+                return fn(n)
+            finally:
+                inside.pop()
+        return call
+
+    monkeypatch.setattr(groupspec, "_tokenize", no_tokens)
+    monkeypatch.setattr(groupspec, "_prime_power", counted(_prime_power))
+    monkeypatch.setattr(groupspec, "is_prime", counted(is_prime))
+    assert parse_abelian(text) == want
+    assert len(tested) <= len(spellings), tested
+
+
+# ---------------------------------------------------------------------------
 # normalization and algebra
 
 
