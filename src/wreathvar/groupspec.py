@@ -579,16 +579,19 @@ class _Parser:
 
     It is the parser of passive expressions, and the one that locates
     every error in an abelian expression: :func:`parse_abelian` hands it
-    the text only when its own scan refuses it.  The text is tokenized up
-    front, so an unexpected character or an over-long literal is reported
-    before any error of the grammar.
+    the text only when its own scan refuses it, together with the scan's
+    ``verdicts`` on the base spellings it tested (see :func:`_base_value`),
+    so that no base is tested twice.  The text is tokenized up front, so an
+    unexpected character or an over-long literal is reported before any
+    error of the grammar.
     """
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, verdicts: Optional[dict] = None):
         self.text = text
         self.limit = _digit_limit()
         self.toks = _tokenize(text, self.limit)
         self.i = 0
+        self.verdicts = {} if verdicts is None else verdicts
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -612,13 +615,17 @@ class _Parser:
         tok = self.expect("int", what)
         return int(tok.text), tok
 
-    def certified(self, test, n: int, tok: _Tok):
-        """``test(n)``, with a primality that cannot be certified reported
-        at ``tok``."""
+    def certified(self, test, n: int, tok: _Tok, spelling: Optional[str] = None):
+        """``test(n)``, or the scan's verdict on the base ``spelling`` when
+        it tested that base, with a primality that cannot be certified
+        reported at ``tok``."""
         try:
-            return test(n)
+            verdict = self.verdicts[spelling] if spelling in self.verdicts else test(n)
         except ValueError as err:
-            raise self.error(str(err), tok) from None
+            verdict = err
+        if isinstance(verdict, ValueError):
+            raise self.error(str(verdict), tok) from None
+        return verdict
 
     # -- shared pieces ------------------------------------------------
 
@@ -627,25 +634,26 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "int":
             self.next()
-            pu = self.certified(_prime_power, int(tok.text), tok)
+            pu = self.certified(_prime_power, int(tok.text), tok, tok.text)
             if pu is None:
                 raise self.error(f"{tok.text} is not a prime power", tok)
             return pu
-        self.expect("{", "'{' or digits")
+        brace = self.expect("{", "'{' or digits")
         n, ntok = self.expect_int("a number")
         if self.peek().kind == "^":
             self.next()
             u, utok = self.expect_int("an exponent")
-            self.expect("}")
-            if not self.certified(is_prime, n, ntok):
+            close = self.expect("}")
+            # the scan's verdict on an accepted base is its (p, u): truthy
+            if not self.certified(is_prime, n, ntok, self.text[brace.pos:close.pos + 1]):
                 raise self.error(f"{n} is not a prime", ntok)
             if u < 1:
                 raise self.error("cyclic exponent must be >= 1", utok)
             if _too_many_digits(n, u, self.limit):
                 raise self.error(f"cyclic order has more than {self.limit} digits", utok)
             return n, u
-        self.expect("}")
-        pu = self.certified(_prime_power, n, ntok)
+        close = self.expect("}")
+        pu = self.certified(_prime_power, n, ntok, self.text[brace.pos:close.pos + 1])
         if pu is None:
             raise self.error(f"{n} is not a prime power", ntok)
         return pu
@@ -773,33 +781,37 @@ _TERM = re.compile(r"""
 """, re.VERBOSE)
 
 
-def _base_value(n: str, u: Optional[str], limit: int) -> Optional[tuple[int, int]]:
-    """``(p, u)`` for a plain or braced base whose number is ``n`` and
-    whose exponent, when braced, is ``u``; None where the token parser
-    would refuse it."""
+def _base_value(n: str, u: Optional[str], limit: int):
+    """The verdict on a plain or braced base whose number is ``n`` and
+    whose exponent, when braced, is ``u``: ``(p, u)`` where the token
+    parser would accept it, and otherwise the outcome of its primality
+    test, what the test returned or the ``ValueError`` it raised."""
     try:
         if u is None:
             return _prime_power(int(n))
         p, e = int(n), int(u)
-        if e >= 1 and is_prime(p) and not _too_many_digits(p, e, limit):
+        prime = is_prime(p)
+        if prime and e >= 1 and not _too_many_digits(p, e, limit):
             return p, e
-    except ValueError:  # a primality that cannot be certified
-        pass
-    return None
+        return prime
+    except ValueError as err:  # a primality that cannot be certified
+        return err
 
 
-def _scan_abelian(text: str) -> Optional[AbelianGroupSpec]:
+def _scan_abelian(text: str, bases: Optional[dict] = None) -> Optional[AbelianGroupSpec]:
     """The spec of ``text`` read term by term with :data:`_TERM`, or None
     when the terms do not make up the whole text or one is refused.
 
-    Each distinct base spelling is tested once; multiplicities are merged
+    Each distinct base spelling is tested once, and ``bases`` keeps the
+    verdict on each (see :func:`_base_value`); multiplicities are merged
     as plain ints (a sum of finite ones, the largest aleph index), so no
     factor or cardinal is built per term.
     """
+    if bases is None:
+        bases = {}
     limit = _digit_limit()
     if limit and re.search(f"(?<![0-9])[0-9]{{{limit + 1}}}", text):
         return None
-    bases: dict[str, tuple[int, int]] = {}
     finite: dict[tuple[int, int], int] = {}
     alephs: dict[tuple[int, int], int] = {}
     pos = len(text) - len(text.lstrip())
@@ -812,7 +824,7 @@ def _scan_abelian(text: str) -> Optional[AbelianGroupSpec]:
         key = bases.get(base)
         if key is None:
             key = bases[base] = _base_value(n or base, u, limit)
-            if key is None:
+            if type(key) is not tuple:
                 return None
         if aleph is None:
             finite[key] = finite.get(key, 0) + int(mult or braced or 1)
@@ -845,12 +857,15 @@ def parse_abelian(text: str) -> AbelianGroupSpec:
     The text is read in one scan, one compiled pattern per term, and each
     distinct base spelling is tested once.  A text that the scan does not
     accept whole goes to the token parser, which raises the
-    :class:`ParseError` that locates its first fault.
+    :class:`ParseError` that locates its first fault; it takes the scan's
+    verdict on every base the scan tested, a refused one included, rather
+    than testing it again.
     """
     if text.strip() == "1":
         return TRIVIAL
-    spec = _scan_abelian(text)
-    return spec if spec is not None else _Parser(text).abelian()
+    bases: dict = {}
+    spec = _scan_abelian(text, bases)
+    return spec if spec is not None else _Parser(text, bases).abelian()
 
 
 def _atom_render(atom: PassiveAtom) -> str:

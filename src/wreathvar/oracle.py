@@ -6,7 +6,11 @@ checked element by element when they are built.  Products and wreath
 products are assembled from such groups, whose axioms already hold, and
 check only what their construction adds (see ``ConcreteGroup``).  A
 wreath product's elements are index vectors into its factors' element
-lists, and its products are table lookups.  Subgroups are explicit
+lists, and its products are table lookups.  Its ``q``-th powers, which
+the exponent takes, are formed a column of coordinates at a time over
+all the elements that share an active coordinate (``_column_powers``);
+``concrete_wreath`` checks that rule against products when it builds the
+group (``ConcreteGroup._check_powers``).  Subgroups are explicit
 element sets, built from generators.  The point of the module is to
 recompute, by sheer enumeration, everything the symbolic modules derive:
 lower central series, nilpotency classes, exponents, derived lengths and
@@ -59,6 +63,7 @@ __all__ = [
 DEFAULT_BUDGET = 200_000
 _FULL_ASSOC_LIMIT = 24  # full associativity table below this order
 _SPOT_TRIPLES = 200
+_SPOT_POWERS = 16
 
 
 class BudgetExceededError(ValueError):
@@ -66,7 +71,9 @@ class BudgetExceededError(ValueError):
 
 
 class ConcreteGroup:
-    """A finite group as an element list plus multiplication/inverse rules.
+    """A finite group as an element list plus multiplication/inverse rules,
+    and a rule for the ``q``-th powers of many elements at once
+    (:meth:`powers`), which by default multiplies.
 
     A group built here has its axioms checked: the identity and inverse
     laws on every element, and associativity on every triple up to
@@ -74,9 +81,13 @@ class ConcreteGroup:
     above.  Products and wreath products are built by ``_from_factors``
     instead, from groups checked that way.  Their construction carries the
     factors' laws to every element, so only the assembled rules are
-    checked there: the identity and inverse laws on the generators and
-    the spot triples (and, in ``concrete_wreath``, the action).  The full
-    check of such groups runs in the tests.
+    checked there: the identity and inverse laws on the generators, and
+    associativity on every triple when there are at most ``_SPOT_TRIPLES``
+    of them and on the spot triples otherwise (and, in ``concrete_wreath``,
+    the action).  A power rule of their own is checked there too, against
+    :meth:`power` on the generators and ``_SPOT_POWERS`` seeded elements,
+    for each prime dividing the order.  The full check of such groups runs
+    in the tests.
     """
 
     def __init__(
@@ -99,21 +110,28 @@ class ConcreteGroup:
 
     @classmethod
     def _from_factors(cls, label: str, elements: Iterable, mul: Callable, inv: Callable,
-                      identity, generators: Sequence) -> "ConcreteGroup":
+                      identity, generators: Sequence,
+                      powers: Optional[Callable] = None) -> "ConcreteGroup":
         """A group whose rules are assembled from already checked groups."""
         group = cls.__new__(cls)
-        group._assign(label, elements, mul, inv, identity, generators)
+        group._assign(label, elements, mul, inv, identity, generators, powers)
         group._check_laws(group.generators)
-        group._check_associative(group._spot_triples())
+        if group.order**3 <= _SPOT_TRIPLES:
+            group._check_associative(itertools.product(group.elements, repeat=3))
+        else:
+            group._check_associative(group._spot_triples())
+        if powers is not None:
+            group._check_powers([*group.generators, *group._spot_elements(_SPOT_POWERS)])
         return group
 
-    def _assign(self, label, elements, mul, inv, identity, generators) -> None:
+    def _assign(self, label, elements, mul, inv, identity, generators, powers=None) -> None:
         self.label = label
         self.elements = tuple(elements)
         self.mul = mul
         self.inv = inv
         self.identity = identity
         self.generators = tuple(generators)
+        self._powers = powers
         self._exponent: Optional[int] = None
 
     @property
@@ -129,8 +147,11 @@ class ConcreteGroup:
             if mul(x, inv(x)) != e:
                 raise ValueError(f"{self.label}: inverse fails on {x!r}")
 
+    def _spot_elements(self, k: int) -> list:
+        return random.Random(0xC0FFEE).choices(self.elements, k=k)
+
     def _spot_triples(self) -> Iterable[tuple]:
-        draws = iter(random.Random(0xC0FFEE).choices(self.elements, k=3 * _SPOT_TRIPLES))
+        draws = iter(self._spot_elements(3 * _SPOT_TRIPLES))
         return zip(draws, draws, draws)
 
     def _check_associative(self, triples: Iterable[tuple]) -> None:
@@ -138,6 +159,22 @@ class ConcreteGroup:
         for x, y, z in triples:
             if mul(mul(x, y), z) != mul(x, mul(y, z)):
                 raise ValueError(f"{self.label}: associativity fails")
+
+    def _check_powers(self, xs: list) -> None:
+        """The power rule against :meth:`power` on ``xs``, for each prime
+        dividing the order."""
+        for q in prime_divisors(self.order):
+            if self.powers(xs, q) != [self.power(x, q) for x in xs]:
+                raise ValueError(f"{self.label}: the power rule fails for q = {q}")
+
+    def powers(self, xs: Iterable, q: int) -> list:
+        """The ``q``-th powers (``q >= 1``) of ``xs``, in order: by the
+        group's own rule if it has one, and otherwise by ``q - 1``
+        products apiece."""
+        if self._powers is not None:
+            return self._powers(xs, q)
+        mul = self.mul
+        return [functools.reduce(mul, (y,) * q) for y in xs]
 
     def power(self, x, k: int):
         if k < 0:
@@ -302,10 +339,14 @@ def concrete_wreath(A: ConcreteGroup, B: ConcreteGroup, budget: int = DEFAULT_BU
     from table lookups.  ``A wr 1`` is ``A`` itself and multiplies by
     ``A``'s rule, since ``|A|^2`` could be far above the budget there.
 
+    Powers come from :func:`_column_powers`, a column of coordinates at
+    a time, with no product formed on the wreath product.
+
     ``B``'s rule is checked to be a translation action on its generators:
     with ``A`` and ``B`` checked when built, that and the generator laws
     and spot triples of ``ConcreteGroup._from_factors`` are the wreath
-    product's axiom check.
+    product's axiom check.  ``_from_factors`` also checks the power rule
+    against products, on the generators and spot elements.
     """
     label = f"{A.label} wr {B.label}"
     order = wreath_order(A.order, B.order, cap=budget)
@@ -323,6 +364,7 @@ def concrete_wreath(A: ConcreteGroup, B: ConcreteGroup, budget: int = DEFAULT_BU
         s_g = shift[b_index[g]]
         if any(shift[s_g[b]] != take[b](s_g) for b in range(nb)):
             raise ValueError(f"{label}: {B.label} does not act by translation")
+    powers = None
     if nb == 1:
         a_elements, a_mul, a_invert = A.elements, A.mul, A.inv
         a_index = {x: i for i, x in enumerate(a_elements)}
@@ -343,6 +385,8 @@ def concrete_wreath(A: ConcreteGroup, B: ConcreteGroup, budget: int = DEFAULT_BU
             b = b_inv[x[nb]]
             return (*map(a_inv.__getitem__, take[b](x)), b)
 
+        powers = _column_powers(nb, a_right, shift)
+
     trivial = (a_index[A.identity],) * nb
     generators = [
         (*trivial[:e_b], a_index[g], *trivial[e_b + 1:], e_b) for g in A.generators
@@ -354,20 +398,67 @@ def concrete_wreath(A: ConcreteGroup, B: ConcreteGroup, budget: int = DEFAULT_BU
         inv=inv,
         identity=(*trivial, e_b),
         generators=generators,
+        powers=powers,
     )
 
 
+def _column_powers(nb: int, a_right: Sequence[Sequence[int]],
+                   shift: Sequence[Sequence[int]]) -> Callable:
+    """The power rule of a wreath product on index vectors, with
+    ``|B| = nb >= 2`` and the factor tables of :func:`concrete_wreath`.
+
+    Coordinate ``k`` of ``(f, b)^q`` is ``f(k) f(k b) ... f(k b^(q-1))``
+    and its last is ``b^q``.  The elements that share ``b`` are taken
+    together: transposed into columns, each coordinate of their powers is
+    ``q - 1`` passes of ``map`` over a column and the ``A``-table rows of
+    another, chosen by ``shift[b]``, and the columns are zipped back into
+    index vectors.
+    """
+
+    def same_active(group: list, j: int, q: int) -> Iterable[tuple]:
+        # one pass over the vectors, then strided slices: zip(*group)
+        # visits every vector once per coordinate
+        flat = list(itertools.chain.from_iterable(group))
+        cols = [flat[k::nb + 1] for k in range(nb)]
+        rows = [list(map(a_right.__getitem__, col)) for col in cols]
+        s = shift[j]
+        out = []
+        for k in range(nb):
+            acc, at = cols[k], k
+            for _ in range(q - 1):  # at runs through k b, k b^2, ...
+                at = s[at]
+                acc = map(getitem, rows[at], acc)
+            out.append(acc)
+        for _ in range(q - 1):
+            j = s[j]
+        return zip(*out, itertools.repeat(j))
+
+    def powers(xs: Iterable, q: int) -> list:
+        xs = list(xs)
+        groups: list[list] = [[] for _ in range(nb)]
+        for x in xs:
+            groups[x[nb]].append(x)
+        nexts = [same_active(group, j, q).__next__ if group else None
+                 for j, group in enumerate(groups)]
+        return [nexts[x[nb]]() for x in xs]
+
+    return powers
+
+
 def concrete_abelian(spec: AbelianGroupSpec, budget: int = DEFAULT_BUDGET) -> ConcreteGroup:
-    """Realize a finite abelian spec as a product of cyclic groups."""
+    """Realize a finite abelian spec as a product of cyclic groups, or as
+    the cyclic group itself when it has one cyclic factor."""
     if not spec.is_finite():
         raise ValueError(f"cannot enumerate the infinite group {spec}")
     # order check before expanding multiplicities into factor lists
     if _order_within(_abelian_powers(spec), budget) is None:
         raise BudgetExceededError(f"{spec.render()}: order exceeds the budget {budget}")
-    factors = []
+    parts = []
     for f in spec.factors:
-        factors.extend([f.cyclic_order] * f.copies.as_int())
-    group = concrete_product([concrete_cyclic(n, budget) for n in factors], budget)
+        parts.extend([concrete_cyclic(f.cyclic_order, budget)] * f.copies.as_int())
+    # C_n was checked in full when built; a product of one factor would
+    # only check it again
+    group = parts[0] if len(parts) == 1 else concrete_product(parts, budget)
     group.label = spec.render()
     return group
 
@@ -571,9 +662,13 @@ def subgroup_exponent(G: ConcreteGroup, H: Collection) -> int:
 
     For each prime ``q`` dividing ``|H|`` a ladder starts from the
     ``q``-parts of the elements (their powers to the ``q'``-part of
-    ``|H|``) and raises each to the ``q``-th power, ``q - 1`` products
-    apiece, until only the identity is left; the ``q``-part of the
-    exponent is ``q`` to the number of rungs.
+    ``|H|``) and raises the whole rung to the ``q``-th power with
+    :meth:`ConcreteGroup.powers`, until only the identity is left; the
+    ``q``-part of the exponent is ``q`` to the number of rungs.  On a
+    wreath product the rung's powers come from the column-wise rule of
+    :func:`_column_powers`, which ``concrete_wreath`` checked against
+    products when it built the group; on any other group they are
+    ``q - 1`` products apiece.
     """
     exponent = 1
     for q in prime_divisors(len(H)):
@@ -582,7 +677,7 @@ def subgroup_exponent(G: ConcreteGroup, H: Collection) -> int:
             m //= q
         level = H if m == 1 else {G.power(x, m) for x in H}
         while len(level) > 1:  # every rung holds the identity
-            level = {functools.reduce(G.mul, (y,) * q) for y in level}
+            level = set(G.powers(level, q))
             exponent *= q
     return exponent
 

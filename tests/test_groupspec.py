@@ -670,3 +670,35 @@ def test_each_prime_is_checked_once_per_input(monkeypatch):
                  "--b1", f"C_{p}^3", "--b2", f"C_{p}^4"])
     assert code == 1
     assert len(calls) <= 4, calls
+
+
+def test_a_refused_base_is_tested_once(monkeypatch):
+    # the token parser that locates the error takes the scan's verdict on
+    # each base it tested, the refused one included
+    calls = []
+
+    def counted(test):
+        def run(n):
+            calls.append((test.__name__, n))
+            return test(n)
+        return run
+
+    monkeypatch.setattr(groupspec, "_prime_power", counted(_prime_power))
+    monkeypatch.setattr(groupspec, "is_prime", counted(is_prime))
+    with pytest.raises(ParseError, match="6 is not a prime power") as err:
+        parse_abelian("C_2 * C_4 * C_2 * C_6")
+    assert err.value.pos == 20
+    assert calls == [("_prime_power", 2), ("_prime_power", 4), ("_prime_power", 6)]
+    calls.clear()
+    semiprime = 1000000016000000063  # 1000000007 * 1000000009
+    with pytest.raises(ParseError, match=f"{semiprime} is not a prime") as err:
+        parse_abelian(f"C_{{ 3 }} * C_{{{semiprime}^2}}")
+    assert err.value.pos == 13
+    assert calls == [("_prime_power", 3), ("is_prime", semiprime)]
+    calls.clear()
+    n = 10**4299
+    n += next(c for c in range(1, 100) if math.gcd(n + c, math.factorial(42)) == 1)
+    with pytest.raises(ParseError, match="cannot be certified") as err:
+        parse_abelian(f"C_{n}")
+    assert err.value.pos == 2
+    assert calls == [("_prime_power", n), ("is_prime", n)]

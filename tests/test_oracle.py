@@ -27,6 +27,8 @@ from wreathvar import (
     subgroup_generated,
     verify_shield,
 )
+from wreathvar import oracle
+from wreathvar.groupspec import prime_divisors
 from wreathvar.oracle import (
     derived_series,
     element_order_profile,
@@ -214,6 +216,33 @@ def test_products_and_wreaths_check_generators_not_every_element(monkeypatch):
     assert checked[1:] == [("C_3 x C_3", 2), ("C_9", 9), ("C_3 wr C_9", 2)]
 
 
+def test_tiny_products_check_every_triple_and_single_factors_are_not_wrapped(monkeypatch):
+    checked = []
+    check_associative = ConcreteGroup._check_associative
+
+    def recorded(G, triples):
+        triples = tuple(triples)
+        checked.append((G.label, len(triples)))
+        check_associative(G, triples)
+
+    monkeypatch.setattr(ConcreteGroup, "_check_associative", recorded)
+    c2 = concrete_cyclic(2)
+    concrete_product([c2, c2])
+    # 4^3 = 64 triples, every one once, in place of 200 drawn with repeats
+    assert checked == [("C_2", 8), ("C_2 x C_2", 64)]
+    checked.clear()
+    concrete_product([c2, concrete_cyclic(3)])  # 6^3 = 216 > 200: spot triples
+    assert checked == [("C_3", 27), ("C_2 x C_3", 200)]
+    checked.clear()
+    # one cyclic factor is the cyclic group, checked in full once
+    c4 = concrete_abelian(parse_abelian("C_4"))
+    assert checked == [("C_4", 64)]
+    assert (c4.label, c4.order, c4.exponent()) == ("C_{2^2}", 4, 4)
+    checked.clear()
+    concrete_abelian(parse_abelian("C_2^3"))  # one C_2, repeated
+    assert checked == [("C_2", 8), ("C_2 x C_2 x C_2", 200)]
+
+
 def test_a_wrong_rule_is_refused_when_built():
     with pytest.raises(ValueError, match="identity fails"):
         ConcreteGroup("C_4?", range(4), mul=lambda a, b: (a - b) % 4,
@@ -228,6 +257,37 @@ def test_a_wrong_rule_is_refused_when_built():
     with pytest.raises(ValueError, match="associativity fails"):
         ConcreteGroup("loop", range(5), mul=lambda a, b: loop[a][b],
                       inv=lambda a: a, identity=0, generators=(1, 2))
+
+
+def test_a_wreath_with_a_wrong_power_rule_is_refused_when_built(monkeypatch):
+    column_powers = oracle._column_powers
+
+    def wrong_for(bad_q):
+        """A power rule that takes one power too many for ``bad_q``."""
+        def make(*tables):
+            powers = column_powers(*tables)
+            return lambda xs, q: powers(xs, q + (q == bad_q))
+        return make
+
+    monkeypatch.setattr(oracle, "_column_powers", wrong_for(2))
+    with pytest.raises(ValueError, match="power rule fails for q = 2"):
+        concrete_wreath(concrete_cyclic(2), concrete_cyclic(2))
+    # C_3 wr C_2 has two primes, and the rule is checked for each
+    monkeypatch.setattr(oracle, "_column_powers", wrong_for(3))
+    with pytest.raises(ValueError, match="power rule fails for q = 3"):
+        concrete_wreath(concrete_cyclic(3), concrete_cyclic(2))
+    # A wr 1 has no rule of its own: it multiplies
+    assert concrete_wreath(concrete_cyclic(3), concrete_cyclic(1)).exponent() == 3
+
+
+def test_wreath_powers_agree_with_products_on_the_sweep():
+    checked = 0
+    for label, _, a_conc, b_spec in sweep_pairs(20_000):
+        G = concrete_wreath(a_conc, concrete_abelian(b_spec))
+        for q in prime_divisors(G.order):
+            assert G.powers(G.elements, q) == [G.power(x, q) for x in G.elements], (label, q)
+        checked += 1
+    assert checked == 22
 
 
 def test_wreath_refuses_an_active_group_that_does_not_act():
@@ -439,15 +499,17 @@ def count_mul_calls(G):
 
 def test_engine_cost_is_far_below_one_product_per_element():
     # C_2 wr C_2^3, 2 048 elements.  The series takes 398 products from
-    # normal generators and 29 142 element-wise; the exponent 2 120 on
-    # the ladder and 5 407 walking each element up to its order.
+    # normal generators and 29 142 element-wise.  The exponent takes none:
+    # the power rule squares its rungs of 2 048 and 72 elements on columns
+    # of indices, where a ladder of products took 2 120 and walking each
+    # element up to its order takes 5 407.
     G = concrete_wreath(concrete_cyclic(2), concrete_abelian(parse_abelian("C_2^3")))
     calls = count_mul_calls(G)
     assert lower_central_series(G).orders() == (2048, 128, 16, 2, 1)
     assert calls[0] <= 2_000
     calls[0] = 0
     assert exponent_concrete(G) == 4
-    assert calls[0] <= 3_000
+    assert calls[0] == 0
 
 
 # ---------------------------------------------------------------------------
