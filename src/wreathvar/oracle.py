@@ -4,23 +4,24 @@ Cyclic groups, the presets and directly built groups are element lists
 with rule-based multiplication and inversion, and their axioms are
 checked element by element when they are built.  Products and wreath
 products are assembled from such groups, whose axioms already hold, and
-check only what their construction adds (see ``ConcreteGroup``).  A
-wreath product's elements are index vectors into its factors' element
-lists, and its products are table lookups.  Its ``q``-th powers, which
-the exponent takes, are formed a column of coordinates at a time over
-all the elements that share an active coordinate (``_column_powers``);
-``concrete_wreath`` checks that rule against products when it builds the
-group (``ConcreteGroup._check_powers``).  Subgroups are explicit
-element sets, built from generators.  The point of the module is to
-recompute, by sheer enumeration, everything the symbolic modules derive:
-lower central series, nilpotency classes, exponents, derived lengths and
-the general K_p-series (including the commutator terms an abelian group
-never exercises), so that the two routes can be compared on desk-scale
+check only what their construction adds (see ``ConcreteGroup``).  Their
+elements are permutations of at most 256 points, stored as ``bytes``, so
+that a product is one ``bytes.translate`` (``_byte_perms``): a wreath
+product acts on ``A x B``, a direct product on the disjoint union of its
+factors.  Past 256 points a wreath product's elements are index vectors
+into its factors' element lists, multiplied by table lookups, and a
+direct product's are tuples.  Subgroups are explicit element sets, built
+from generators.  The point of the module is to recompute, by sheer
+enumeration, everything the symbolic modules derive: lower central
+series, nilpotency classes, exponents, derived lengths and the general
+K_p-series (including the commutator terms an abelian group never
+exercises), so that the two routes can be compared on desk-scale
 instances.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -63,7 +64,7 @@ __all__ = [
 DEFAULT_BUDGET = 200_000
 _FULL_ASSOC_LIMIT = 24  # full associativity table below this order
 _SPOT_TRIPLES = 200
-_SPOT_POWERS = 16
+_MAX_POINTS = 256  # a permutation on more points has no bytes.translate
 
 
 class BudgetExceededError(ValueError):
@@ -71,9 +72,7 @@ class BudgetExceededError(ValueError):
 
 
 class ConcreteGroup:
-    """A finite group as an element list plus multiplication/inverse rules,
-    and a rule for the ``q``-th powers of many elements at once
-    (:meth:`powers`), which by default multiplies.
+    """A finite group as an element list plus multiplication/inverse rules.
 
     A group built here has its axioms checked: the identity and inverse
     laws on every element, and associativity on every triple up to
@@ -84,10 +83,9 @@ class ConcreteGroup:
     checked there: the identity and inverse laws on the generators, and
     associativity on every triple when there are at most ``_SPOT_TRIPLES``
     of them and on the spot triples otherwise (and, in ``concrete_wreath``,
-    the action).  A power rule of their own is checked there too, against
-    :meth:`power` on the generators and ``_SPOT_POWERS`` seeded elements,
-    for each prime dividing the order.  The full check of such groups runs
-    in the tests.
+    the action).  Whether their elements are byte permutations
+    (``_byte_perms``), index vectors or tuples, the same checks run.  The
+    full check of such groups runs in the tests.
     """
 
     def __init__(
@@ -110,28 +108,24 @@ class ConcreteGroup:
 
     @classmethod
     def _from_factors(cls, label: str, elements: Iterable, mul: Callable, inv: Callable,
-                      identity, generators: Sequence,
-                      powers: Optional[Callable] = None) -> "ConcreteGroup":
+                      identity, generators: Sequence) -> "ConcreteGroup":
         """A group whose rules are assembled from already checked groups."""
         group = cls.__new__(cls)
-        group._assign(label, elements, mul, inv, identity, generators, powers)
+        group._assign(label, elements, mul, inv, identity, generators)
         group._check_laws(group.generators)
         if group.order**3 <= _SPOT_TRIPLES:
             group._check_associative(itertools.product(group.elements, repeat=3))
         else:
             group._check_associative(group._spot_triples())
-        if powers is not None:
-            group._check_powers([*group.generators, *group._spot_elements(_SPOT_POWERS)])
         return group
 
-    def _assign(self, label, elements, mul, inv, identity, generators, powers=None) -> None:
+    def _assign(self, label, elements, mul, inv, identity, generators) -> None:
         self.label = label
         self.elements = tuple(elements)
         self.mul = mul
         self.inv = inv
         self.identity = identity
         self.generators = tuple(generators)
-        self._powers = powers
         self._exponent: Optional[int] = None
 
     @property
@@ -148,7 +142,10 @@ class ConcreteGroup:
                 raise ValueError(f"{self.label}: inverse fails on {x!r}")
 
     def _spot_elements(self, k: int) -> list:
-        return random.Random(0xC0FFEE).choices(self.elements, k=k)
+        """``k`` seeded draws, the same as ``Random(0xC0FFEE).choices(
+        self.elements, k=k)``."""
+        elements = self.elements
+        return [elements[i] for i in _spot_indices(self.order, k)]
 
     def _spot_triples(self) -> Iterable[tuple]:
         draws = iter(self._spot_elements(3 * _SPOT_TRIPLES))
@@ -160,31 +157,18 @@ class ConcreteGroup:
             if mul(mul(x, y), z) != mul(x, mul(y, z)):
                 raise ValueError(f"{self.label}: associativity fails")
 
-    def _check_powers(self, xs: list) -> None:
-        """The power rule against :meth:`power` on ``xs``, for each prime
-        dividing the order."""
-        for q in prime_divisors(self.order):
-            if self.powers(xs, q) != [self.power(x, q) for x in xs]:
-                raise ValueError(f"{self.label}: the power rule fails for q = {q}")
-
-    def powers(self, xs: Iterable, q: int) -> list:
-        """The ``q``-th powers (``q >= 1``) of ``xs``, in order: by the
-        group's own rule if it has one, and otherwise by ``q - 1``
-        products apiece."""
-        if self._powers is not None:
-            return self._powers(xs, q)
-        mul = self.mul
-        return [functools.reduce(mul, (y,) * q) for y in xs]
-
     def power(self, x, k: int):
+        """``x ** k`` by squaring from the top bit down, in
+        ``floor(log2 k) + popcount(k) - 1`` products for ``k >= 1``."""
         if k < 0:
             return self.power(self.inv(x), -k)
-        acc, base = self.identity, x
-        while k:
-            if k & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            k >>= 1
+        if k == 0:
+            return self.identity
+        mul, acc = self.mul, x
+        for bit in bin(k)[3:]:
+            acc = mul(acc, acc)
+            if bit == "1":
+                acc = mul(acc, x)
         return acc
 
     def element_order(self, x) -> int:
@@ -208,6 +192,15 @@ class ConcreteGroup:
 
     def __repr__(self) -> str:
         return f"ConcreteGroup({self.label!r}, order={self.order})"
+
+
+@functools.lru_cache(maxsize=64)
+def _spot_indices(n: int, k: int) -> tuple[int, ...]:
+    """The indices that ``Random(0xC0FFEE).choices(range(n), k=k)`` draws:
+    ``int`` floors a non-negative float.  Every group of order ``n`` draws
+    the same, so they are drawn once."""
+    draws = itertools.islice(iter(random.Random(0xC0FFEE).random, None), k)
+    return tuple(map(int, map(float(n).__mul__, draws)))
 
 
 @dataclass(frozen=True)
@@ -265,10 +258,70 @@ def concrete_cyclic(n: int, budget: int = DEFAULT_BUDGET) -> ConcreteGroup:
     )
 
 
+def _byte_perms(n: int) -> tuple[Callable, Callable]:
+    """The product and inverse of permutations of ``n <= _MAX_POINTS``
+    points stored as ``bytes``, ``x[i]`` the image of point ``i``.
+
+    ``x y`` (``x`` first) sends ``i`` to ``y[x[i]]``: one
+    ``bytes.translate`` through ``y``, padded to a full table.
+    """
+    pad, points = bytes(256 - n), bytes(range(n))
+
+    def mul(x, y):
+        return x.translate(y + pad)
+
+    def inv(x):
+        return bytes.maketrans(x, points)[:n]
+
+    return mul, inv
+
+
+def _placed(rows: Sequence[Sequence[int]], offset: int) -> list[bytes]:
+    """Index tables as blocks of a byte permutation, moved to the points
+    ``offset, offset + 1, ...``."""
+    return [bytes([offset + i for i in row]) for row in rows]
+
+
 def concrete_product(groups: Sequence[ConcreteGroup], budget: int = DEFAULT_BUDGET) -> ConcreteGroup:
+    """The direct product of finite groups.
+
+    Up to ``_MAX_POINTS`` points in all, an element is the permutation it
+    induces on the disjoint union of the factors' elements, each factor
+    acting on its own by right multiplication (:func:`_product_on_points`);
+    past that, it is the tuple of its coordinates
+    (:func:`_product_on_tuples`).
+    """
     order = math.prod(g.order for g in groups)
     label = " x ".join(g.label for g in groups) or "1"
     _check_budget(order, budget, label)
+    points = sum(g.order for g in groups)
+    build = _product_on_points if points <= _MAX_POINTS else _product_on_tuples
+    return ConcreteGroup._from_factors(label, *build(groups))
+
+
+def _product_on_points(groups: Sequence[ConcreteGroup]) -> tuple:
+    """A direct product's elements, rules, identity and generators as byte
+    permutations: the block of each coordinate's right multiplication on
+    its factor's points, joined."""
+    indexes, rows, offset = [], [], 0
+    for g in groups:
+        index, right, _ = _tables(g)
+        indexes.append(index)
+        rows.append(_placed(right, offset))
+        offset += g.order
+    trivial = [r[index[g.identity]] for r, index, g in zip(rows, indexes, groups)]
+    generators = [
+        b"".join([*trivial[:i], rows[i][indexes[i][gen]], *trivial[i + 1:]])
+        for i, g in enumerate(groups)
+        for gen in g.generators
+    ]
+    return (map(b"".join, itertools.product(*rows)), *_byte_perms(offset),
+            b"".join(trivial), generators)
+
+
+def _product_on_tuples(groups: Sequence[ConcreteGroup]) -> tuple:
+    """A direct product's elements, rules, identity and generators as
+    tuples, multiplied coordinate-wise by the factors' rules."""
     muls = tuple(g.mul for g in groups)
     invs = tuple(g.inv for g in groups)
     identity = tuple(g.identity for g in groups)
@@ -277,14 +330,10 @@ def concrete_product(groups: Sequence[ConcreteGroup], budget: int = DEFAULT_BUDG
         for i, g in enumerate(groups)
         for gen in g.generators
     ]
-    return ConcreteGroup._from_factors(
-        label=label,
-        elements=itertools.product(*(g.elements for g in groups)),
-        mul=lambda x, y: tuple(m(a, b) for m, a, b in zip(muls, x, y)),
-        inv=lambda x: tuple(f(a) for f, a in zip(invs, x)),
-        identity=identity,
-        generators=generators,
-    )
+    return (itertools.product(*(g.elements for g in groups)),
+            lambda x, y: tuple(m(a, b) for m, a, b in zip(muls, x, y)),
+            lambda x: tuple(f(a) for f, a in zip(invs, x)),
+            identity, generators)
 
 
 def concrete_preset(name: str) -> ConcreteGroup:
@@ -329,120 +378,102 @@ def _tables(G: ConcreteGroup) -> tuple[dict, list[tuple[int, ...]], tuple[int, .
 
 
 def concrete_wreath(A: ConcreteGroup, B: ConcreteGroup, budget: int = DEFAULT_BUDGET) -> ConcreteGroup:
-    """The wreath product of finite groups on index vectors.
+    """The wreath product of finite groups, ``B`` acting on ``|B|``
+    copies of ``A`` by right translation.
 
-    An element ``(i_0, ..., i_{n-1}, j)``, with ``n = |B|``, is the pair
-    ``(f, b)`` with ``f(B.elements[k]) = A.elements[i_k]`` and
-    ``b = B.elements[j]``; ``b`` acts on ``f`` by right translation.  Both
-    factors' products are tabulated, ``|A|^2 + |B|^2`` entries that the
-    budget bounds when ``|A|, |B| >= 2``, and a product is one tuple built
-    from table lookups.  ``A wr 1`` is ``A`` itself and multiplies by
-    ``A``'s rule, since ``|A|^2`` could be far above the budget there.
-
-    Powers come from :func:`_column_powers`, a column of coordinates at
-    a time, with no product formed on the wreath product.
+    Up to ``_MAX_POINTS`` points, an element ``(f, b)`` is the permutation
+    ``(a, k) -> (a f(k), k b)`` of ``A x B`` (:func:`_wreath_on_points`);
+    past that, it is an index vector (:func:`_wreath_on_indices`).
+    ``A wr 1`` is a copy of ``A`` under the wreath's label, since ``A``
+    alone may have far more than ``_MAX_POINTS`` elements and ``|A|^2``
+    table entries.
 
     ``B``'s rule is checked to be a translation action on its generators:
     with ``A`` and ``B`` checked when built, that and the generator laws
     and spot triples of ``ConcreteGroup._from_factors`` are the wreath
-    product's axiom check.  ``_from_factors`` also checks the power rule
-    against products, on the generators and spot elements.
+    product's axiom check.
     """
     label = f"{A.label} wr {B.label}"
-    order = wreath_order(A.order, B.order, cap=budget)
-    if order is None:
+    if wreath_order(A.order, B.order, cap=budget) is None:
         raise BudgetExceededError(f"{label}: order exceeds the budget {budget}")
-    na, nb = A.order, B.order
-    b_index, shift, b_inv = _tables(B)  # shift[b][k]: index of elements[k] * elements[b]
-    e_b = b_index[B.identity]
-    if shift[e_b] != tuple(range(nb)):
+    nb = B.order
+    b_tables = b_index, shift, _ = _tables(B)  # shift[b][k]: index of elements[k] * elements[b]
+    if shift[b_index[B.identity]] != tuple(range(nb)):
         raise ValueError(f"{label}: the identity of {B.label} moves a point")
-    # take[b](y) lists y's coordinates translated by b; one index alone
-    # would make itemgetter return a scalar
-    take = [itemgetter(*s) for s in shift] if nb > 1 else [itemgetter(slice(0, 1))]
     for g in B.generators:
         s_g = shift[b_index[g]]
-        if any(shift[s_g[b]] != take[b](s_g) for b in range(nb)):
+        if any(shift[s_g[b]] != tuple(map(s_g.__getitem__, shift[b])) for b in range(nb)):
             raise ValueError(f"{label}: {B.label} does not act by translation")
-    powers = None
     if nb == 1:
-        a_elements, a_mul, a_invert = A.elements, A.mul, A.inv
-        a_index = {x: i for i, x in enumerate(a_elements)}
-
-        def mul(x, y):
-            return (a_index[a_mul(a_elements[x[0]], a_elements[y[0]])], e_b)
-
-        def inv(x):
-            return (a_index[a_invert(a_elements[x[0]])], e_b)
-    else:
-        a_index, a_right, a_inv = _tables(A)
-
-        def mul(x, y):
-            b = x[nb]
-            return (*map(getitem, map(a_right.__getitem__, take[b](y)), x), shift[y[nb]][b])
-
-        def inv(x):
-            b = b_inv[x[nb]]
-            return (*map(a_inv.__getitem__, take[b](x)), b)
-
-        powers = _column_powers(nb, a_right, shift)
-
-    trivial = (a_index[A.identity],) * nb
-    generators = [
-        (*trivial[:e_b], a_index[g], *trivial[e_b + 1:], e_b) for g in A.generators
-    ] + [(*trivial, b_index[g]) for g in B.generators]
-    return ConcreteGroup._from_factors(
-        label=label,
-        elements=itertools.product(*[range(na)] * nb, range(nb)),
-        mul=mul,
-        inv=inv,
-        identity=(*trivial, e_b),
-        generators=generators,
-        powers=powers,
-    )
+        group = copy.copy(A)
+        group.label = label
+        return group
+    build = _wreath_on_points if A.order * nb <= _MAX_POINTS else _wreath_on_indices
+    return ConcreteGroup._from_factors(label, *build(A, B, b_tables))
 
 
-def _column_powers(nb: int, a_right: Sequence[Sequence[int]],
-                   shift: Sequence[Sequence[int]]) -> Callable:
-    """The power rule of a wreath product on index vectors, with
-    ``|B| = nb >= 2`` and the factor tables of :func:`concrete_wreath`.
+def _wreath_on_points(A: ConcreteGroup, B: ConcreteGroup, b_tables: tuple) -> tuple:
+    """``A wr B``'s elements, rules, identity and generators as byte
+    permutations of the ``|A| |B|`` points ``k |A| + a``, standing for
+    ``(A.elements[a], B.elements[k])``, given ``_tables(B)``.
 
-    Coordinate ``k`` of ``(f, b)^q`` is ``f(k) f(k b) ... f(k b^(q-1))``
-    and its last is ``b^q``.  The elements that share ``b`` are taken
-    together: transposed into columns, each coordinate of their powers is
-    ``q - 1`` passes of ``map`` over a column and the ``A``-table rows of
-    another, chosen by ``shift[b]``, and the columns are zipped back into
-    index vectors.
+    ``(f, b)`` maps the block of ``k``'s points onto the block of
+    ``k b``'s by the right multiplication by ``f(k)``, so the elements
+    with active coordinate ``b`` are the joins of one placed row of
+    ``A``'s table per block.
     """
+    na = A.order
+    a_index, a_right, _ = _tables(A)
+    placed = [_placed(a_right, c * na) for c in range(B.order)]
+    blocks = [[placed[c] for c in s] for s in b_tables[1]]  # blocks[j][k][i]
 
-    def same_active(group: list, j: int, q: int) -> Iterable[tuple]:
-        # one pass over the vectors, then strided slices: zip(*group)
-        # visits every vector once per coordinate
-        flat = list(itertools.chain.from_iterable(group))
-        cols = [flat[k::nb + 1] for k in range(nb)]
-        rows = [list(map(a_right.__getitem__, col)) for col in cols]
-        s = shift[j]
-        out = []
-        for k in range(nb):
-            acc, at = cols[k], k
-            for _ in range(q - 1):  # at runs through k b, k b^2, ...
-                at = s[at]
-                acc = map(getitem, rows[at], acc)
-            out.append(acc)
-        for _ in range(q - 1):
-            j = s[j]
-        return zip(*out, itertools.repeat(j))
+    def element(vector, j):
+        return b"".join(map(getitem, blocks[j], vector))
 
-    def powers(xs: Iterable, q: int) -> list:
-        xs = list(xs)
-        groups: list[list] = [[] for _ in range(nb)]
-        for x in xs:
-            groups[x[nb]].append(x)
-        nexts = [same_active(group, j, q).__next__ if group else None
-                 for j, group in enumerate(groups)]
-        return [nexts[x[nb]]() for x in xs]
+    elements = itertools.chain.from_iterable(
+        map(b"".join, itertools.product(*rows)) for rows in blocks)
+    return (elements, *_byte_perms(na * B.order),
+            *_wreath_generators(A, B, a_index, b_tables[0], element))
 
-    return powers
+
+def _wreath_on_indices(A: ConcreteGroup, B: ConcreteGroup, b_tables: tuple) -> tuple:
+    """``A wr B``'s elements, rules, identity and generators on index
+    vectors, given ``_tables(B)`` with ``|B| >= 2``.
+
+    An element ``(i_0, ..., i_{n-1}, j)``, with ``n = |B|``, is the pair
+    ``(f, b)`` with ``f(B.elements[k]) = A.elements[i_k]`` and
+    ``b = B.elements[j]``.  Both factors' products are tabulated, and a
+    product is one tuple built from table lookups.
+    """
+    na, nb = A.order, B.order
+    b_index, shift, b_inv = b_tables
+    a_index, a_right, a_inv = _tables(A)
+    take = [itemgetter(*s) for s in shift]  # take[b](y): y's coordinates translated by b
+
+    def mul(x, y):
+        b = x[nb]
+        return (*map(getitem, map(a_right.__getitem__, take[b](y)), x), shift[y[nb]][b])
+
+    def inv(x):
+        b = b_inv[x[nb]]
+        return (*map(a_inv.__getitem__, take[b](x)), b)
+
+    return (itertools.product(*[range(na)] * nb, range(nb)), mul, inv,
+            *_wreath_generators(A, B, a_index, b_index, lambda vector, j: (*vector, j)))
+
+
+def _wreath_generators(A: ConcreteGroup, B: ConcreteGroup, a_index: dict, b_index: dict,
+                       element: Callable) -> tuple:
+    """The identity and generators of ``A wr B``, where ``element(vector,
+    j)`` writes ``(f, B.elements[j])`` with ``f(B.elements[k]) =
+    A.elements[vector[k]]``: ``A``'s generators at ``B``'s identity, then
+    ``B``'s."""
+    e_b = b_index[B.identity]
+    trivial = [a_index[A.identity]] * B.order
+    generators = [element([*trivial[:e_b], a_index[g], *trivial[e_b + 1:]], e_b)
+                  for g in A.generators]
+    generators += [element(trivial, b_index[g]) for g in B.generators]
+    return element(trivial, e_b), generators
 
 
 def concrete_abelian(spec: AbelianGroupSpec, budget: int = DEFAULT_BUDGET) -> ConcreteGroup:
@@ -662,22 +693,22 @@ def subgroup_exponent(G: ConcreteGroup, H: Collection) -> int:
 
     For each prime ``q`` dividing ``|H|`` a ladder starts from the
     ``q``-parts of the elements (their powers to the ``q'``-part of
-    ``|H|``) and raises the whole rung to the ``q``-th power with
-    :meth:`ConcreteGroup.powers`, until only the identity is left; the
-    ``q``-part of the exponent is ``q`` to the number of rungs.  On a
-    wreath product the rung's powers come from the column-wise rule of
-    :func:`_column_powers`, which ``concrete_wreath`` checked against
-    products when it built the group; on any other group they are
-    ``q - 1`` products apiece.
+    ``|H|``) and raises the whole rung to the ``q``-th power, ``q - 1``
+    chained ``map`` passes of ``G.mul`` over it, until only the identity
+    is left; the ``q``-part of the exponent is ``q`` to the number of
+    rungs.
     """
-    exponent = 1
+    exponent, mul = 1, G.mul
     for q in prime_divisors(len(H)):
         m = len(H)
         while m % q == 0:
             m //= q
         level = H if m == 1 else {G.power(x, m) for x in H}
         while len(level) > 1:  # every rung holds the identity
-            level = set(G.powers(level, q))
+            powers = level  # each pass over level visits it in one order
+            for _ in range(q - 1):
+                powers = map(mul, powers, level)
+            level = set(powers)
             exponent *= q
     return exponent
 
@@ -690,7 +721,8 @@ def kp_series_concrete(G: ConcreteGroup, p: int) -> SubgroupChain:
     """The general series: term ``i`` is generated by the ``p**j``-th powers
     of the ``r``-th lower central terms over all ``r * p**j >= i``.  For
     each ``r`` the least such ``j`` suffices because higher powers generate
-    subgroups of lower ones."""
+    subgroups of lower ones, and a term whose least ``j`` are those of the
+    one before it is that term again."""
     q = G.order
     while q % p == 0:
         q //= p
@@ -700,20 +732,23 @@ def kp_series_concrete(G: ConcreteGroup, p: int) -> SubgroupChain:
     if not gammas:
         return SubgroupChain((frozenset({G.identity}),))
     terms = []
-    i = 1
+    i, last = 1, None
     while True:
-        gens = set()
-        for r, gamma in enumerate(gammas, 1):
+        js = []
+        for r in range(1, len(gammas) + 1):
             j = 0
             while r * p**j < i:
                 j += 1
-            q = p**j
-            gens.update(G.power(x, q) for x in gamma)
-        K = subgroup_generated(G, gens)
+            js.append(j)
+        if js == last:
+            K = terms[-1]
+        else:
+            K = subgroup_generated(G, {G.power(x, p**j) for j, gamma in zip(js, gammas)
+                                       for x in gamma})
         terms.append(K)
         if len(K) == 1:
             return SubgroupChain(tuple(terms))
-        i += 1
+        i, last = i + 1, js
 
 
 def element_order_profile(G: ConcreteGroup) -> dict[int, int]:

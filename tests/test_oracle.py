@@ -28,7 +28,6 @@ from wreathvar import (
     verify_shield,
 )
 from wreathvar import oracle
-from wreathvar.groupspec import prime_divisors
 from wreathvar.oracle import (
     derived_series,
     element_order_profile,
@@ -123,15 +122,53 @@ def test_budget_checked_before_expanding_multiplicities():
 
 
 def test_wreath_of_a_trivial_active_group_is_the_passive_group():
-    # A wr 1 multiplies by A's rule; 1 wr B is B on the translations
+    # A wr 1 is a copy of A under the wreath's label; 1 wr B is B on the
+    # translations
     q8 = concrete_preset("Q8")
     w = concrete_wreath(q8, concrete_cyclic(1))
+    assert (w.label, q8.label, w.elements) == ("Q8 wr C_1", "Q8", q8.elements)
     assert (w.order, w.exponent(), nilpotency_class(w)) == (8, 4, 2)
     assert element_order_profile(w) == element_order_profile(q8)
     assert_full_axioms(w)
     c4 = concrete_wreath(concrete_cyclic(1), concrete_cyclic(4))
     assert (c4.order, c4.exponent(), nilpotency_class(c4)) == (4, 4, 1)
     assert_full_axioms(c4)
+
+
+def test_products_and_wreaths_of_at_most_256_points_are_byte_permutations():
+    c2, c4 = concrete_cyclic(2), concrete_cyclic(4)
+    w = concrete_wreath(c4, concrete_product([c2, c2]))  # 4 * 4 points
+    assert all(type(x) is bytes and len(x) == 16 for x in w.elements)
+    assert w.identity == bytes(range(16))
+    assert concrete_product([c2, c4]).identity == bytes(range(6))
+    assert concrete_product([]).elements == (b"",)
+    # C_{2^7} wr C_2 has exactly 256 points; C_{2^8} wr C_2 has 512
+    assert type(concrete_wreath(concrete_cyclic(128), c2).identity) is bytes
+    assert type(concrete_wreath(concrete_cyclic(256), c2).identity) is tuple
+    assert type(concrete_product([concrete_cyclic(250), concrete_cyclic(7)]).identity) is tuple
+
+
+def test_power_squares_per_bit_and_multiplies_per_set_bit_below_the_top():
+    G = concrete_wreath(concrete_cyclic(3), concrete_cyclic(3))
+    x = G.generators[0]
+    calls = count_mul_calls(G)
+    for k in range(1, 10):
+        expected = x
+        for _ in range(k - 1):
+            expected = G.mul(expected, x)
+        calls[0] = 0
+        assert G.power(x, k) == expected, k
+        assert calls[0] == k.bit_length() - 1 + bin(k).count("1") - 1, k
+    calls[0] = 0
+    assert G.power(x, 0) == G.identity and calls[0] == 0
+    assert G.mul(G.power(x, -2), G.power(x, 2)) == G.identity
+
+
+@pytest.mark.parametrize("order", [1, 2, 7, 64, 2_187])
+def test_spot_elements_are_the_seeded_choices(order):
+    G = concrete_cyclic(order)
+    for k in (0, 1, 16, 600):
+        assert G._spot_elements(k) == random.Random(0xC0FFEE).choices(G.elements, k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +236,36 @@ def test_sweep_wreaths_satisfy_the_laws_on_every_element():
     assert checked == 15
 
 
+def invariants(G):
+    return (G.order, element_order_profile(G), lower_central_series(G).orders(),
+            derived_series(G).orders(), subgroup_exponent(G, G.elements))
+
+
+def test_byte_permutations_and_index_vectors_build_the_same_wreaths():
+    checked = 0
+    for label, _, a_conc, b_spec in sweep_pairs(2_500):
+        B = concrete_abelian(b_spec)
+        on_points, on_indices = (
+            ConcreteGroup._from_factors(label, *build(a_conc, B, oracle._tables(B)))
+            for build in (oracle._wreath_on_points, oracle._wreath_on_indices))
+        assert type(on_points.identity) is bytes and type(on_indices.identity) is tuple
+        assert invariants(on_points) == invariants(on_indices), label
+        checked += 1
+    assert checked == 15
+
+
+def test_byte_permutations_and_tuples_build_the_same_products():
+    factors = sweep_factors()
+    checked = 0
+    for g, h in itertools.combinations_with_replacement(factors, 2):
+        on_points, on_tuples = (
+            ConcreteGroup._from_factors(f"{g.label} x {h.label}", *build([g, h]))
+            for build in (oracle._product_on_points, oracle._product_on_tuples))
+        assert invariants(on_points) == invariants(on_tuples), on_points.label
+        checked += 1
+    assert checked == len(factors) * (len(factors) + 1) // 2 > 50
+
+
 def test_products_and_wreaths_check_generators_not_every_element(monkeypatch):
     checked = []
     check_laws = ConcreteGroup._check_laws
@@ -257,37 +324,6 @@ def test_a_wrong_rule_is_refused_when_built():
     with pytest.raises(ValueError, match="associativity fails"):
         ConcreteGroup("loop", range(5), mul=lambda a, b: loop[a][b],
                       inv=lambda a: a, identity=0, generators=(1, 2))
-
-
-def test_a_wreath_with_a_wrong_power_rule_is_refused_when_built(monkeypatch):
-    column_powers = oracle._column_powers
-
-    def wrong_for(bad_q):
-        """A power rule that takes one power too many for ``bad_q``."""
-        def make(*tables):
-            powers = column_powers(*tables)
-            return lambda xs, q: powers(xs, q + (q == bad_q))
-        return make
-
-    monkeypatch.setattr(oracle, "_column_powers", wrong_for(2))
-    with pytest.raises(ValueError, match="power rule fails for q = 2"):
-        concrete_wreath(concrete_cyclic(2), concrete_cyclic(2))
-    # C_3 wr C_2 has two primes, and the rule is checked for each
-    monkeypatch.setattr(oracle, "_column_powers", wrong_for(3))
-    with pytest.raises(ValueError, match="power rule fails for q = 3"):
-        concrete_wreath(concrete_cyclic(3), concrete_cyclic(2))
-    # A wr 1 has no rule of its own: it multiplies
-    assert concrete_wreath(concrete_cyclic(3), concrete_cyclic(1)).exponent() == 3
-
-
-def test_wreath_powers_agree_with_products_on_the_sweep():
-    checked = 0
-    for label, _, a_conc, b_spec in sweep_pairs(20_000):
-        G = concrete_wreath(a_conc, concrete_abelian(b_spec))
-        for q in prime_divisors(G.order):
-            assert G.powers(G.elements, q) == [G.power(x, q) for x in G.elements], (label, q)
-        checked += 1
-    assert checked == 22
 
 
 def test_wreath_refuses_an_active_group_that_does_not_act():
@@ -499,17 +535,16 @@ def count_mul_calls(G):
 
 def test_engine_cost_is_far_below_one_product_per_element():
     # C_2 wr C_2^3, 2 048 elements.  The series takes 398 products from
-    # normal generators and 29 142 element-wise.  The exponent takes none:
-    # the power rule squares its rungs of 2 048 and 72 elements on columns
-    # of indices, where a ladder of products took 2 120 and walking each
-    # element up to its order takes 5 407.
+    # normal generators and 29 142 element-wise.  The exponent squares its
+    # rungs of 2 048 and 72 elements, one product per element per rung,
+    # where walking each element up to its order takes 5 407.
     G = concrete_wreath(concrete_cyclic(2), concrete_abelian(parse_abelian("C_2^3")))
     calls = count_mul_calls(G)
     assert lower_central_series(G).orders() == (2048, 128, 16, 2, 1)
     assert calls[0] <= 2_000
     calls[0] = 0
     assert exponent_concrete(G) == 4
-    assert calls[0] == 0
+    assert calls[0] == 2_120
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +569,32 @@ def test_kp_concrete_on_a_non_abelian_group():
     assert chain.orders() == (8, 2, 1)
     assert chain.terms[1] == frozenset({(0, 0), (2, 0)})
     assert kp_series_concrete(concrete_preset("Q8"), 2).orders() == (8, 2, 1)
+
+
+def test_kp_concrete_generates_each_distinct_term_once(monkeypatch):
+    generated = []
+    spied = oracle.subgroup_generated
+
+    def counted(G, gens):
+        generated.append(G.label)
+        return spied(G, gens)
+
+    monkeypatch.setattr(oracle, "subgroup_generated", counted)
+    for exprs in SWEEP_ACTIVES.values():
+        for expr in exprs:
+            spec = parse_abelian(expr)
+            p = spec.factors[0].prime
+            generated.clear()
+            chain = kp_series_concrete(concrete_abelian(spec), p)
+            assert chain.orders() == symbolic_orders(expr, p), expr
+            # an abelian group's term i is its p^j-th powers, j least with
+            # p^j >= i: one distinct term per j up to the exponent p^u
+            assert len(generated) == max(f.power for f in spec.factors) + 1, expr
+    # D4: the vectors of least j over (D4, its derived subgroup) are
+    # (0, 0), (1, 0) and (2, 1)
+    generated.clear()
+    assert kp_series_concrete(concrete_preset("D4"), 2).orders() == (8, 2, 1)
+    assert len(generated) == 3
 
 
 def test_kp_concrete_rejects_non_p_groups():
@@ -561,6 +622,15 @@ def test_verify_shield_agrees(passive, active, expected_class):
     assert report.ok
     assert report.shield_class == report.oracle_class == expected_class
     assert report.exponent_match and report.chain_match
+
+
+@pytest.mark.parametrize("passive", ["C_{2^7}", "C_{2^8}", "C_2^8"])
+def test_verify_shield_at_and_past_256_points(passive):
+    # 256 points, then 512 on index vectors, over a cyclic and a product
+    a_spec, b_spec = parse_passive(passive), parse_abelian("C_2")
+    report = verify_shield(a_spec, concrete_passive(passive_atoms(passive)),
+                           b_spec, concrete_abelian(b_spec))
+    assert report.ok, report
 
 
 def test_verify_shield_rejects_mismatched_spec():
