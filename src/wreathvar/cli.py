@@ -9,11 +9,17 @@ route against enumeration).  Every verb accepts ``--json``.
 
 Exit codes: 0 equal/success, 1 unequal, 2 parse error or unreadable
 input, 3 hypothesis failure, 4 oracle mismatch.
+
+Numbers are printed exactly.  The parser bounds each literal, each cyclic
+order and each expression's exponent to as many digits as Python converts
+by default; every number derived from them has at most about twice as
+many, so the verbs run with that conversion bound lifted.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import Optional
@@ -45,6 +51,21 @@ EXIT_UNEQUAL = 1
 EXIT_PARSE = 2
 EXIT_HYPOTHESIS = 3
 EXIT_ORACLE = 4
+
+
+@contextlib.contextmanager
+def _exact_ints():
+    """A block in which ints of any length convert to strings."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:  # Python < 3.11 has no bound
+        yield
+        return
+    saved = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def _emit_json(obj) -> None:
@@ -444,28 +465,29 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.verb is None:
         ap.print_help()
         return EXIT_PARSE
-    try:
-        if args.verb == "parse":
-            return run_parse(args.expr, as_json)
-        if args.verb == "classify":
-            return run_classify(args.passive, args.active, as_json)
-        if args.verb == "decide":
-            return run_decide(args, as_json)
-        if args.verb == "witness":
-            return run_witness(args, as_json)
-        if args.verb == "oracle-verify":
-            return run_oracle_verify(args.manifest, args.budget, as_json)
-    except ParseError as err:
-        return _parse_error(err)
-    except NotNilpotentError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
+    with _exact_ints():
+        try:
+            if args.verb == "parse":
+                return run_parse(args.expr, as_json)
+            if args.verb == "classify":
+                return run_classify(args.passive, args.active, as_json)
+            if args.verb == "decide":
+                return run_decide(args, as_json)
+            if args.verb == "witness":
+                return run_witness(args, as_json)
+            if args.verb == "oracle-verify":
+                return run_oracle_verify(args.manifest, args.budget, as_json)
+        except ParseError as err:
+            return _parse_error(err)
+        except NotNilpotentError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_HYPOTHESIS
+        except OSError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_PARSE
+        except ValueError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_HYPOTHESIS
     raise AssertionError(f"unhandled verb {args.verb!r}")
 
 

@@ -176,6 +176,45 @@ def _too_many_digits(p: int, u: int, limit: int) -> bool:
     return u > k
 
 
+def _check_exponent(terms: Iterable[tuple[int, int]], text: str, limit: int) -> None:
+    """Refuse the expression ``text`` at the first of its terms after which
+    its exponent has more than ``limit`` digits; ``terms`` are their
+    orders ``p**u`` as ``(p, u)``, in the order written."""
+    i = _past_digit_limit(terms, limit)
+    if i is not None:
+        toks = _tokenize(text, limit)
+        # terms are joined by '*', which no term contains
+        starts = [0] + [k + 1 for k, tok in enumerate(toks) if tok.kind == "*"]
+        raise ParseError(f"exponent has more than {limit} digits", toks[starts[i]].pos, text)
+
+
+def _past_digit_limit(orders: Iterable[tuple[int, int]], limit: int) -> Optional[int]:
+    """The first ``i`` at which the exponent of ``orders[:i + 1]``, the lcm
+    of the orders ``p**u``, has more than ``limit`` decimal digits, or None
+    (``limit`` 0: no bound).  It is formed one order at a time, so it never
+    gets much past the limit.  Every number printed for an expression is
+    built from its exponent and from literals of at most ``limit`` digits,
+    so none has more than about twice as many.
+
+    Callers on the hot path skip it while the bit lengths of the orders
+    keep the exponent below ``2**(3 * limit) < 10**limit``.
+    """
+    if not limit:
+        return None
+    tops: dict[int, int] = {}
+    exponent, bound = 1, 10**limit
+    for i, (p, u) in enumerate(orders):
+        top = tops.get(p, 0)
+        if u > top:
+            if _too_many_digits(p, u, limit):  # p**u is not formed
+                return i
+            tops[p] = u
+            exponent *= p ** (u - top)
+            if exponent >= bound:
+                return i
+    return None
+
+
 def _derived(cls, **fields):
     """An instance of the frozen dataclass ``cls`` built from parts of
     already validated ones, so ``__post_init__`` and its primality test
@@ -568,10 +607,17 @@ def _tokenize(text: str, limit: int) -> list[_Tok]:
 PassiveAtom = tuple
 
 
+_DEFAULT_DIGITS = getattr(sys.int_info, "default_max_str_digits", 0)
+
+
 def _digit_limit() -> int:
-    """The most decimal digits a literal or a cyclic order may have: as
-    many as Python converts to a string (0: no limit, or an older Python)."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    """The most decimal digits a literal, a cyclic order or the exponent
+    of an expression may have: as many as Python converts to a string by
+    default, or fewer when the interpreter is set to a lower bound (0: no
+    bound, on a Python older than 3.11).  A raised or lifted bound, as the
+    CLI sets one to print derived numbers, leaves it as it is."""
+    current = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return min(_DEFAULT_DIGITS, current) if current else _DEFAULT_DIGITS
 
 
 class _Parser:
@@ -700,6 +746,8 @@ class _Parser:
             self.next()
             factors.append(self.abelian_term())
         self.expect("end", "'*' or end of input")
+        _check_exponent([(f.prime, f.power if f.copies != ZERO else 0) for f in factors],
+                        self.text, self.limit)
         return normalize(factors)
 
     def abelian_term(self) -> PrimaryFactor:
@@ -833,7 +881,7 @@ def _scan_abelian(text: str, bases: Optional[dict] = None) -> Optional[AbelianGr
         pos = end
     if star or pos != len(text):
         return None
-    out = []
+    out, bits, last = [], 0, None
     for key in sorted(finite.keys() | alephs.keys(), key=lambda k: (k[0], -k[1])):
         if key in alephs:
             copies = Cardinal.aleph(alephs[key])
@@ -841,7 +889,14 @@ def _scan_abelian(text: str, bases: Optional[dict] = None) -> Optional[AbelianGr
             copies = Cardinal.finite(finite[key])
         else:
             continue
+        if key[0] != last:  # a prime's first factor has its largest power
+            last = key[0]
+            bits += key[1] * last.bit_length()
         out.append(_derived(PrimaryFactor, prime=key[0], power=key[1], copies=copies))
+    # the exponent is below 2**bits, and 2**(3 * limit) < 10**limit
+    if bits > 3 * limit and _past_digit_limit([(f.prime, f.power) for f in out],
+                                              limit) is not None:
+        return None
     return AbelianGroupSpec(tuple(out))
 
 
@@ -892,6 +947,17 @@ def _atom_part(atom: PassiveAtom) -> Optional[PassivePrimePart]:
     return atom[1]
 
 
+def _atom_order(atom: PassiveAtom) -> tuple[int, int]:
+    """``(p, u)`` with ``p**u`` the exponent of the atom's group (``u`` 0
+    for a cyclic atom of no copies)."""
+    if atom[0] == "preset":
+        return 2, 2
+    if atom[0] == "cyclic":
+        _, p, u, copies = atom
+        return p, 0 if copies == ZERO else u
+    return atom[1].prime, atom[1].gamma_exponents[0]
+
+
 def _merge_parts(parts: Sequence[PassivePrimePart]) -> PassivePrimePart:
     # direct product within one prime: componentwise maxima
     p = parts[0].prime
@@ -927,5 +993,8 @@ def passive_spec(atoms: Sequence[PassiveAtom], text: str) -> PassiveGroupSpec:
     for part in parts:
         by_prime.setdefault(part.prime, []).append(part)
     merged = tuple([_merge_parts(by_prime[p]) for p in sorted(by_prime)])
+    limit = _digit_limit()
+    if sum([part.gamma_exponents[0] * part.prime.bit_length() for part in merged]) > 3 * limit:
+        _check_exponent(map(_atom_order, atoms), text, limit)
     label = " * ".join(sorted(map(_atom_render, atoms)))
     return PassiveGroupSpec(merged, label=label)

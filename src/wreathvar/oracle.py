@@ -5,17 +5,19 @@ with rule-based multiplication and inversion, and their axioms are
 checked element by element when they are built.  Products and wreath
 products are assembled from such groups, whose axioms already hold, and
 check only what their construction adds (see ``ConcreteGroup``).  Their
-elements are permutations of at most 256 points, stored as ``bytes``, so
-that a product is one ``bytes.translate`` (``_byte_perms``): a wreath
-product acts on ``A x B``, a direct product on the disjoint union of its
-factors.  Past 256 points a wreath product's elements are index vectors
-into its factors' element lists, multiplied by table lookups, and a
-direct product's are tuples.  Subgroups are explicit element sets, built
-from generators.  The point of the module is to recompute, by sheer
-enumeration, everything the symbolic modules derive: lower central
-series, nilpotency classes, exponents, derived lengths and the general
-K_p-series (including the commutator terms an abelian group never
-exercises), so that the two routes can be compared on desk-scale
+elements are permutations of at most 256 points, stored as ``bytes``
+(``_byte_perms``): a wreath product acts on ``A x B``, a direct product
+on the disjoint union of its factors.  A product is one
+``bytes.translate``, and a whole batch of them, a coset or a rung of the
+exponent ladder, is one ``map`` of it (``ConcreteGroup.muls`` and
+``ConcreteGroup.right``).  Past 256 points a wreath product's elements are
+index vectors into its factors' element lists, multiplied by table
+lookups, and a direct product's are tuples.  Subgroups are explicit
+element sets, built from generators.  The point of the module is to
+recompute, by sheer enumeration, everything the symbolic modules derive:
+lower central series, nilpotency classes, exponents, derived lengths and
+the general K_p-series (including the commutator terms an abelian group
+never exercises), so that the two routes can be compared on desk-scale
 instances.
 """
 
@@ -27,8 +29,9 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from operator import getitem, itemgetter
-from typing import Callable, Collection, Iterable, Optional, Sequence
+from itertools import repeat
+from operator import add, getitem, itemgetter
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from .groupspec import AbelianGroupSpec, PassiveAtom, PassiveGroupSpec, prime_divisors
 from .shield import baumslag_nilpotent, kp_series, shield_class, wreath_exponent
@@ -62,7 +65,9 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 200_000
-_FULL_ASSOC_LIMIT = 24  # full associativity table below this order
+# every triple from the multiplication table up to this order: its n**2
+# products are no more than the 4 * _SPOT_TRIPLES of the spot check
+_FULL_ASSOC_LIMIT = 28
 _SPOT_TRIPLES = 200
 _MAX_POINTS = 256  # a permutation on more points has no bytes.translate
 
@@ -75,17 +80,20 @@ class ConcreteGroup:
     """A finite group as an element list plus multiplication/inverse rules.
 
     A group built here has its axioms checked: the identity and inverse
-    laws on every element, and associativity on every triple up to
-    ``_FULL_ASSOC_LIMIT`` elements and on ``_SPOT_TRIPLES`` seeded triples
-    above.  Products and wreath products are built by ``_from_factors``
-    instead, from groups checked that way.  Their construction carries the
-    factors' laws to every element, so only the assembled rules are
-    checked there: the identity and inverse laws on the generators, and
-    associativity on every triple when there are at most ``_SPOT_TRIPLES``
-    of them and on the spot triples otherwise (and, in ``concrete_wreath``,
-    the action).  Whether their elements are byte permutations
-    (``_byte_perms``), index vectors or tuples, the same checks run.  The
-    full check of such groups runs in the tests.
+    laws on every element, and associativity (``_check_associative``).
+    Products and wreath products are built by ``_from_factors`` instead,
+    from groups checked that way.  Their construction carries the factors'
+    laws to every element, so only the assembled rules are checked there:
+    the identity and inverse laws on the generators, and the same
+    associativity check (and, in ``concrete_wreath``, the action).  Whether
+    their elements are byte permutations (``_byte_perms``), index vectors
+    or tuples, the same checks run.  The full check of such groups runs in
+    the tests.
+
+    Besides ``mul``, a group has two batched products, ``muls`` and
+    ``right``.  On byte permutations they are the group's own (see
+    ``_byte_perms``); on any other group they map ``mul``, read when they
+    are called.
     """
 
     def __init__(
@@ -101,22 +109,20 @@ class ConcreteGroup:
         if identity not in self.elements:
             raise ValueError(f"{label}: identity not among the elements")
         self._check_laws(self.elements)
-        if self.order <= _FULL_ASSOC_LIMIT:
-            self._check_associative(itertools.product(self.elements, repeat=3))
-        else:
-            self._check_associative(self._spot_triples())
+        self._check_associative()
 
     @classmethod
-    def _from_factors(cls, label: str, elements: Iterable, mul: Callable, inv: Callable,
-                      identity, generators: Sequence) -> "ConcreteGroup":
-        """A group whose rules are assembled from already checked groups."""
+    def _from_factors(cls, label: str, elements: Iterable, identity, generators: Sequence,
+                      mul: Callable, inv: Callable, muls: Optional[Callable] = None,
+                      right: Optional[Callable] = None) -> "ConcreteGroup":
+        """A group whose rules are assembled from already checked groups,
+        with its own batched products when ``muls`` and ``right`` are given."""
         group = cls.__new__(cls)
         group._assign(label, elements, mul, inv, identity, generators)
+        if muls is not None:
+            group.muls, group.right = muls, right
         group._check_laws(group.generators)
-        if group.order**3 <= _SPOT_TRIPLES:
-            group._check_associative(itertools.product(group.elements, repeat=3))
-        else:
-            group._check_associative(group._spot_triples())
+        group._check_associative()
         return group
 
     def _assign(self, label, elements, mul, inv, identity, generators) -> None:
@@ -151,11 +157,42 @@ class ConcreteGroup:
         draws = iter(self._spot_elements(3 * _SPOT_TRIPLES))
         return zip(draws, draws, draws)
 
-    def _check_associative(self, triples: Iterable[tuple]) -> None:
+    def _check_associative(self) -> None:
+        """Every triple, with closure, from the multiplication table up to
+        ``_FULL_ASSOC_LIMIT`` elements; ``_SPOT_TRIPLES`` seeded triples
+        above."""
+        if self.order <= _FULL_ASSOC_LIMIT:
+            self._check_table()
+            return
         mul = self.mul
-        for x, y, z in triples:
+        for x, y, z in self._spot_triples():
             if mul(mul(x, y), z) != mul(x, mul(y, z)):
                 raise ValueError(f"{self.label}: associativity fails")
+
+    def _check_table(self) -> None:
+        """Closure and associativity on every triple, read off the
+        multiplication table: ``rows[x][y]`` is the index of ``x y``, so
+        ``rows[x y]`` lists the ``(x y) z`` and ``rows[y]`` translated
+        through ``rows[x]`` the ``x (y z)``, for every ``z`` at once."""
+        elements, mul = self.elements, self.mul
+        index = {x: i for i, x in enumerate(elements)}
+        try:
+            rows = [bytes([index[mul(x, y)] for y in elements]) for x in elements]
+        except KeyError:
+            raise ValueError(f"{self.label}: closure fails, a product leaves the "
+                             "elements") from None
+        pad = bytes(256 - len(rows))
+        for row_x in rows:
+            if [rows[xy] for xy in row_x] != list(map(bytes.translate, rows, repeat(row_x + pad))):
+                raise ValueError(f"{self.label}: associativity fails")
+
+    def muls(self, xs: Iterable, ys: Iterable) -> Iterator:
+        """The products ``x y`` of ``xs`` and ``ys`` taken in pairs."""
+        return map(self.mul, xs, ys)
+
+    def right(self, xs: Iterable, t) -> Iterator:
+        """The products ``x t`` of each of ``xs`` with ``t``."""
+        return map(self.mul, xs, repeat(t))
 
     def power(self, x, k: int):
         """``x ** k`` by squaring from the top bit down, in
@@ -258,12 +295,16 @@ def concrete_cyclic(n: int, budget: int = DEFAULT_BUDGET) -> ConcreteGroup:
     )
 
 
-def _byte_perms(n: int) -> tuple[Callable, Callable]:
-    """The product and inverse of permutations of ``n <= _MAX_POINTS``
-    points stored as ``bytes``, ``x[i]`` the image of point ``i``.
+def _byte_perms(n: int) -> tuple[Callable, Callable, Callable, Callable]:
+    """The product, inverse and batched products (``muls`` and ``right``
+    of ``ConcreteGroup``) of permutations of ``n <= _MAX_POINTS`` points
+    stored as ``bytes``, ``x[i]`` the image of point ``i``.
 
     ``x y`` (``x`` first) sends ``i`` to ``y[x[i]]``: one
-    ``bytes.translate`` through ``y``, padded to a full table.
+    ``bytes.translate`` through ``y``, padded to a full table.  A batch is
+    one ``map`` of ``bytes.translate``, with no Python call per product;
+    the tables are padded by ``operator.add``, since mapping the slot
+    wrapper ``bytes.__add__`` is slower.
     """
     pad, points = bytes(256 - n), bytes(range(n))
 
@@ -273,7 +314,13 @@ def _byte_perms(n: int) -> tuple[Callable, Callable]:
     def inv(x):
         return bytes.maketrans(x, points)[:n]
 
-    return mul, inv
+    def muls(xs, ys):
+        return map(bytes.translate, xs, map(add, ys, repeat(pad)))
+
+    def right(xs, t):
+        return map(bytes.translate, xs, repeat(t + pad))
+
+    return mul, inv, muls, right
 
 
 def _placed(rows: Sequence[Sequence[int]], offset: int) -> list[bytes]:
@@ -300,7 +347,7 @@ def concrete_product(groups: Sequence[ConcreteGroup], budget: int = DEFAULT_BUDG
 
 
 def _product_on_points(groups: Sequence[ConcreteGroup]) -> tuple:
-    """A direct product's elements, rules, identity and generators as byte
+    """A direct product's elements, identity, generators and rules as byte
     permutations: the block of each coordinate's right multiplication on
     its factor's points, joined."""
     indexes, rows, offset = [], [], 0
@@ -315,12 +362,12 @@ def _product_on_points(groups: Sequence[ConcreteGroup]) -> tuple:
         for i, g in enumerate(groups)
         for gen in g.generators
     ]
-    return (map(b"".join, itertools.product(*rows)), *_byte_perms(offset),
-            b"".join(trivial), generators)
+    return (map(b"".join, itertools.product(*rows)), b"".join(trivial), generators,
+            *_byte_perms(offset))
 
 
 def _product_on_tuples(groups: Sequence[ConcreteGroup]) -> tuple:
-    """A direct product's elements, rules, identity and generators as
+    """A direct product's elements, identity, generators and rules as
     tuples, multiplied coordinate-wise by the factors' rules."""
     muls = tuple(g.mul for g in groups)
     invs = tuple(g.inv for g in groups)
@@ -330,10 +377,9 @@ def _product_on_tuples(groups: Sequence[ConcreteGroup]) -> tuple:
         for i, g in enumerate(groups)
         for gen in g.generators
     ]
-    return (itertools.product(*(g.elements for g in groups)),
+    return (itertools.product(*(g.elements for g in groups)), identity, generators,
             lambda x, y: tuple(m(a, b) for m, a, b in zip(muls, x, y)),
-            lambda x: tuple(f(a) for f, a in zip(invs, x)),
-            identity, generators)
+            lambda x: tuple(f(a) for f, a in zip(invs, x)))
 
 
 def concrete_preset(name: str) -> ConcreteGroup:
@@ -367,14 +413,14 @@ def wreath_order(a_order: int, b_order: int, cap: int) -> Optional[int]:
     return _order_within(((a_order, b_order), (b_order, 1)), cap)
 
 
-def _tables(G: ConcreteGroup) -> tuple[dict, list[tuple[int, ...]], tuple[int, ...]]:
+def _tables(G: ConcreteGroup) -> tuple[dict, list[tuple[int, ...]], list[int]]:
     """``G`` on indices into ``G.elements``: each element's index, the
     right multiplications (row ``k`` maps ``i`` to the index of
     ``elements[i] * elements[k]``) and the inverses."""
     elements, mul = G.elements, G.mul
     index = {x: i for i, x in enumerate(elements)}
     right = [tuple([index[mul(x, y)] for x in elements]) for y in elements]
-    return index, right, tuple([index[G.inv(x)] for x in elements])
+    return index, right, [index[G.inv(x)] for x in elements]
 
 
 def concrete_wreath(A: ConcreteGroup, B: ConcreteGroup, budget: int = DEFAULT_BUDGET) -> ConcreteGroup:
@@ -390,8 +436,8 @@ def concrete_wreath(A: ConcreteGroup, B: ConcreteGroup, budget: int = DEFAULT_BU
 
     ``B``'s rule is checked to be a translation action on its generators:
     with ``A`` and ``B`` checked when built, that and the generator laws
-    and spot triples of ``ConcreteGroup._from_factors`` are the wreath
-    product's axiom check.
+    and associativity check of ``ConcreteGroup._from_factors`` are the
+    wreath product's axiom check.
     """
     label = f"{A.label} wr {B.label}"
     if wreath_order(A.order, B.order, cap=budget) is None:
@@ -413,7 +459,7 @@ def concrete_wreath(A: ConcreteGroup, B: ConcreteGroup, budget: int = DEFAULT_BU
 
 
 def _wreath_on_points(A: ConcreteGroup, B: ConcreteGroup, b_tables: tuple) -> tuple:
-    """``A wr B``'s elements, rules, identity and generators as byte
+    """``A wr B``'s elements, identity, generators and rules as byte
     permutations of the ``|A| |B|`` points ``k |A| + a``, standing for
     ``(A.elements[a], B.elements[k])``, given ``_tables(B)``.
 
@@ -432,12 +478,12 @@ def _wreath_on_points(A: ConcreteGroup, B: ConcreteGroup, b_tables: tuple) -> tu
 
     elements = itertools.chain.from_iterable(
         map(b"".join, itertools.product(*rows)) for rows in blocks)
-    return (elements, *_byte_perms(na * B.order),
-            *_wreath_generators(A, B, a_index, b_tables[0], element))
+    return (elements, *_wreath_generators(A, B, a_index, b_tables[0], element),
+            *_byte_perms(na * B.order))
 
 
 def _wreath_on_indices(A: ConcreteGroup, B: ConcreteGroup, b_tables: tuple) -> tuple:
-    """``A wr B``'s elements, rules, identity and generators on index
+    """``A wr B``'s elements, identity, generators and rules on index
     vectors, given ``_tables(B)`` with ``|B| >= 2``.
 
     An element ``(i_0, ..., i_{n-1}, j)``, with ``n = |B|``, is the pair
@@ -458,8 +504,9 @@ def _wreath_on_indices(A: ConcreteGroup, B: ConcreteGroup, b_tables: tuple) -> t
         b = b_inv[x[nb]]
         return (*map(a_inv.__getitem__, take[b](x)), b)
 
-    return (itertools.product(*[range(na)] * nb, range(nb)), mul, inv,
-            *_wreath_generators(A, B, a_index, b_index, lambda vector, j: (*vector, j)))
+    return (itertools.product(*[range(na)] * nb, range(nb)),
+            *_wreath_generators(A, B, a_index, b_index, lambda vector, j: (*vector, j)),
+            mul, inv)
 
 
 def _wreath_generators(A: ConcreteGroup, B: ConcreteGroup, a_index: dict, b_index: dict,
@@ -567,7 +614,8 @@ def concrete_passive(atoms: Iterable[PassiveAtom], budget: int = DEFAULT_BUDGET)
 
 class _Subgroup:
     """A subgroup being grown: its elements (identity first) and the
-    generators adjoined so far, each of which enlarged it."""
+    generators adjoined so far, each of which enlarged it.  It grows by
+    whole right cosets, each formed by one batch ``G.right``."""
 
     def __init__(self, G: ConcreteGroup):
         self.G = G
@@ -580,18 +628,20 @@ class _Subgroup:
 
         The new subgroup is a union of right cosets ``H t`` of the old one,
         ``H``.  Since ``H t s = H (t s)``, one product per coset
-        representative ``t`` and generator ``s`` finds every new coset.
+        representative ``t`` and generator ``s`` finds every new coset, and
+        each coset is one batch ``G.right``.
         """
         if g in self.members:
             return False
-        mul, members, elements = self.G.mul, self.members, self.elements
+        mul, right = self.G.mul, self.G.right
+        members, elements = self.members, self.elements
         rest = elements[1:]  # H without its identity
         self.gens.append(g)
         reps = []
 
         def add_coset(t):
             reps.append(t)
-            coset = [t] + [mul(h, t) for h in rest]
+            coset = [t, *right(rest, t)]
             elements.extend(coset)
             members.update(coset)
 
@@ -694,11 +744,10 @@ def subgroup_exponent(G: ConcreteGroup, H: Collection) -> int:
     For each prime ``q`` dividing ``|H|`` a ladder starts from the
     ``q``-parts of the elements (their powers to the ``q'``-part of
     ``|H|``) and raises the whole rung to the ``q``-th power, ``q - 1``
-    chained ``map`` passes of ``G.mul`` over it, until only the identity
-    is left; the ``q``-part of the exponent is ``q`` to the number of
-    rungs.
+    chained batches ``G.muls`` over it, until only the identity is left;
+    the ``q``-part of the exponent is ``q`` to the number of rungs.
     """
-    exponent, mul = 1, G.mul
+    exponent, muls = 1, G.muls
     for q in prime_divisors(len(H)):
         m = len(H)
         while m % q == 0:
@@ -707,7 +756,7 @@ def subgroup_exponent(G: ConcreteGroup, H: Collection) -> int:
         while len(level) > 1:  # every rung holds the identity
             powers = level  # each pass over level visits it in one order
             for _ in range(q - 1):
-                powers = map(mul, powers, level)
+                powers = muls(powers, level)
             level = set(powers)
             exponent *= q
     return exponent

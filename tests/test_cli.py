@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -85,6 +86,45 @@ def test_parse_order_at_the_digit_limit(capsys):
     # 2^14284 has 4300 digits, 2^14285 one more
     assert run(capsys, "parse", "C_{2^14284}")[0] == 0
     assert run(capsys, "parse", "C_{2^14285}")[0] == 2
+
+
+def test_parse_exponent_beyond_the_digit_limit_exit_2(capsys):
+    # each order has at most 4300 digits, their lcm 4 215 + 3 818; the
+    # caret is under the term that takes it past the limit
+    expr = "C_{2^14000} * C_{3^8000}"
+    code, out, err = run(capsys, "parse", expr)
+    assert (code, out) == (2, "")
+    assert "exponent has more than 4300 digits" in err
+    lines = err.splitlines()
+    assert lines[-1].index("^") == lines[-2].index("C_{3^8000}")
+    # a term with no copies has no order in the exponent
+    assert run(capsys, "parse", "C_{2^14000} * C_{3^8000}^0")[0] == 0
+    # 3 * 2^14283 has 4301 digits, 3 * 2^14282 has 4300
+    assert run(capsys, "parse", "C_{2^14283} * C_3")[0] == 2
+    assert run(capsys, "parse", "C_{2^14282} * C_3")[0] == 0
+    for passive in ("D4 * C_{3^8000} * C_{2^14000}", "nilpotent(p=2, s=[20000])"):
+        code, _, err = run(capsys, "classify", "--passive", passive, "--active", "C_2")
+        assert code == 2 and "exponent has more than 4300 digits" in err, passive
+
+
+def test_numbers_past_the_conversion_bound_are_printed_exactly(capsys):
+    # the class a = 1 + m (2^14000 - 1) has 4 515 digits, more than
+    # Python converts by default; Decimal reads and writes any length
+    m = 10**300
+    active = f"C_{{2^14000}}^{m}"
+    a = 1 + m * (2**14000 - 1)
+    bound = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, _ = run(capsys, "classify", "--passive", "C_2", "--active", active)
+    assert code == 0
+    printed = dict(line.split(": ", 1) for line in out.splitlines() if ": " in line)
+    assert Decimal(printed["nilpotency class"]) == Decimal(a)
+    assert Decimal(printed["wreath exponent"]) == Decimal(2**14001)
+    # the verb lifts the bound for its own output only
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == bound
+    code, out, _ = run(capsys, "--json", "classify", "--passive", "C_2", "--active", active)
+    assert code == 0
+    doc = json.loads(out, parse_int=Decimal)
+    assert doc["fingerprint"]["class"] == doc["params"]["a"] == Decimal(a)
 
 
 def test_parse_literal_beyond_the_digit_limit_exit_2(capsys):
@@ -511,6 +551,14 @@ def test_a_semiprime_deep_in_a_long_expression_is_refused_at_its_column():
     assert out == ""
     assert "1000000016000000063 is not a prime power" in err
     assert_caret_at(err, expr, expr.index("C_1000000016000000063") + 2)
+
+
+def test_a_profile_of_huge_exponent_is_refused_at_once():
+    expr = "nilpotent(p=2, s=[100000000000000000000])"
+    code, out, err = run_process("classify", "--passive", expr, "--active", "C_2")
+    assert (code, out) == (2, "")
+    assert "exponent has more than 4300 digits" in err
+    assert_caret_at(err, expr, 0)
 
 
 def test_parse_twenty_thousand_terms():

@@ -254,6 +254,30 @@ def test_byte_permutations_and_index_vectors_build_the_same_wreaths():
     assert checked == 15
 
 
+def assert_batches_match_mul(G, seed):
+    """``G.right`` and ``G.muls`` against ``G.mul`` on seeded draws."""
+    rng = random.Random(seed)
+    xs, ys = rng.choices(G.elements, k=200), rng.choices(G.elements, k=200)
+    for t in rng.choices(G.elements, k=5):
+        assert list(G.right(xs, t)) == [G.mul(x, t) for x in xs], G.label
+    assert list(G.muls(xs, ys)) == list(map(G.mul, xs, ys)), G.label
+
+
+def test_batched_products_are_the_products_of_mul():
+    checked = 0
+    for label, _, a_conc, b_spec in sweep_pairs(2_500):
+        G = concrete_wreath(a_conc, concrete_abelian(b_spec))
+        assert "muls" in vars(G) and "right" in vars(G), label  # byte permutations
+        assert_batches_match_mul(G, label)
+        checked += 1
+    assert checked == 15
+    on_indices = concrete_wreath(concrete_cyclic(256), concrete_cyclic(2))
+    on_tuples = concrete_product([concrete_cyclic(250), concrete_preset("D4")])
+    for G in (on_indices, on_tuples):
+        assert "muls" not in vars(G) and "right" not in vars(G), G.label
+        assert_batches_match_mul(G, G.label)
+
+
 def test_byte_permutations_and_tuples_build_the_same_products():
     factors = sweep_factors()
     checked = 0
@@ -285,29 +309,41 @@ def test_products_and_wreaths_check_generators_not_every_element(monkeypatch):
 
 def test_tiny_products_check_every_triple_and_single_factors_are_not_wrapped(monkeypatch):
     checked = []
-    check_associative = ConcreteGroup._check_associative
+    check_table, spot_triples = ConcreteGroup._check_table, ConcreteGroup._spot_triples
 
-    def recorded(G, triples):
-        triples = tuple(triples)
-        checked.append((G.label, len(triples)))
-        check_associative(G, triples)
+    def table(G):
+        checked.append((G.label, "table", G.order))
+        check_table(G)
 
-    monkeypatch.setattr(ConcreteGroup, "_check_associative", recorded)
+    def spot(G):
+        triples = tuple(spot_triples(G))
+        checked.append((G.label, "spot", len(triples)))
+        return triples
+
+    monkeypatch.setattr(ConcreteGroup, "_check_table", table)
+    monkeypatch.setattr(ConcreteGroup, "_spot_triples", spot)
     c2 = concrete_cyclic(2)
     concrete_product([c2, c2])
-    # 4^3 = 64 triples, every one once, in place of 200 drawn with repeats
-    assert checked == [("C_2", 8), ("C_2 x C_2", 64)]
+    # every triple, from the 4 x 4 table, in place of 200 drawn with repeats
+    assert checked == [("C_2", "table", 2), ("C_2 x C_2", "table", 4)]
     checked.clear()
-    concrete_product([c2, concrete_cyclic(3)])  # 6^3 = 216 > 200: spot triples
-    assert checked == [("C_3", 27), ("C_2 x C_3", 200)]
+    concrete_product([c2, concrete_cyclic(3)])
+    assert checked == [("C_3", "table", 3), ("C_2 x C_3", "table", 6)]
     checked.clear()
     # one cyclic factor is the cyclic group, checked in full once
     c4 = concrete_abelian(parse_abelian("C_4"))
-    assert checked == [("C_4", 64)]
+    assert checked == [("C_4", "table", 4)]
     assert (c4.label, c4.order, c4.exponent()) == ("C_{2^2}", 4, 4)
     checked.clear()
     concrete_abelian(parse_abelian("C_2^3"))  # one C_2, repeated
-    assert checked == [("C_2", 8), ("C_2 x C_2 x C_2", 200)]
+    assert checked == [("C_2", "table", 2), ("C_2 x C_2 x C_2", "table", 8)]
+    checked.clear()
+    # 28 elements take the table, 29 and 32 the spot triples
+    concrete_cyclic(28)
+    concrete_cyclic(29)
+    concrete_abelian(parse_abelian("C_2^5"))
+    assert checked == [("C_28", "table", 28), ("C_29", "spot", 200),
+                       ("C_2", "table", 2), ("C_2 x C_2 x C_2 x C_2 x C_2", "spot", 200)]
 
 
 def test_a_wrong_rule_is_refused_when_built():
@@ -324,6 +360,33 @@ def test_a_wrong_rule_is_refused_when_built():
     with pytest.raises(ValueError, match="associativity fails"):
         ConcreteGroup("loop", range(5), mul=lambda a, b: loop[a][b],
                       inv=lambda a: a, identity=0, generators=(1, 2))
+    # 0 + x and x + (-x) are right, but 1 + 3 leaves range(4): a
+    # ValueError, not the KeyError of the table's index
+    with pytest.raises(ValueError, match="closure fails"):
+        ConcreteGroup("Z?", range(4), mul=lambda a, b: a + b,
+                      inv=lambda a: -a, identity=0, generators=(1,))
+
+
+def test_a_wrong_product_in_one_cell_is_refused_up_to_28_elements():
+    # C_4 x C_7 as byte permutations, with one product changed where
+    # neither factor is the identity or the other's inverse: the laws
+    # on the generators hold, and associativity fails on some triple,
+    # which the 784 products of the table find wherever the cell is
+    elements, identity, generators, mul, inv, muls, right = oracle._product_on_points(
+        [concrete_cyclic(4), concrete_cyclic(7)])
+    elements = list(elements)
+    assert len(elements) == 28
+    for a, b in itertools.product(elements, repeat=2):
+        if identity in (a, b) or mul(a, b) == identity:
+            continue
+        wrong = mul(a, mul(a, b))
+
+        def mul_with_one_wrong_cell(x, y, a=a, b=b, wrong=wrong):
+            return wrong if (x, y) == (a, b) else mul(x, y)
+
+        with pytest.raises(ValueError, match="associativity fails"):
+            ConcreteGroup._from_factors("C_4 x C_7?", elements, identity, generators,
+                                        mul_with_one_wrong_cell, inv, muls, right)
 
 
 def test_wreath_refuses_an_active_group_that_does_not_act():
@@ -521,7 +584,9 @@ def test_engine_matches_reference_on_the_oracle_sweep():
 
 
 def count_mul_calls(G):
-    """Wraps ``G.mul`` so that every product on ``G`` is counted."""
+    """Wraps ``G.mul``, and the batched products of a group that has its
+    own, so that every product on ``G`` is counted once: the default
+    batches map ``G.mul`` and are counted there."""
     calls = [0]
     mul = G.mul
 
@@ -529,6 +594,15 @@ def count_mul_calls(G):
         calls[0] += 1
         return mul(x, y)
 
+    def counted(batch):
+        def counted_batch(*args):
+            for product in batch(*args):
+                calls[0] += 1
+                yield product
+        return counted_batch
+
+    if "muls" in vars(G):
+        G.muls, G.right = counted(G.muls), counted(G.right)
     G.mul = counted_mul
     return calls
 
@@ -537,11 +611,12 @@ def test_engine_cost_is_far_below_one_product_per_element():
     # C_2 wr C_2^3, 2 048 elements.  The series takes 398 products from
     # normal generators and 29 142 element-wise.  The exponent squares its
     # rungs of 2 048 and 72 elements, one product per element per rung,
-    # where walking each element up to its order takes 5 407.
+    # where walking each element up to its order takes 5 407.  Products
+    # formed in batches, by cosets and rungs, count one each.
     G = concrete_wreath(concrete_cyclic(2), concrete_abelian(parse_abelian("C_2^3")))
     calls = count_mul_calls(G)
     assert lower_central_series(G).orders() == (2048, 128, 16, 2, 1)
-    assert calls[0] <= 2_000
+    assert calls[0] == 398
     calls[0] = 0
     assert exponent_concrete(G) == 4
     assert calls[0] == 2_120

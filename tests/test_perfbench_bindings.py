@@ -17,6 +17,11 @@ def perfbench(monkeypatch):
     return importlib.import_module("workloads"), importlib.import_module("check")
 
 
+@pytest.fixture
+def tracing(perfbench):
+    return importlib.import_module("tracing")
+
+
 def test_every_traced_binding_resolves(perfbench):
     workloads, _ = perfbench
     assert workloads.TRACED
@@ -33,3 +38,19 @@ def test_known_failures_answer_correctly(perfbench):
     for stratum in workloads.KNOWN_FAILURES:
         op = workloads.deep_op(rng, stratum)
         assert check.check_classify(workloads.run_classify(op.inputs), op.want) is None
+
+
+def test_an_instrumented_oracle_sweep_op_reports_what_a_plain_one_does(perfbench, tracing):
+    # instrument rewraps the wreath product's mul; products formed in
+    # batches do not go through it, and must not change the report
+    workloads, check = perfbench
+    stratum = next(s for s in workloads.oracle_pairs() if s[:2] == ("D4", "C_2"))
+    op = workloads.sweep_op(random.Random(0), stratum)
+    plain = workloads.run_verify(op.inputs)
+    tr = tracing.Tracer()
+    with workloads.instrument(tr):
+        traced = workloads.run_verify(op.inputs)
+    assert traced == plain and plain.ok
+    assert check.check_report(plain, op.want) is None
+    assert tr.counters["oracle.elements"] == plain.wreath_order == 128
+    assert tr.counters["oracle.mul_calls"] > 0
