@@ -33,7 +33,7 @@ from .groupspec import (
     passive_atoms,
     passive_spec,
 )
-from .shield import NotNilpotentError, baumslag_reason, kp_series, shield_params
+from .shield import baumslag_reason, kp_series, shield_params
 from .variety import (
     Decision,
     DecisionInput,
@@ -188,16 +188,22 @@ def _decision_input(args) -> DecisionInput:
     )
 
 
-def _print_witness_text(w: SeparationWitness) -> None:
-    small = 2 if w.larger_input == 1 else 1
+def _print_witness_text(w: SeparationWitness, inp: DecisionInput) -> None:
+    """The witness.  Its membership claim is made for the whole wreath
+    products only when ``A`` and both ``B`` are ``p``-groups; otherwise
+    those are not nilpotent, and it is made for the reduced products
+    ``A_p wr Bi'`` whose classes were computed."""
+    small, large = (2, 1) if w.larger_input == 1 else (1, 2)
     print(f"witness at p = {w.p}: divergence t = {w.t}, w = {w.w}")
-    print(f"  reduced classes: {w.class_b1} (side B{w.larger_input}) "
-          f"> {w.class_b2} (side B{small})")
-    print(f"  separating variety {w.separating.render()}: contains the "
-          f"B{small} wreath product, not the B{w.larger_input} one")
+    print(f"  reduced classes: {w.class_b1} (side B{large}) > {w.class_b2} (side B{small})")
+    if inp.a1.is_p_group() and {*inp.b1.primes(), *inp.b2.primes()} == {w.p}:
+        contains = f"the B{small} wreath product, not the B{large} one"
+    else:
+        contains = f"A_{w.p} wr B{small}', not A_{w.p} wr B{large}' (the reduced products)"
+    print(f"  separating variety {w.separating.render()}: contains {contains}")
 
 
-def _print_decision_text(decision: Decision) -> None:
+def _print_decision_text(decision: Decision, inp: DecisionInput) -> None:
     if decision.hypotheses:
         for v in decision.hypotheses:
             print(f"hypothesis: {v.detail}")
@@ -212,7 +218,7 @@ def _print_decision_text(decision: Decision) -> None:
     print(f"verdict: {decision.verdict.value}"
           + (f" ({decision.reason})" if decision.reason else ""))
     if decision.witness is not None:
-        _print_witness_text(decision.witness)
+        _print_witness_text(decision.witness, inp)
     for i, fp in enumerate(decision.fingerprints, 1):
         cls = fp.nilpotency_class if fp.nilpotent else "-"
         sol = fp.solubility_bound if fp.solubility_bound is not None else "-"
@@ -229,11 +235,12 @@ _VERDICT_EXIT = {
 
 
 def run_decide(args, as_json: bool) -> int:
-    decision = decide_equal(_decision_input(args))
+    inp = _decision_input(args)
+    decision = decide_equal(inp)
     if as_json:
         _emit_json(decision.to_json_dict())
     else:
-        _print_decision_text(decision)
+        _print_decision_text(decision, inp)
     return _VERDICT_EXIT[decision.verdict]
 
 
@@ -257,7 +264,7 @@ def run_witness(args, as_json: bool) -> int:
         _emit_json({"p": p, "equivalent": False, "witness": witness.to_json_dict()})
     else:
         print(f"p = {p}: NOT equivalent")
-        _print_witness_text(witness)
+        _print_witness_text(witness, inp)
     return EXIT_UNEQUAL
 
 
@@ -355,7 +362,7 @@ def _demo_decide(title: str, a1: str, a2: str, b1: str, b2: str,
     inp = DecisionInput(parse_passive(a1), parse_passive(a2),
                         parse_abelian(b1), parse_abelian(b2),
                         assert_passive_var_equal=assert_flag)
-    _print_decision_text(decide_equal(inp))
+    _print_decision_text(decide_equal(inp), inp)
     print()
 
 
@@ -479,9 +486,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                 return run_oracle_verify(args.manifest, args.budget, as_json)
         except ParseError as err:
             return _parse_error(err)
-        except NotNilpotentError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_HYPOTHESIS
         except OSError as err:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_PARSE

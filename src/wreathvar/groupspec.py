@@ -9,10 +9,16 @@ decision procedure built on top of this module.
 A passive (wreath-product bottom) group is nilpotent of finite exponent
 and is recorded per prime by the exponents of the terms of its lower
 central series; that profile is all the class formula ever reads.
+
+One size rule, :func:`_product_within`, decides whether a number is too
+big: the parser holds each cyclic order and each expression's exponent
+to the cap ``10**limit - 1`` with it, and the oracle every group order
+to its element budget.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -159,60 +165,57 @@ def _prime_power(n: int) -> Optional[tuple[int, int]]:
     return (n, u) if is_prime(n) else None
 
 
-def _too_many_digits(p: int, u: int, limit: int) -> bool:
-    """Whether ``p**u`` (``2 <= p < 10**limit``) has more than ``limit``
-    decimal digits, decided without forming ``p**u``.  Below
-    ``2**(3 * limit) < 10**limit`` it cannot; otherwise ``u`` is compared
-    with the largest ``k`` such that ``p**k < 10**limit``, estimated by
-    floats and then corrected with exact powers no larger than ``10**limit``."""
-    if not limit or u * p.bit_length() <= 3 * limit:
-        return False
-    top = 10**limit
-    k = int(math.log(top) / math.log(p))
-    while k and p**k >= top:
-        k -= 1
-    while p ** (k + 1) < top:
-        k += 1
-    return u > k
+def _product_within(powers: Iterable[tuple[int, int]], cap: int) -> Optional[int]:
+    """The product of ``base ** count`` over ``powers`` (bases >= 1, counts
+    >= 0), or None when it is above ``cap``: the one size rule.
 
-
-def _check_exponent(terms: Iterable[tuple[int, int]], text: str, limit: int) -> None:
-    """Refuse the expression ``text`` at the first of its terms after which
-    its exponent has more than ``limit`` digits; ``terms`` are their
-    orders ``p**u`` as ``(p, u)``, in the order written."""
-    i = _past_digit_limit(terms, limit)
-    if i is not None:
-        toks = _tokenize(text, limit)
-        # terms are joined by '*', which no term contains
-        starts = [0] + [k + 1 for k, tok in enumerate(toks) if tok.kind == "*"]
-        raise ParseError(f"exponent has more than {limit} digits", toks[starts[i]].pos, text)
-
-
-def _past_digit_limit(orders: Iterable[tuple[int, int]], limit: int) -> Optional[int]:
-    """The first ``i`` at which the exponent of ``orders[:i + 1]``, the lcm
-    of the orders ``p**u``, has more than ``limit`` decimal digits, or None
-    (``limit`` 0: no bound).  It is formed one order at a time, so it never
-    gets much past the limit.  Every number printed for an expression is
-    built from its exponent and from literals of at most ``limit`` digits,
-    so none has more than about twice as many.
-
-    Callers on the hot path skip it while the bit lengths of the orders
-    keep the exponent below ``2**(3 * limit) < 10**limit``.
+    With ``k = base.bit_length()``, ``base ** count >= 2 ** (count * (k -
+    1))``, so once the sum of these exponents passes ``cap.bit_length()``
+    the product is refused before the next power is formed, however large
+    its count.  Up to there a count is at most its term of the sum (or its
+    base is 1), so every partial product formed is below ``2 ** (2 *
+    cap.bit_length())``, and the last is compared with ``cap`` exactly.
+    No float is involved.
     """
+    top, bits, product = cap.bit_length(), 0, 1
+    for base, count in powers:
+        bits += count * (base.bit_length() - 1)
+        if bits > top:
+            return None
+        product *= base**count
+    return product if product <= cap else None
+
+
+@functools.lru_cache(maxsize=4)
+def _digit_cap(limit: int) -> Optional[int]:
+    """The largest number of at most ``limit`` decimal digits (None for
+    ``limit`` 0: no bound)."""
+    return 10**limit - 1 if limit else None
+
+
+def _check_exponent(orders: Iterable[tuple[int, int]], text: str, limit: int) -> None:
+    """Refuse the expression ``text`` at the first of its terms after which
+    its exponent, the lcm of the terms' orders ``p**u`` (``orders``, as
+    ``(p, u)`` in the order written), has more than ``limit`` decimal
+    digits (``limit`` 0: no bound).  The exponent is formed one order at a
+    time through :func:`_product_within`, so it never gets much past the
+    limit.  Every number printed for an expression is built from its
+    exponent and from literals of at most ``limit`` digits, so none has
+    more than about twice as many."""
     if not limit:
-        return None
-    tops: dict[int, int] = {}
-    exponent, bound = 1, 10**limit
+        return
+    cap, tops, exponent = _digit_cap(limit), {}, 1
     for i, (p, u) in enumerate(orders):
         top = tops.get(p, 0)
         if u > top:
-            if _too_many_digits(p, u, limit):  # p**u is not formed
-                return i
             tops[p] = u
-            exponent *= p ** (u - top)
-            if exponent >= bound:
-                return i
-    return None
+            exponent = _product_within(((exponent, 1), (p, u - top)), cap)
+            if exponent is None:
+                toks = _tokenize(text, limit)
+                # terms are joined by '*', which no term contains
+                starts = [0] + [k + 1 for k, tok in enumerate(toks) if tok.kind == "*"]
+                raise ParseError(f"exponent has more than {limit} digits", toks[starts[i]].pos,
+                                 text)
 
 
 def _derived(cls, **fields):
@@ -635,6 +638,7 @@ class _Parser:
     def __init__(self, text: str, verdicts: Optional[dict] = None):
         self.text = text
         self.limit = _digit_limit()
+        self.cap = _digit_cap(self.limit)
         self.toks = _tokenize(text, self.limit)
         self.i = 0
         self.verdicts = {} if verdicts is None else verdicts
@@ -695,7 +699,7 @@ class _Parser:
                 raise self.error(f"{n} is not a prime", ntok)
             if u < 1:
                 raise self.error("cyclic exponent must be >= 1", utok)
-            if _too_many_digits(n, u, self.limit):
+            if self.cap is not None and _product_within(((n, u),), self.cap) is None:
                 raise self.error(f"cyclic order has more than {self.limit} digits", utok)
             return n, u
         close = self.expect("}")
@@ -829,17 +833,18 @@ _TERM = re.compile(r"""
 """, re.VERBOSE)
 
 
-def _base_value(n: str, u: Optional[str], limit: int):
+def _base_value(n: str, u: Optional[str], cap: Optional[int]):
     """The verdict on a plain or braced base whose number is ``n`` and
     whose exponent, when braced, is ``u``: ``(p, u)`` where the token
-    parser would accept it, and otherwise the outcome of its primality
-    test, what the test returned or the ``ValueError`` it raised."""
+    parser would accept it (its order at most ``cap``, None: no bound),
+    and otherwise the outcome of its primality test, what the test
+    returned or the ``ValueError`` it raised."""
     try:
         if u is None:
             return _prime_power(int(n))
         p, e = int(n), int(u)
         prime = is_prime(p)
-        if prime and e >= 1 and not _too_many_digits(p, e, limit):
+        if prime and e >= 1 and (cap is None or _product_within(((p, e),), cap) is not None):
             return p, e
         return prime
     except ValueError as err:  # a primality that cannot be certified
@@ -860,6 +865,7 @@ def _scan_abelian(text: str, bases: Optional[dict] = None) -> Optional[AbelianGr
     limit = _digit_limit()
     if limit and re.search(f"(?<![0-9])[0-9]{{{limit + 1}}}", text):
         return None
+    cap = _digit_cap(limit)
     finite: dict[tuple[int, int], int] = {}
     alephs: dict[tuple[int, int], int] = {}
     pos = len(text) - len(text.lstrip())
@@ -871,7 +877,7 @@ def _scan_abelian(text: str, bases: Optional[dict] = None) -> Optional[AbelianGr
         base, n, u, mult, braced, aleph, index, star = m.groups()
         key = bases.get(base)
         if key is None:
-            key = bases[base] = _base_value(n or base, u, limit)
+            key = bases[base] = _base_value(n or base, u, cap)
             if type(key) is not tuple:
                 return None
         if aleph is None:
@@ -881,7 +887,7 @@ def _scan_abelian(text: str, bases: Optional[dict] = None) -> Optional[AbelianGr
         pos = end
     if star or pos != len(text):
         return None
-    out, bits, last = [], 0, None
+    out, tops, last = [], [], None
     for key in sorted(finite.keys() | alephs.keys(), key=lambda k: (k[0], -k[1])):
         if key in alephs:
             copies = Cardinal.aleph(alephs[key])
@@ -891,11 +897,9 @@ def _scan_abelian(text: str, bases: Optional[dict] = None) -> Optional[AbelianGr
             continue
         if key[0] != last:  # a prime's first factor has its largest power
             last = key[0]
-            bits += key[1] * last.bit_length()
+            tops.append(key)
         out.append(_derived(PrimaryFactor, prime=key[0], power=key[1], copies=copies))
-    # the exponent is below 2**bits, and 2**(3 * limit) < 10**limit
-    if bits > 3 * limit and _past_digit_limit([(f.prime, f.power) for f in out],
-                                              limit) is not None:
+    if cap is not None and _product_within(tops, cap) is None:  # the exponent
         return None
     return AbelianGroupSpec(tuple(out))
 
@@ -994,7 +998,9 @@ def passive_spec(atoms: Sequence[PassiveAtom], text: str) -> PassiveGroupSpec:
         by_prime.setdefault(part.prime, []).append(part)
     merged = tuple([_merge_parts(by_prime[p]) for p in sorted(by_prime)])
     limit = _digit_limit()
-    if sum([part.gamma_exponents[0] * part.prime.bit_length() for part in merged]) > 3 * limit:
+    cap = _digit_cap(limit)
+    if cap is not None and _product_within(
+            [(part.prime, part.gamma_exponents[0]) for part in merged], cap) is None:
         _check_exponent(map(_atom_order, atoms), text, limit)
     label = " * ".join(sorted(map(_atom_render, atoms)))
     return PassiveGroupSpec(merged, label=label)

@@ -13,8 +13,11 @@ exponent ladder, is one ``map`` of it (``ConcreteGroup.muls`` and
 ``ConcreteGroup.right``).  Past 256 points a wreath product's elements are
 index vectors into its factors' element lists, multiplied by table
 lookups, and a direct product's are tuples.  Subgroups are explicit
-element sets, built from generators.  The point of the module is to
-recompute, by sheer enumeration, everything the symbolic modules derive:
+element sets, built from generators.  Every constructor checks the order
+of its group against the element budget before it lists an element, by
+the size rule of ``groupspec`` (``_product_within``), which
+``skip_reason`` plans with too.  The point of the module is to recompute,
+by sheer enumeration, everything the symbolic modules derive:
 lower central series, nilpotency classes, exponents, derived lengths and
 the general K_p-series (including the commutator terms an abelian group
 never exercises), so that the two routes can be compared on desk-scale
@@ -33,7 +36,8 @@ from itertools import repeat
 from operator import add, getitem, itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
-from .groupspec import AbelianGroupSpec, PassiveAtom, PassiveGroupSpec, prime_divisors
+from .groupspec import (AbelianGroupSpec, PassiveAtom, PassiveGroupSpec, _product_within,
+                        prime_divisors)
 from .shield import baumslag_nilpotent, kp_series, shield_class, wreath_exponent
 
 __all__ = [
@@ -258,33 +262,15 @@ class SubgroupChain:
 # constructions
 
 
-def _order_within(powers: Iterable[tuple[int, int]], cap: int) -> Optional[int]:
-    """The product of ``base ** count`` over the pairs, or None above ``cap``.
-
-    An integer bound comes first, ``base ** count >= 2 ** (count * k)``
-    with ``k = base.bit_length() - 1``, so absurd counts are refused
-    without ever forming the huge integer or converting it to a float.
-    """
-    powers = tuple(powers)
-    if sum(count * (base.bit_length() - 1) for base, count in powers) > cap.bit_length():
-        return None
-    order = math.prod(base**count for base, count in powers)
-    return order if order <= cap else None
-
-
 def _abelian_powers(spec: AbelianGroupSpec) -> Iterable[tuple[int, int]]:
     return ((f.prime, f.power * f.copies.as_int()) for f in spec.factors)
-
-
-def _check_budget(order: int, budget: int, what: str) -> None:
-    if order > budget:
-        raise BudgetExceededError(f"{what}: {order} elements exceed the budget {budget}")
 
 
 def concrete_cyclic(n: int, budget: int = DEFAULT_BUDGET) -> ConcreteGroup:
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    _check_budget(n, budget, f"C_{n}")
+    if _product_within(((n, 1),), budget) is None:
+        raise BudgetExceededError(f"C_{n}: {n} elements exceed the budget {budget}")
     return ConcreteGroup(
         label=f"C_{n}",
         elements=range(n),
@@ -338,9 +324,10 @@ def concrete_product(groups: Sequence[ConcreteGroup], budget: int = DEFAULT_BUDG
     past that, it is the tuple of its coordinates
     (:func:`_product_on_tuples`).
     """
-    order = math.prod(g.order for g in groups)
     label = " x ".join(g.label for g in groups) or "1"
-    _check_budget(order, budget, label)
+    if _product_within([(g.order, 1) for g in groups], budget) is None:
+        raise BudgetExceededError(f"{label}: {math.prod(g.order for g in groups)} elements "
+                                  f"exceed the budget {budget}")
     points = sum(g.order for g in groups)
     build = _product_on_points if points <= _MAX_POINTS else _product_on_tuples
     return ConcreteGroup._from_factors(label, *build(groups))
@@ -410,7 +397,7 @@ def concrete_preset(name: str) -> ConcreteGroup:
 
 def wreath_order(a_order: int, b_order: int, cap: int) -> Optional[int]:
     """``a_order ** b_order * b_order``; None instead of a value above ``cap``."""
-    return _order_within(((a_order, b_order), (b_order, 1)), cap)
+    return _product_within(((a_order, b_order), (b_order, 1)), cap)
 
 
 def _tables(G: ConcreteGroup) -> tuple[dict, list[tuple[int, ...]], list[int]]:
@@ -529,7 +516,7 @@ def concrete_abelian(spec: AbelianGroupSpec, budget: int = DEFAULT_BUDGET) -> Co
     if not spec.is_finite():
         raise ValueError(f"cannot enumerate the infinite group {spec}")
     # order check before expanding multiplicities into factor lists
-    if _order_within(_abelian_powers(spec), budget) is None:
+    if _product_within(_abelian_powers(spec), budget) is None:
         raise BudgetExceededError(f"{spec.render()}: order exceeds the budget {budget}")
     parts = []
     for f in spec.factors:
@@ -544,20 +531,22 @@ def concrete_abelian(spec: AbelianGroupSpec, budget: int = DEFAULT_BUDGET) -> Co
 def passive_order(atoms: Iterable[PassiveAtom], cap: int) -> Optional[int]:
     """Order of the group a passive expression denotes, or None above ``cap``.
 
-    Infinite and inline-profile factors have no enumerable order and raise.
+    An infinite or inline-profile factor has no enumerable order: the
+    ``ValueError`` raised names the first one in the words of
+    :func:`skip_reason`.
     """
     powers = []
     for atom in atoms:
         if atom[0] == "preset":
             powers.append((8, 1))
-        elif atom[0] == "cyclic":
-            _, p, u, copies = atom
-            if copies.is_infinite:
-                raise ValueError("cannot enumerate infinitely many cyclic copies")
-            powers.append((p, u * copies.as_int()))
+        elif atom[0] == "profile":
+            raise ValueError("inline profiles cannot be enumerated")
+        elif atom[3].is_infinite:
+            raise ValueError("passive group is infinite")
         else:
-            raise ValueError("an inline nilpotent(...) profile cannot be enumerated")
-    return _order_within(powers, cap)
+            _, p, u, copies = atom
+            powers.append((p, u * copies.as_int()))
+    return _product_within(powers, cap)
 
 
 def skip_reason(atoms: Sequence[PassiveAtom], b_spec: AbelianGroupSpec,
@@ -565,17 +554,15 @@ def skip_reason(atoms: Sequence[PassiveAtom], b_spec: AbelianGroupSpec,
     """Why ``A wr B`` cannot be enumerated within ``budget``, or None when it can."""
     if not b_spec.is_finite():
         return "active group is infinite"
-    for atom in atoms:
-        if atom[0] == "profile":
-            return "inline profiles cannot be enumerated"
-        if atom[0] == "cyclic" and atom[3].is_infinite:
-            return "passive group is infinite"
-    a_order = passive_order(atoms, budget)
+    try:
+        a_order = passive_order(atoms, budget)
+    except ValueError as err:
+        return str(err)
     if a_order is None:
         return f"budget exceeded (passive group alone is larger than {budget})"
     # B alone is named only past twice the budget; up to there the
     # wreath line below names its exact order
-    b_order = _order_within(_abelian_powers(b_spec), 2 * budget)
+    b_order = _product_within(_abelian_powers(b_spec), 2 * budget)
     if b_order is None:
         return f"budget exceeded (active group alone is larger than {budget})"
     if wreath_order(a_order, b_order, budget) is None:

@@ -279,6 +279,25 @@ def test_witness_verb(capsys):
     assert "N_4 B_2" in out
 
 
+@pytest.mark.parametrize("argv, line", [
+    # (C_2 x C_3) wr C_2 is not nilpotent; only its reduced product
+    # C_2 wr C_2 lies in N_2
+    (["decide", "--a1", "C_2 * C_3", "--a2", "C_2 * C_3", "--b1", "C_2", "--b2", "C_2^2"],
+     "N_2 B_1: contains A_2 wr B1', not A_2 wr B2' (the reduced products)"),
+    (["--demo"], "N_49 B_1: contains A_7 wr B1', not A_7 wr B2' (the reduced products)"),
+    # A and both B are 2-groups: the claim is made for the whole products
+    (["witness", *DECIDE_ARGS, "--prime", "2"],
+     "N_4 B_2: contains the B2 wreath product, not the B1 one"),
+], ids=["two-prime-passive", "demo-multi-prime", "p-groups"])
+def test_witness_claims_the_whole_products_only_for_p_groups(capsys, argv, line):
+    out = run(capsys, *argv)[1]
+    claims = [x for x in out.splitlines() if "separating variety" in x]
+    assert f"  separating variety {line}" in claims
+    if argv[0] == "decide":
+        assert "nilpotent false" in out
+        assert claims == [f"  separating variety {line}"]
+
+
 def test_witness_equivalent_prime_exit_0(capsys):
     code, out, _ = run(capsys, "witness", "--a1", "C_3", "--a2", "C_3",
                        "--b1", "C_{3^2}^2", "--b2", "C_{3^2}^2", "--prime", "3")

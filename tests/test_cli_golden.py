@@ -98,6 +98,8 @@ CASES = [
     *both("decide-multi-prime", "decide", *MULTI_PRIME),
     *both("decide-passive-not-p-group", "decide",
           *pair("C_2 * C_3", "C_2 * C_3", "C_2", "C_2")),
+    *both("decide-passive-not-p-group-unequal", "decide",
+          *pair("C_2 * C_3", "C_2 * C_3", "C_2", "C_2^2")),
     *both("decide-active-exponent-mismatch", "decide", *pair("C_2", "C_2", "C_2", "C_{2^2}")),
     *both("decide-trivial-actives", "decide", *pair("C_2", "C_2", "1", "1")),
     *both("decide-every-fatal-code", "decide", *pair("C_2", "C_3", "C_5", "C_{5^2}")),
@@ -110,6 +112,8 @@ CASES = [
     *both("witness-d4-q8", "witness", *D4_Q8, "--prime", "2"),
     *both("witness-infinite", "witness", *D4_Q8_INFINITE, "--prime", "2"),
     *both("witness-multi-prime", "witness", *MULTI_PRIME, "--prime", "7"),
+    *both("witness-passive-not-p-group", "witness",
+          *pair("C_2 * C_3", "C_2 * C_3", "C_2", "C_2^2"), "--prime", "2"),
     *both("witness-equivalent", "witness", *pair("C_3", "C_3", "C_{3^2}^2", "C_{3^2}^2"),
           "--prime", "3"),
     *both("witness-absent-prime", "witness", *D4_Q8, "--prime", "3"),

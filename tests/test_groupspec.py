@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from wreathvar import (
     Cardinal,
@@ -198,6 +198,65 @@ def test_an_error_deep_in_a_long_expression_keeps_its_column(term, literal, mess
         parse_abelian(text)
     assert err.value.message == message
     assert err.value.pos == start + term.index(literal)
+
+
+# odd bases at the digit limit: (expression, the digits of its exponent
+# when accepted, or the message and the text at which the caret points)
+ODD_BASE_LIMITS = [
+    ("C_{3^9012}", 4300),
+    ("C_{3^9013}", ("cyclic order has more than 4300 digits", "9013")),
+    ("C_{1000000007^477}", 4294),
+    ("C_{1000000007^478}", ("cyclic order has more than 4300 digits", "478")),
+    ("C_{1000000007^477} * C_{2^23}", 4300),
+    ("C_{1000000007^477} * C_{2^24}", ("exponent has more than 4300 digits", "C_{2^24}")),
+]
+
+
+@pytest.mark.parametrize("text, want", ODD_BASE_LIMITS)
+@pytest.mark.parametrize("parse", [parse_abelian, lambda t: groupspec._Parser(t).abelian(),
+                                   parse_passive], ids=["scan", "tokens", "passive"])
+def test_digit_limit_boundaries_for_odd_bases(parse, text, want):
+    got = outcome(parse, text)
+    if isinstance(want, int):
+        assert len(str(got.exponent())) == want
+    else:
+        message, at = want
+        assert got == (message, text.index(at))
+
+
+SIZE_CAPS = (10**4300 - 1, 200_000, 400_000)
+
+
+def exact_product_within(powers, cap):
+    """The reference for the size rule: a power whose base is at least 2
+    and whose count is at least ``cap.bit_length()`` is alone above ``cap``;
+    otherwise the product is formed with ``math.prod`` and compared."""
+    if any(base >= 2 and count >= cap.bit_length() for base, count in powers):
+        return None
+    product = math.prod(base**count for base, count in powers)
+    return product if product <= cap else None
+
+
+@given(st.lists(st.tuples(st.integers(1, 10**6),
+                          st.one_of(st.integers(0, 64), st.integers(0, 10**30))), max_size=5),
+       st.sampled_from(SIZE_CAPS))
+# the smallest bases whose absurd powers must be refused without being formed
+@example([(2, 10**30)], 200_000)
+@example([(1, 10**30), (3, 10**30)], 10**4300 - 1)
+def test_the_size_rule_is_the_exact_product(powers, cap):
+    assert groupspec._product_within(powers, cap) == exact_product_within(powers, cap)
+
+
+@pytest.mark.parametrize("cap", SIZE_CAPS, ids=["digits", "budget", "twice-budget"])
+@given(ones=st.lists(st.integers(0, 10**30), max_size=3), k=st.integers(1, 10**4))
+def test_the_size_rule_at_the_cap(cap, ones, k):
+    # the product is cap, then cap + 1, split at a divisor drawn with k and
+    # padded with powers of 1 of any count
+    padding = [(1, count) for count in ones]
+    for n, want in ((cap, cap), (cap + 1, None)):
+        g = math.gcd(n, k)
+        powers = [*padding, (g, 1), (n // g, 1)]
+        assert groupspec._product_within(powers, cap) == exact_product_within(powers, cap) == want
 
 
 def test_a_valid_expression_is_scanned_without_tokens_and_each_base_tested_once(monkeypatch):
