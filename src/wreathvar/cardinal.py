@@ -2,26 +2,25 @@
 
 Only order, maximum and sum are needed anywhere in the library, so a
 cardinal is either ``finite(n)`` for a natural ``n`` or ``aleph(k)`` for a
-natural index ``k``.  Every finite value sorts below every aleph, alephs
-sort by index, and addition absorbs into the larger operand as soon as
-one side is infinite.
+natural index ``k``.  The dataclass compares its fields ``(is_infinite,
+value)`` in order, so every finite value sorts below every aleph and
+alephs sort by index.  Addition absorbs into the larger operand as soon
+as one side is infinite.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import total_ordering
 
 _ALEPH_RE = re.compile(r"\Aaleph(?:_([0-9]+))?\Z")
 
 
-@total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Cardinal:
     """A finite natural number or an aleph with a natural index."""
 
-    infinite: bool
+    is_infinite: bool
     value: int
 
     def __post_init__(self) -> None:
@@ -47,33 +46,21 @@ class Cardinal:
             raise ValueError(f"not a cardinal: {text!r}")
         return cls.aleph(int(m.group(1) or 0))
 
-    @property
-    def is_infinite(self) -> bool:
-        return self.infinite
-
     def as_int(self) -> int:
         """The natural behind a finite cardinal; rejects alephs."""
-        if self.infinite:
+        if self.is_infinite:
             raise ValueError(f"{self} is not finite")
         return self.value
-
-    def _key(self) -> tuple[int, int]:
-        return (1 if self.infinite else 0, self.value)
-
-    def __lt__(self, other: "Cardinal") -> bool:
-        if not isinstance(other, Cardinal):
-            return NotImplemented
-        return self._key() < other._key()
 
     def __add__(self, other: "Cardinal") -> "Cardinal":
         if not isinstance(other, Cardinal):
             return NotImplemented
-        if not self.infinite and not other.infinite:
+        if not self.is_infinite and not other.is_infinite:
             return Cardinal.finite(self.value + other.value)
         return max(self, other)
 
     def render(self) -> str:
-        if self.infinite:
+        if self.is_infinite:
             return f"aleph_{self.value}"
         return str(self.value)
 
@@ -81,7 +68,7 @@ class Cardinal:
         return self.render()
 
     def __repr__(self) -> str:
-        if self.infinite:
+        if self.is_infinite:
             return f"Cardinal.aleph({self.value})"
         return f"Cardinal.finite({self.value})"
 

@@ -18,6 +18,7 @@ to its element budget.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -187,23 +188,20 @@ def _product_within(powers: Iterable[tuple[int, int]], cap: int) -> Optional[int
 
 
 @functools.lru_cache(maxsize=4)
-def _digit_cap(limit: int) -> Optional[int]:
-    """The largest number of at most ``limit`` decimal digits (None for
-    ``limit`` 0: no bound)."""
-    return 10**limit - 1 if limit else None
+def _digit_cap(limit: int) -> int:
+    """The largest number of at most ``limit`` decimal digits."""
+    return 10**limit - 1
 
 
 def _check_exponent(orders: Iterable[tuple[int, int]], text: str, limit: int) -> None:
     """Refuse the expression ``text`` at the first of its terms after which
     its exponent, the lcm of the terms' orders ``p**u`` (``orders``, as
     ``(p, u)`` in the order written), has more than ``limit`` decimal
-    digits (``limit`` 0: no bound).  The exponent is formed one order at a
-    time through :func:`_product_within`, so it never gets much past the
-    limit.  Every number printed for an expression is built from its
-    exponent and from literals of at most ``limit`` digits, so none has
-    more than about twice as many."""
-    if not limit:
-        return
+    digits.  The exponent is formed one order at a time through
+    :func:`_product_within`, so it never gets much past the limit.  Every
+    number printed for an expression is built from its exponent and from
+    literals of at most ``limit`` digits, so none has more than about twice
+    as many."""
     cap, tops, exponent = _digit_cap(limit), {}, 1
     for i, (p, u) in enumerate(orders):
         top = tops.get(p, 0)
@@ -303,16 +301,11 @@ class AbelianGroupSpec:
         return all(not f.copies.is_infinite for f in self.factors)
 
     def primes(self) -> list[int]:
-        seen = []
-        for f in self.factors:
-            if not seen or seen[-1] != f.prime:
-                seen.append(f.prime)
-        return seen
+        return [f.prime for f in _first_factors(self.factors)]
 
     def exponent(self) -> int:
         """lcm of the cyclic orders; 1 for the trivial group."""
-        return math.prod(p ** max(f.power for f in self.factors if f.prime == p)
-                         for p in self.primes())
+        return math.prod(f.cyclic_order for f in _first_factors(self.factors))
 
     def order(self) -> int:
         """Group order; only finite specs have one."""
@@ -354,6 +347,15 @@ class AbelianGroupSpec:
 
 
 TRIVIAL = AbelianGroupSpec(())
+
+
+def _first_factors(factors: Sequence[PrimaryFactor]) -> list[PrimaryFactor]:
+    """Each prime's first factor in normal form: the one of largest power."""
+    out = []
+    for f in factors:
+        if not out or out[-1].prime != f.prime:
+            out.append(f)
+    return out
 
 
 def normalize(factors: Iterable[PrimaryFactor]) -> AbelianGroupSpec:
@@ -559,11 +561,8 @@ class ParseError(ValueError):
         return f"  {self.source}\n  {' ' * self.pos}^"
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # "int", "word", "end", or the symbol itself
-    text: str
-    pos: int
+# kind: "int", "word", "end", or the symbol itself
+_Tok = collections.namedtuple("_Tok", "kind text pos")
 
 
 _SYMBOLS = set("_^*{}()[]=,")
@@ -584,7 +583,7 @@ def _tokenize(text: str, limit: int) -> list[_Tok]:
             j = i
             while j < n and text[j] in _DIGITS:
                 j += 1
-            if limit and j - i > limit:
+            if j - i > limit:
                 raise ParseError(f"integer literal has more than {limit} digits", i, text)
             toks.append(_Tok("int", text[i:j], i))
             i = j
@@ -610,15 +609,16 @@ def _tokenize(text: str, limit: int) -> list[_Tok]:
 PassiveAtom = tuple
 
 
-_DEFAULT_DIGITS = getattr(sys.int_info, "default_max_str_digits", 0)
+# Python's default int-to-string bound, which interpreters before 3.11 lack
+_DEFAULT_DIGITS = getattr(sys.int_info, "default_max_str_digits", 4300)
 
 
 def _digit_limit() -> int:
     """The most decimal digits a literal, a cyclic order or the exponent
     of an expression may have: as many as Python converts to a string by
-    default, or fewer when the interpreter is set to a lower bound (0: no
-    bound, on a Python older than 3.11).  A raised or lifted bound, as the
-    CLI sets one to print derived numbers, leaves it as it is."""
+    default, or fewer when the interpreter is set to a lower bound, so that
+    ``int()`` of a literal never meets it.  A raised or lifted bound, as
+    the CLI sets one to print derived numbers, leaves it as it is."""
     current = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     return min(_DEFAULT_DIGITS, current) if current else _DEFAULT_DIGITS
 
@@ -666,13 +666,18 @@ class _Parser:
         return int(tok.text), tok
 
     def certified(self, test, n: int, tok: _Tok, spelling: Optional[str] = None):
-        """``test(n)``, or the scan's verdict on the base ``spelling`` when
-        it tested that base, with a primality that cannot be certified
-        reported at ``tok``."""
-        try:
-            verdict = self.verdicts[spelling] if spelling in self.verdicts else test(n)
-        except ValueError as err:
-            verdict = err
+        """``test(n)``, with a primality that cannot be certified reported at
+        ``tok``.  The verdict on a base ``spelling`` is kept in ``verdicts``:
+        each spelling is tested once per parse, or not at all after the scan."""
+        if spelling in self.verdicts:
+            verdict = self.verdicts[spelling]
+        else:
+            try:
+                verdict = test(n)
+            except ValueError as err:
+                verdict = err
+            if spelling is not None:
+                self.verdicts[spelling] = verdict
         if isinstance(verdict, ValueError):
             raise self.error(str(verdict), tok) from None
         return verdict
@@ -699,7 +704,7 @@ class _Parser:
                 raise self.error(f"{n} is not a prime", ntok)
             if u < 1:
                 raise self.error("cyclic exponent must be >= 1", utok)
-            if self.cap is not None and _product_within(((n, u),), self.cap) is None:
+            if _product_within(((n, u),), self.cap) is None:
                 raise self.error(f"cyclic order has more than {self.limit} digits", utok)
             return n, u
         close = self.expect("}")
@@ -833,18 +838,18 @@ _TERM = re.compile(r"""
 """, re.VERBOSE)
 
 
-def _base_value(n: str, u: Optional[str], cap: Optional[int]):
+def _base_value(n: str, u: Optional[str], cap: int):
     """The verdict on a plain or braced base whose number is ``n`` and
     whose exponent, when braced, is ``u``: ``(p, u)`` where the token
-    parser would accept it (its order at most ``cap``, None: no bound),
-    and otherwise the outcome of its primality test, what the test
-    returned or the ``ValueError`` it raised."""
+    parser would accept it (its order at most ``cap``), and otherwise the
+    outcome of its primality test: what it returned or the ``ValueError``
+    it raised."""
     try:
         if u is None:
             return _prime_power(int(n))
         p, e = int(n), int(u)
         prime = is_prime(p)
-        if prime and e >= 1 and (cap is None or _product_within(((p, e),), cap) is not None):
+        if prime and e >= 1 and _product_within(((p, e),), cap) is not None:
             return p, e
         return prime
     except ValueError as err:  # a primality that cannot be certified
@@ -863,7 +868,7 @@ def _scan_abelian(text: str, bases: Optional[dict] = None) -> Optional[AbelianGr
     if bases is None:
         bases = {}
     limit = _digit_limit()
-    if limit and re.search(f"(?<![0-9])[0-9]{{{limit + 1}}}", text):
+    if re.search(f"(?<![0-9])[0-9]{{{limit + 1}}}", text):
         return None
     cap = _digit_cap(limit)
     finite: dict[tuple[int, int], int] = {}
@@ -887,7 +892,7 @@ def _scan_abelian(text: str, bases: Optional[dict] = None) -> Optional[AbelianGr
         pos = end
     if star or pos != len(text):
         return None
-    out, tops, last = [], [], None
+    out = []
     for key in sorted(finite.keys() | alephs.keys(), key=lambda k: (k[0], -k[1])):
         if key in alephs:
             copies = Cardinal.aleph(alephs[key])
@@ -895,12 +900,9 @@ def _scan_abelian(text: str, bases: Optional[dict] = None) -> Optional[AbelianGr
             copies = Cardinal.finite(finite[key])
         else:
             continue
-        if key[0] != last:  # a prime's first factor has its largest power
-            last = key[0]
-            tops.append(key)
         out.append(_derived(PrimaryFactor, prime=key[0], power=key[1], copies=copies))
-    if cap is not None and _product_within(tops, cap) is None:  # the exponent
-        return None
+    if _product_within([(f.prime, f.power) for f in _first_factors(out)], cap) is None:
+        return None  # the exponent is too large
     return AbelianGroupSpec(tuple(out))
 
 
@@ -998,9 +1000,8 @@ def passive_spec(atoms: Sequence[PassiveAtom], text: str) -> PassiveGroupSpec:
         by_prime.setdefault(part.prime, []).append(part)
     merged = tuple([_merge_parts(by_prime[p]) for p in sorted(by_prime)])
     limit = _digit_limit()
-    cap = _digit_cap(limit)
-    if cap is not None and _product_within(
-            [(part.prime, part.gamma_exponents[0]) for part in merged], cap) is None:
+    if _product_within([(part.prime, part.gamma_exponents[0]) for part in merged],
+                       _digit_cap(limit)) is None:
         _check_exponent(map(_atom_order, atoms), text, limit)
     label = " * ".join(sorted(map(_atom_render, atoms)))
     return PassiveGroupSpec(merged, label=label)

@@ -59,19 +59,27 @@ class KpChain:
 
 @dataclass(frozen=True)
 class ShieldParams:
-    """``d``, ``a``, ``b`` and ``steps[j] = e(p**j)``, the nonzero part of ``e``."""
+    """``a`` and ``steps[j] = e(p**j)``, the nonzero part of ``e``, for the
+    prime ``p``; ``d`` and ``b`` follow from them."""
 
-    d: int
+    p: int
     steps: tuple[int, ...]
     a: int
-    b: int
+
+    @property
+    def d(self) -> int:
+        return self.p ** (len(self.steps) - 1)
+
+    @property
+    def b(self) -> int:
+        return (self.p - 1) * self.d
 
     @property
     def e(self) -> tuple[int, ...]:
         """``e(1..d)`` written out: length ``d``, so only for short chains."""
-        p, e = self.b // self.d + 1, [0] * self.d  # b = (p-1) * d
+        e = [0] * self.d
         for j, step in enumerate(self.steps):
-            e[p**j - 1] = step
+            e[self.p**j - 1] = step
         return tuple(e)
 
 
@@ -101,14 +109,13 @@ def shield_params(B: AbelianGroupSpec, p: int) -> ShieldParams:
     ``sum_j p**j * steps[j] = sum_f m_f * (p**u_f - 1) / (p - 1)``."""
     _require_finite_p_group(B, p)
     u = B.factors[0].power  # factors come in descending power
-    d = p ** (u - 1)
     # built from a list: tuple() over a generator resizes its result, and
     # CPython's per-length tuple free lists then keep every freed one: 2.5 MB
     # more resident memory after 30 000 calls on CPython 3.11
     steps = tuple([sum(f.copies.as_int() for f in B.factors if f.power > j)
                    for j in range(u)])
     a = 1 + sum(f.copies.as_int() * (p**f.power - 1) for f in B.factors)
-    return ShieldParams(d, steps, a, (p - 1) * d)
+    return ShieldParams(p, steps, a)
 
 
 def baumslag_reason(A: PassiveGroupSpec, B: AbelianGroupSpec) -> Optional[str]:
@@ -139,10 +146,8 @@ def shield_class(A: PassiveGroupSpec, B: AbelianGroupSpec) -> int:
         raise NotNilpotentError(reason)
     part = A.parts[0]
     params = shield_params(B, part.prime)
-    return max(
-        params.a * h + (s_h - 1) * params.b
-        for h, s_h in enumerate(part.gamma_exponents, 1)
-    )
+    a, b = params.a, params.b
+    return max(a * h + (s_h - 1) * b for h, s_h in enumerate(part.gamma_exponents, 1))
 
 
 def wreath_exponent(A: PassiveGroupSpec, B: AbelianGroupSpec) -> int:

@@ -71,7 +71,10 @@ class Violation:
 
     code: str
     detail: str
-    fatal: bool = True
+
+    @property
+    def fatal(self) -> bool:
+        return self.code != "active_exponent_mismatch"
 
 
 @dataclass(frozen=True)
@@ -94,8 +97,11 @@ class DecisionInput:
 @dataclass(frozen=True)
 class PrimeVerdict:
     p: int
-    equivalent: bool
-    divergence: Optional[DivergenceReport] = None
+    divergence: Optional[DivergenceReport]
+
+    @property
+    def equivalent(self) -> bool:
+        return self.divergence is None
 
 
 @dataclass(frozen=True)
@@ -129,8 +135,11 @@ class SeparationWitness:
     w: int
     class_b1: int
     class_b2: int
-    separating: SeparatingVariety
     larger_input: int
+
+    @property
+    def separating(self) -> SeparatingVariety:
+        return SeparatingVariety(self.class_b2, self.p ** (self.w - 1))
 
     def to_json_dict(self) -> dict:
         return {
@@ -151,9 +160,12 @@ class Fingerprint:
     """Invariants of one wreath product that need not separate varieties."""
 
     exponent: int
-    nilpotent: bool
     nilpotency_class: Optional[int]
     solubility_bound: Optional[int]
+
+    @property
+    def nilpotent(self) -> bool:
+        return self.nilpotency_class is not None
 
     def to_json_dict(self) -> dict:
         return {
@@ -213,7 +225,7 @@ def check_hypotheses(inp: DecisionInput) -> list[Violation]:
     if n1 != n2:
         violations.append(Violation(
             "active_exponent_mismatch",
-            f"active exponent mismatch: exp(B1)={n1}, exp(B2)={n2}", fatal=False))
+            f"active exponent mismatch: exp(B1)={n1}, exp(B2)={n2}"))
     for p in sorted(set(inp.b1.primes()) | set(inp.b2.primes())):
         if m1 % p != 0 or m2 % p != 0:
             violations.append(Violation(
@@ -260,7 +272,7 @@ def decide_equal(inp: DecisionInput) -> Decision:
     per = []
     for p in inp.b1.primes():
         div = divergence(inp.b1.p_component(p), inp.b2.p_component(p), p)
-        per.append(PrimeVerdict(p, div is None, div))
+        per.append(PrimeVerdict(p, div))
     failing = [pv.p for pv in per if not pv.equivalent]
     if not failing:
         return Decision(Verdict.EQUAL, None, (), tuple(per), None, fps)
@@ -330,15 +342,8 @@ def separation_witness(
         class_small = part.nilpotency_class
     else:
         class_small = shield_class(a_p, reduced_small)
-    return SeparationWitness(
-        p=p,
-        t=t,
-        w=w,
-        class_b1=class_big,
-        class_b2=class_small,
-        separating=SeparatingVariety(class_small, shift),
-        larger_input=larger_input,
-    )
+    # the larger side's class is written first, as class_b1
+    return SeparationWitness(p, t, w, class_big, class_small, larger_input)
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +352,10 @@ def separation_witness(
 
 def fingerprint(passive: PassiveGroupSpec, active: AbelianGroupSpec) -> Fingerprint:
     """Exponent, nilpotency, class and solubility bound of one wreath product."""
-    nilpotent = baumslag_nilpotent(passive, active)
-    cls = shield_class(passive, active) if nilpotent else None
+    cls = shield_class(passive, active) if baumslag_nilpotent(passive, active) else None
     dl = passive.derived_length
     return Fingerprint(
         exponent=wreath_exponent(passive, active),
-        nilpotent=nilpotent,
         nilpotency_class=cls,
         solubility_bound=dl + 1 if dl is not None else None,
     )

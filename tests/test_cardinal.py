@@ -89,6 +89,12 @@ def test_trichotomy(a, b):
     assert (a < b) + (a == b) + (b < a) == 1
 
 
+@given(cardinals(), cardinals())
+def test_order_is_finite_below_aleph_then_by_value(a, b):
+    assert (a < b) == ((a.is_infinite, a.value) < (b.is_infinite, b.value))
+    assert (a <= b) == ((a.is_infinite, a.value) <= (b.is_infinite, b.value))
+
+
 @given(cardinals(), cardinals(), cardinals())
 def test_transitive(a, b, c):
     if a < b and b < c:

@@ -328,6 +328,11 @@ def test_exponent_is_lcm_of_cyclic_orders(s):
     assert s.exponent() == expected
 
 
+@given(abelian_specs())
+def test_primes_are_the_distinct_primes_ascending(s):
+    assert s.primes() == sorted({f.prime for f in s.factors})
+
+
 def test_p_component():
     got = parse_abelian(SAMPLE)
     assert got.p_component(5) == spec((5, 3, 4), (5, 2, 1))
@@ -729,6 +734,26 @@ def test_each_prime_is_checked_once_per_input(monkeypatch):
                  "--b1", f"C_{p}^3", "--b2", f"C_{p}^4"])
     assert code == 1
     assert len(calls) <= 4, calls
+
+
+def test_a_passive_base_is_tested_once_per_parse(monkeypatch):
+    # the token parser keeps its verdict on each base spelling; a new
+    # parse starts with none
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(groupspec, "is_prime", counted)
+    text = " * ".join(["C_{9999999967^2}"] * 50)
+    assert parse_passive(text).exponent() == 9999999967**2
+    assert calls == [9999999967]
+    parse_passive(text)
+    assert calls == [9999999967] * 2
+    # a profile's prime is tested apart from a base of the same digits
+    with pytest.raises(ParseError, match="4 is not a prime"):
+        parse_passive("C_4 * nilpotent(p=4, s=[1])")
 
 
 def test_a_refused_base_is_tested_once(monkeypatch):

@@ -40,6 +40,16 @@ def test_known_failures_answer_correctly(perfbench):
         assert check.check_classify(workloads.run_classify(op.inputs), op.want) is None
 
 
+def test_one_symbolic_wide_op_of_each_kind_answers_correctly(perfbench):
+    # the checkers read the decision and witness records by attribute, so
+    # a renamed or dropped attribute fails here
+    workloads, _ = perfbench
+    for kind in workloads.WIDE_KINDS:
+        op = workloads.wide_op(random.Random(0), (kind, 20))
+        run, check_op, _key = workloads.KINDS[op.kind]
+        assert check_op(run(op.inputs), op.want) is None, kind
+
+
 def test_an_instrumented_oracle_sweep_op_reports_what_a_plain_one_does(perfbench, tracing):
     # instrument rewraps the wreath product's mul; products formed in
     # batches do not go through it, and must not change the report

@@ -5,6 +5,7 @@ from wreathvar import (
     Cardinal,
     NotNilpotentError,
     PrimaryFactor,
+    ShieldParams,
     baumslag_nilpotent,
     kp_series,
     normalize,
@@ -117,6 +118,25 @@ def test_chain_terms_recompute_from_the_definition(p, data):
 def test_params_golden(expr, p, expected):
     params = shield_params(parse_abelian(expr), p)
     assert (params.d, params.e, params.a, params.b) == expected
+
+
+@pytest.mark.parametrize(
+    "expr,p,stored,d,e",
+    [
+        ("C_{3^2}^2", 3, (3, (2, 2), 17), 3, (2, 0, 2)),
+        ("C_{3^3} * C_3", 3, (3, (2, 1, 1), 29), 9, (2, 0, 1, 0, 0, 0, 0, 0, 1)),
+        ("C_{5^2} * C_5^2", 5, (5, (3, 1), 33), 5, (3, 0, 0, 0, 1)),
+    ],
+)
+def test_params_store_p_steps_and_a_and_derive_the_rest(expr, p, stored, d, e):
+    params = shield_params(parse_abelian(expr), p)
+    assert params == ShieldParams(*stored)
+    assert (params.d, params.b, params.e) == (d, (p - 1) * d, e)
+
+
+def test_params_repr_shows_the_stored_fields():
+    params = shield_params(parse_abelian("C_{3^2}^2"), 3)
+    assert repr(params) == "ShieldParams(p=3, steps=(2, 2), a=17)"
 
 
 @given(st.sampled_from(SMALL_PRIMES), st.data())
