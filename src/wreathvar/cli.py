@@ -486,7 +486,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 return run_oracle_verify(args.manifest, args.budget, as_json)
         except ParseError as err:
             return _parse_error(err)
-        except OSError as err:
+        except (OSError, UnicodeDecodeError) as err:  # unreadable input
             print(f"error: {err}", file=sys.stderr)
             return EXIT_PARSE
         except ValueError as err:

@@ -193,27 +193,23 @@ def _digit_cap(limit: int) -> int:
     return 10**limit - 1
 
 
-def _check_exponent(orders: Iterable[tuple[int, int]], text: str, limit: int) -> None:
+def _check_exponent(orders: Iterable[tuple[int, int, int]], text: str, limit: int) -> None:
     """Refuse the expression ``text`` at the first of its terms after which
     its exponent, the lcm of the terms' orders ``p**u`` (``orders``, as
-    ``(p, u)`` in the order written), has more than ``limit`` decimal
-    digits.  The exponent is formed one order at a time through
-    :func:`_product_within`, so it never gets much past the limit.  Every
-    number printed for an expression is built from its exponent and from
-    literals of at most ``limit`` digits, so none has more than about twice
-    as many."""
+    ``(p, u, pos)`` in the order written, ``pos`` where the term starts),
+    has more than ``limit`` decimal digits.  The exponent is formed one
+    order at a time through :func:`_product_within`, so it never gets much
+    past the limit.  Every number printed for an expression is built from
+    its exponent and from literals of at most ``limit`` digits, so none has
+    more than about twice as many."""
     cap, tops, exponent = _digit_cap(limit), {}, 1
-    for i, (p, u) in enumerate(orders):
+    for p, u, pos in orders:
         top = tops.get(p, 0)
         if u > top:
             tops[p] = u
             exponent = _product_within(((exponent, 1), (p, u - top)), cap)
             if exponent is None:
-                toks = _tokenize(text, limit)
-                # terms are joined by '*', which no term contains
-                starts = [0] + [k + 1 for k, tok in enumerate(toks) if tok.kind == "*"]
-                raise ParseError(f"exponent has more than {limit} digits", toks[starts[i]].pos,
-                                 text)
+                raise ParseError(f"exponent has more than {limit} digits", pos, text)
 
 
 def _derived(cls, **fields):
@@ -358,19 +354,34 @@ def _first_factors(factors: Sequence[PrimaryFactor]) -> list[PrimaryFactor]:
     return out
 
 
+def _normal_form(finite: dict[tuple[int, int], int],
+                 alephs: dict[tuple[int, int], int]) -> tuple[PrimaryFactor, ...]:
+    """The factors in normal form of the multiplicities merged per
+    ``(p, u)``: ``finite`` holds the sum of the finite copies, ``alephs``
+    the largest aleph index, which absorbs them.  No copies, no factor."""
+    out = []
+    for key in sorted(finite.keys() | alephs.keys(), key=lambda k: (k[0], -k[1])):
+        if key in alephs:
+            copies = Cardinal.aleph(alephs[key])
+        elif finite[key]:
+            copies = Cardinal.finite(finite[key])
+        else:
+            continue
+        out.append(_derived(PrimaryFactor, prime=key[0], power=key[1], copies=copies))
+    return tuple(out)
+
+
 def normalize(factors: Iterable[PrimaryFactor]) -> AbelianGroupSpec:
     """Merge duplicate ``(prime, power)`` factors, drop zeros, sort canonically."""
-    merged: dict[tuple[int, int], Cardinal] = {}
+    finite: dict[tuple[int, int], int] = {}
+    alephs: dict[tuple[int, int], int] = {}
     for f in factors:
-        key = (f.prime, f.power)
-        merged[key] = merged.get(key, ZERO) + f.copies
-    out = [
-        _derived(PrimaryFactor, prime=p, power=u, copies=copies)
-        for (p, u), copies in merged.items()
-        if copies != ZERO
-    ]
-    out.sort(key=lambda f: (f.prime, -f.power))
-    return AbelianGroupSpec(tuple(out))
+        key, copies = (f.prime, f.power), f.copies
+        if copies.is_infinite:
+            alephs[key] = max(alephs.get(key, 0), copies.value)
+        else:
+            finite[key] = finite.get(key, 0) + copies.value
+    return AbelianGroupSpec(_normal_form(finite, alephs))
 
 
 # ---------------------------------------------------------------------------
@@ -602,11 +613,15 @@ def _tokenize(text: str, limit: int) -> list[_Tok]:
     return toks
 
 
-# passive atoms, also consumed by the oracle to build concrete groups:
-#   ("preset", name)                       D4 or Q8
-#   ("cyclic", p, u, copies)               C_{p^u}^copies
-#   ("profile", part)                      inline nilpotent(...) profile
-PassiveAtom = tuple
+# One factor of a passive expression, as the parser reads it: ``pos``
+# where it starts, ``text`` its label text, ``part`` its profile (None for
+# a cyclic factor of no copies), and ``group`` what the oracle builds: the
+# preset name D4 or Q8, the cyclic ``PrimaryFactor``, or None for an
+# inline nilpotent(...) profile, which has no realization.
+PassiveAtom = collections.namedtuple("PassiveAtom", "pos text part group")
+
+# the profile of D4 and of Q8
+_PRESET_PART = PassivePrimePart(2, (2, 1), 2)
 
 
 # Python's default int-to-string bound, which interpreters before 3.11 lack
@@ -628,20 +643,20 @@ class _Parser:
 
     It is the parser of passive expressions, and the one that locates
     every error in an abelian expression: :func:`parse_abelian` hands it
-    the text only when its own scan refuses it, together with the scan's
-    ``verdicts`` on the base spellings it tested (see :func:`_base_value`),
-    so that no base is tested twice.  The text is tokenized up front, so an
-    unexpected character or an over-long literal is reported before any
-    error of the grammar.
+    the text only when its own scan refuses it.  Parser and scan judge a
+    base spelling with :func:`_base_verdict` and keep the verdict in
+    ``bases``, one dict per parse that the scan hands over, so no spelling
+    is judged twice, a refused one included.  The text is tokenized up
+    front, so an unexpected character or an over-long literal is reported
+    before any error of the grammar.
     """
 
-    def __init__(self, text: str, verdicts: Optional[dict] = None):
+    def __init__(self, text: str, bases: Optional[dict] = None):
         self.text = text
         self.limit = _digit_limit()
-        self.cap = _digit_cap(self.limit)
         self.toks = _tokenize(text, self.limit)
         self.i = 0
-        self.verdicts = {} if verdicts is None else verdicts
+        self.bases = {} if bases is None else bases
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -665,53 +680,40 @@ class _Parser:
         tok = self.expect("int", what)
         return int(tok.text), tok
 
-    def certified(self, test, n: int, tok: _Tok, spelling: Optional[str] = None):
-        """``test(n)``, with a primality that cannot be certified reported at
-        ``tok``.  The verdict on a base ``spelling`` is kept in ``verdicts``:
-        each spelling is tested once per parse, or not at all after the scan."""
-        if spelling in self.verdicts:
-            verdict = self.verdicts[spelling]
-        else:
-            try:
-                verdict = test(n)
-            except ValueError as err:
-                verdict = err
-            if spelling is not None:
-                self.verdicts[spelling] = verdict
-        if isinstance(verdict, ValueError):
-            raise self.error(str(verdict), tok) from None
-        return verdict
-
     # -- shared pieces ------------------------------------------------
+
+    def product(self, term) -> list:
+        """``term ('*' term)*`` up to the end of the text."""
+        out = [term()]
+        while self.peek().kind == "*":
+            self.next()
+            out.append(term())
+        self.expect("end", "'*' or end of input")
+        return out
 
     def base(self) -> tuple[int, int]:
         """``C_`` base: plain prime power or braced ``{p^u}``; returns (p, u)."""
-        tok = self.peek()
-        if tok.kind == "int":
+        ntok = self.peek()
+        n = utok = None
+        if ntok.kind == "int":
             self.next()
-            pu = self.certified(_prime_power, int(tok.text), tok, tok.text)
-            if pu is None:
-                raise self.error(f"{tok.text} is not a prime power", tok)
-            return pu
-        brace = self.expect("{", "'{' or digits")
-        n, ntok = self.expect_int("a number")
-        if self.peek().kind == "^":
-            self.next()
-            u, utok = self.expect_int("an exponent")
+            spelling = ntok.text
+        else:
+            brace = self.expect("{", "'{' or digits")
+            ntok = self.expect("int", "a number")
+            if self.peek().kind == "^":
+                self.next()
+                utok = self.expect("int", "an exponent")
             close = self.expect("}")
-            # the scan's verdict on an accepted base is its (p, u): truthy
-            if not self.certified(is_prime, n, ntok, self.text[brace.pos:close.pos + 1]):
-                raise self.error(f"{n} is not a prime", ntok)
-            if u < 1:
-                raise self.error("cyclic exponent must be >= 1", utok)
-            if _product_within(((n, u),), self.cap) is None:
-                raise self.error(f"cyclic order has more than {self.limit} digits", utok)
-            return n, u
-        close = self.expect("}")
-        pu = self.certified(_prime_power, n, ntok, self.text[brace.pos:close.pos + 1])
-        if pu is None:
-            raise self.error(f"{n} is not a prime power", ntok)
-        return pu
+            spelling, n = self.text[brace.pos:close.pos + 1], ntok.text
+        verdict = self.bases.get(spelling)
+        if verdict is None:
+            verdict = self.bases[spelling] = _base_verdict(
+                spelling, n, None if utok is None else utok.text, self.limit)
+        if type(verdict[0]) is str:
+            message, blames_exponent = verdict
+            raise self.error(message, utok if blames_exponent else ntok)
+        return verdict
 
     def multiplicity(self) -> Cardinal:
         """Optional ``^mult`` suffix; defaults to one copy."""
@@ -750,30 +752,22 @@ class _Parser:
             self.next()
             self.expect("end", "end of input")
             return TRIVIAL
-        factors = [self.abelian_term()]
-        while self.peek().kind == "*":
-            self.next()
-            factors.append(self.abelian_term())
-        self.expect("end", "'*' or end of input")
-        _check_exponent([(f.prime, f.power if f.copies != ZERO else 0) for f in factors],
+        terms = self.product(self.abelian_term)
+        _check_exponent([(f.prime, f.power if f.copies != ZERO else 0, pos) for pos, f in terms],
                         self.text, self.limit)
-        return normalize(factors)
+        return normalize([f for _, f in terms])
 
-    def abelian_term(self) -> PrimaryFactor:
+    def abelian_term(self) -> tuple[int, PrimaryFactor]:
+        """A cyclic factor and where it starts."""
         tok = self.peek()
         if tok.kind != "word" or tok.text != "C":
             raise self.error("expected a cyclic factor 'C_...'", tok)
-        return self.cyclic_term()
+        return tok.pos, self.cyclic_term()
 
     # -- passive grammar ------------------------------------------------
 
     def passive(self) -> tuple[PassiveAtom, ...]:
-        atoms = [self.passive_atom()]
-        while self.peek().kind == "*":
-            self.next()
-            atoms.append(self.passive_atom())
-        self.expect("end", "'*' or end of input")
-        return tuple(atoms)
+        return tuple(self.product(self.passive_atom))
 
     def passive_atom(self) -> PassiveAtom:
         tok = self.peek()
@@ -781,10 +775,12 @@ class _Parser:
             raise self.error("expected a group name", tok)
         if tok.text in ("D4", "Q8"):
             self.next()
-            return ("preset", tok.text)
+            return PassiveAtom(tok.pos, tok.text, _PRESET_PART, tok.text)
         if tok.text == "C":
             f = self.cyclic_term()
-            return ("cyclic", f.prime, f.power, f.copies)
+            part = None if f.copies == ZERO else _derived(
+                PassivePrimePart, prime=f.prime, gamma_exponents=(f.power,), derived_length=1)
+            return PassiveAtom(tok.pos, f.render(), part, f)
         if tok.text == "nilpotent":
             return self.profile_atom()
         raise self.error(f"unknown preset {tok.text!r}", tok)
@@ -794,7 +790,11 @@ class _Parser:
         self.expect("(")
         self.keyword("p")
         p, ptok = self.expect_int("a prime")
-        if not self.certified(is_prime, p, ptok):
+        try:  # no base spelling: judged anew each time
+            prime = is_prime(p)
+        except ValueError as err:
+            raise self.error(str(err), ptok) from None
+        if not prime:
             raise self.error(f"{p} is not a prime", ptok)
         self.expect(",")
         self.keyword("s")
@@ -815,8 +815,11 @@ class _Parser:
             _check_profile(gamma, dl)
         except ValueError as err:
             raise self.error(str(err), tok) from None
-        return ("profile", _derived(PassivePrimePart, prime=p, gamma_exponents=gamma,
-                                    derived_length=dl))
+        body = f"p={p}, s=[{', '.join(map(str, gamma))}]"
+        if dl is not None:
+            body += f", dl={dl}"
+        part = _derived(PassivePrimePart, prime=p, gamma_exponents=gamma, derived_length=dl)
+        return PassiveAtom(tok.pos, f"nilpotent({body})", part, None)
 
     def keyword(self, name: str) -> None:
         tok = self.expect("word", f"'{name}='")
@@ -838,31 +841,36 @@ _TERM = re.compile(r"""
 """, re.VERBOSE)
 
 
-def _base_value(n: str, u: Optional[str], cap: int):
-    """The verdict on a plain or braced base whose number is ``n`` and
-    whose exponent, when braced, is ``u``: ``(p, u)`` where the token
-    parser would accept it (its order at most ``cap``), and otherwise the
-    outcome of its primality test: what it returned or the ``ValueError``
-    it raised."""
+def _base_verdict(base: str, n: Optional[str], u: Optional[str], limit: int) -> tuple:
+    """The verdict on the ``C_`` base spelled ``base``, whose number is
+    ``n`` when it is braced (None when plain) and whose braced exponent is
+    ``u``, if any: ``(p, u)`` for a prime power of at most ``limit``
+    digits, otherwise ``(message, blames_exponent)``, the fault and whether
+    it lies in the exponent rather than in the number."""
     try:
         if u is None:
-            return _prime_power(int(n))
+            pu = _prime_power(int(n or base))
+            return pu or (f"{base if n is None else int(n)} is not a prime power", False)
         p, e = int(n), int(u)
-        prime = is_prime(p)
-        if prime and e >= 1 and _product_within(((p, e),), cap) is not None:
-            return p, e
-        return prime
+        if not is_prime(p):
+            return f"{p} is not a prime", False
     except ValueError as err:  # a primality that cannot be certified
-        return err
+        return str(err), False
+    if e < 1:
+        return "cyclic exponent must be >= 1", True
+    if _product_within(((p, e),), _digit_cap(limit)) is None:
+        return f"cyclic order has more than {limit} digits", True
+    return p, e
 
 
 def _scan_abelian(text: str, bases: Optional[dict] = None) -> Optional[AbelianGroupSpec]:
     """The spec of ``text`` read term by term with :data:`_TERM`, or None
     when the terms do not make up the whole text or one is refused.
 
-    Each distinct base spelling is tested once, and ``bases`` keeps the
-    verdict on each (see :func:`_base_value`); multiplicities are merged
-    as plain ints (a sum of finite ones, the largest aleph index), so no
+    ``bases`` keeps the :func:`_base_verdict` on each distinct base
+    spelling, so each is judged once; the token parser reads them when it
+    locates the fault of a refused text.  Multiplicities are merged as
+    plain ints and built into factors by :func:`_normal_form`, so no
     factor or cardinal is built per term.
     """
     if bases is None:
@@ -870,7 +878,6 @@ def _scan_abelian(text: str, bases: Optional[dict] = None) -> Optional[AbelianGr
     limit = _digit_limit()
     if re.search(f"(?<![0-9])[0-9]{{{limit + 1}}}", text):
         return None
-    cap = _digit_cap(limit)
     finite: dict[tuple[int, int], int] = {}
     alephs: dict[tuple[int, int], int] = {}
     pos = len(text) - len(text.lstrip())
@@ -881,9 +888,9 @@ def _scan_abelian(text: str, bases: Optional[dict] = None) -> Optional[AbelianGr
             return None
         base, n, u, mult, braced, aleph, index, star = m.groups()
         key = bases.get(base)
-        if key is None:
-            key = bases[base] = _base_value(n or base, u, cap)
-            if type(key) is not tuple:
+        if key is None:  # a refused base ends the scan, so a kept one is good
+            key = bases[base] = _base_verdict(base, n, u, limit)
+            if type(key[0]) is str:
                 return None
         if aleph is None:
             finite[key] = finite.get(key, 0) + int(mult or braced or 1)
@@ -892,18 +899,11 @@ def _scan_abelian(text: str, bases: Optional[dict] = None) -> Optional[AbelianGr
         pos = end
     if star or pos != len(text):
         return None
-    out = []
-    for key in sorted(finite.keys() | alephs.keys(), key=lambda k: (k[0], -k[1])):
-        if key in alephs:
-            copies = Cardinal.aleph(alephs[key])
-        elif finite[key]:
-            copies = Cardinal.finite(finite[key])
-        else:
-            continue
-        out.append(_derived(PrimaryFactor, prime=key[0], power=key[1], copies=copies))
-    if _product_within([(f.prime, f.power) for f in _first_factors(out)], cap) is None:
+    factors = _normal_form(finite, alephs)
+    if _product_within([(f.prime, f.power) for f in _first_factors(factors)],
+                       _digit_cap(limit)) is None:
         return None  # the exponent is too large
-    return AbelianGroupSpec(tuple(out))
+    return AbelianGroupSpec(factors)
 
 
 def parse_abelian(text: str) -> AbelianGroupSpec:
@@ -927,41 +927,6 @@ def parse_abelian(text: str) -> AbelianGroupSpec:
     bases: dict = {}
     spec = _scan_abelian(text, bases)
     return spec if spec is not None else _Parser(text, bases).abelian()
-
-
-def _atom_render(atom: PassiveAtom) -> str:
-    if atom[0] == "preset":
-        return atom[1]
-    if atom[0] == "cyclic":
-        _, p, u, copies = atom
-        return _derived(PrimaryFactor, prime=p, power=u, copies=copies).render()
-    part = atom[1]
-    body = f"p={part.prime}, s=[{', '.join(str(x) for x in part.gamma_exponents)}]"
-    if part.derived_length is not None:
-        body += f", dl={part.derived_length}"
-    return f"nilpotent({body})"
-
-
-def _atom_part(atom: PassiveAtom) -> Optional[PassivePrimePart]:
-    if atom[0] == "preset":
-        return _derived(PassivePrimePart, prime=2, gamma_exponents=(2, 1), derived_length=2)
-    if atom[0] == "cyclic":
-        _, p, u, copies = atom
-        if copies == ZERO:
-            return None
-        return _derived(PassivePrimePart, prime=p, gamma_exponents=(u,), derived_length=1)
-    return atom[1]
-
-
-def _atom_order(atom: PassiveAtom) -> tuple[int, int]:
-    """``(p, u)`` with ``p**u`` the exponent of the atom's group (``u`` 0
-    for a cyclic atom of no copies)."""
-    if atom[0] == "preset":
-        return 2, 2
-    if atom[0] == "cyclic":
-        _, p, u, copies = atom
-        return p, 0 if copies == ZERO else u
-    return atom[1].prime, atom[1].gamma_exponents[0]
 
 
 def _merge_parts(parts: Sequence[PassivePrimePart]) -> PassivePrimePart:
@@ -992,16 +957,17 @@ def parse_passive(text: str) -> PassiveGroupSpec:
 def passive_spec(atoms: Sequence[PassiveAtom], text: str) -> PassiveGroupSpec:
     """The spec of the passive expression ``text``, built from its atoms
     as :func:`passive_atoms` parsed them."""
-    parts = [part for part in map(_atom_part, atoms) if part is not None]
-    if not parts:
+    present = [atom for atom in atoms if atom.part is not None]
+    if not present:
         raise ParseError("passive group must be nontrivial", 0, text)
     by_prime: dict[int, list[PassivePrimePart]] = {}
-    for part in parts:
-        by_prime.setdefault(part.prime, []).append(part)
+    for atom in present:
+        by_prime.setdefault(atom.part.prime, []).append(atom.part)
     merged = tuple([_merge_parts(by_prime[p]) for p in sorted(by_prime)])
     limit = _digit_limit()
     if _product_within([(part.prime, part.gamma_exponents[0]) for part in merged],
                        _digit_cap(limit)) is None:
-        _check_exponent(map(_atom_order, atoms), text, limit)
-    label = " * ".join(sorted(map(_atom_render, atoms)))
+        _check_exponent([(a.part.prime, a.part.gamma_exponents[0], a.pos) for a in present],
+                        text, limit)
+    label = " * ".join(sorted(atom.text for atom in atoms))
     return PassiveGroupSpec(merged, label=label)

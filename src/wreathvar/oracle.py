@@ -136,7 +136,6 @@ class ConcreteGroup:
         self.inv = inv
         self.identity = identity
         self.generators = tuple(generators)
-        self._exponent: Optional[int] = None
 
     @property
     def order(self) -> int:
@@ -220,9 +219,7 @@ class ConcreteGroup:
         return n
 
     def exponent(self) -> int:
-        if self._exponent is None:
-            self._exponent = subgroup_exponent(self, self.elements)
-        return self._exponent
+        return subgroup_exponent(self, self.elements)
 
     def is_abelian(self) -> bool:
         return all(
@@ -537,15 +534,15 @@ def passive_order(atoms: Iterable[PassiveAtom], cap: int) -> Optional[int]:
     """
     powers = []
     for atom in atoms:
-        if atom[0] == "preset":
+        f = atom.group
+        if isinstance(f, str):  # a preset, of order 8
             powers.append((8, 1))
-        elif atom[0] == "profile":
+        elif f is None:
             raise ValueError("inline profiles cannot be enumerated")
-        elif atom[3].is_infinite:
+        elif f.copies.is_infinite:
             raise ValueError("passive group is infinite")
         else:
-            _, p, u, copies = atom
-            powers.append((p, u * copies.as_int()))
+            powers.append((f.prime, f.power * f.copies.as_int()))
     return _product_within(powers, cap)
 
 
@@ -577,11 +574,11 @@ def concrete_passive(atoms: Iterable[PassiveAtom], budget: int = DEFAULT_BUDGET)
         raise BudgetExceededError(f"passive group: order exceeds the budget {budget}")
     parts = []
     for atom in atoms:
-        if atom[0] == "preset":
-            parts.append(concrete_preset(atom[1]))
+        f = atom.group
+        if isinstance(f, str):
+            parts.append(concrete_preset(f))
         else:
-            _, p, u, copies = atom
-            parts.extend([concrete_cyclic(p**u, budget)] * copies.as_int())
+            parts.extend([concrete_cyclic(f.cyclic_order, budget)] * f.copies.as_int())
     if len(parts) == 1:
         return parts[0]
     return concrete_product(parts, budget)

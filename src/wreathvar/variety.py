@@ -179,11 +179,22 @@ class Fingerprint:
 @dataclass(frozen=True)
 class Decision:
     verdict: Verdict
-    reason: Optional[str]
     hypotheses: tuple[Violation, ...]
     per_prime: tuple[PrimeVerdict, ...]
     witness: Optional[SeparationWitness]
     fingerprints: tuple[Fingerprint, ...]
+
+    @property
+    def reason(self) -> Optional[str]:
+        """The fatal violations, else the nonfatal one, else the prime of
+        the witness; None for an equal verdict."""
+        details = ([v.detail for v in self.hypotheses if v.fatal]
+                   or [v.detail for v in self.hypotheses])
+        if details:
+            return "; ".join(details)
+        if self.witness is not None:
+            return f"p-components differ at p={self.witness.p}"
+        return None
 
     def to_json_dict(self) -> dict:
         return {
@@ -261,24 +272,20 @@ def decide_equal(inp: DecisionInput) -> Decision:
     exponents, a witness is attached for the smallest failing prime.
     """
     violations = check_hypotheses(inp)
-    fatal = [v for v in violations if v.fatal]
     fps = _fingerprints(inp)
-    if fatal:
-        return Decision(Verdict.NOT_APPLICABLE, "; ".join(v.detail for v in fatal),
-                        tuple(violations), (), None, fps)
+    if any(v.fatal for v in violations):
+        return Decision(Verdict.NOT_APPLICABLE, tuple(violations), (), None, fps)
     if violations:  # only the nonfatal active exponent mismatch
-        return Decision(Verdict.UNEQUAL, "; ".join(v.detail for v in violations),
-                        tuple(violations), (), None, fps)
+        return Decision(Verdict.UNEQUAL, tuple(violations), (), None, fps)
     per = []
     for p in inp.b1.primes():
         div = divergence(inp.b1.p_component(p), inp.b2.p_component(p), p)
         per.append(PrimeVerdict(p, div))
     failing = [pv.p for pv in per if not pv.equivalent]
     if not failing:
-        return Decision(Verdict.EQUAL, None, (), tuple(per), None, fps)
+        return Decision(Verdict.EQUAL, (), tuple(per), None, fps)
     witness = separation_witness(inp.a1, inp.b1, inp.b2, failing[0])
-    return Decision(Verdict.UNEQUAL, f"p-components differ at p={failing[0]}",
-                    (), tuple(per), witness, fps)
+    return Decision(Verdict.UNEQUAL, (), tuple(per), witness, fps)
 
 
 # ---------------------------------------------------------------------------

@@ -430,6 +430,29 @@ def test_oracle_verify_missing_manifest_exit_2(capsys, tmp_path):
     assert err.startswith("error: [Errno 2] No such file or directory")
 
 
+def test_oracle_verify_undecodable_manifest_exit_2(capsys, tmp_path):
+    path = tmp_path / "manifest.txt"
+    path.write_bytes(b"C_2 Wr C_2\n\xff\n")
+    code, out, err = run(capsys, "oracle-verify", "--manifest", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("passive, at", [
+    ("D4 * C_{3^8000} * C_{2^14000}", 18),
+    ("C_{3^8000} *  nilpotent(p=2, s=[14000])", 14),
+])
+def test_oracle_verify_passive_exponent_overflow_points_at_its_atom(capsys, tmp_path,
+                                                                    passive, at):
+    manifest = write_manifest(tmp_path, f"{passive} Wr C_2\n")
+    code, out, err = run(capsys, "oracle-verify", "--manifest", manifest)
+    assert (code, out) == (2, "")
+    first, line, caret = err.splitlines()
+    assert first == f"{manifest}:1: error: exponent has more than 4300 digits (at position {at})"
+    assert line == f"  {passive} Wr C_2"
+    assert caret.index("^") - 2 == at
+
+
 def test_oracle_verify_empty_manifest(capsys, tmp_path):
     manifest = write_manifest(tmp_path, "# nothing here\n")
     code, out, _ = run(capsys, "oracle-verify", "--manifest", manifest)

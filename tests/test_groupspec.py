@@ -311,6 +311,29 @@ def test_normalize_idempotent(fs):
     assert normalize(once.factors) == once
 
 
+def reference_merge(fs):
+    """The normal form by the sum of cardinals: copies of one ``(p, u)``
+    added with ``Cardinal.__add__``, zeros dropped, sorted."""
+    merged = {}
+    for f in fs:
+        key = (f.prime, f.power)
+        merged[key] = merged.get(key, fin(0)) + f.copies
+    return tuple(sorted(((p, u, c) for (p, u), c in merged.items() if c != fin(0)),
+                        key=lambda t: (t[0], -t[1])))
+
+
+@given(st.lists(st.tuples(st.sampled_from([(2, 1), (2, 3), (3, 2)]),
+                          st.integers(0, 3).map(fin) | st.just(fin(0))
+                          | st.integers(0, 2).map(Cardinal.aleph)),
+                max_size=10))
+def test_normalize_merges_like_the_sum_of_cardinals(drawn):
+    # few (p, u) keys, so most draws repeat one with zero, finite and
+    # aleph copies mixed
+    fs = [PrimaryFactor(p, u, copies) for (p, u), copies in drawn]
+    got = normalize(fs)
+    assert tuple((f.prime, f.power, f.copies) for f in got.factors) == reference_merge(fs)
+
+
 def test_exponent_of_sample():
     got = parse_abelian(SAMPLE)
     by_lcm = math.lcm(*(f.cyclic_order for f in got.factors))
@@ -572,6 +595,30 @@ def test_passive_inline_profile():
     assert g.derived_length is None
     g2 = parse_passive("nilpotent(p=2, s=[3, 1], dl=2)")
     assert g2.derived_length == 2
+
+
+def test_passive_atoms_carry_their_start_label_profile_and_group():
+    text = "D4 * C_{3^2}^0 * nilpotent(p=5, s=[2, 1], dl=2) * C_9^{aleph}"
+    d4, c9_none, profile, c9 = groupspec.passive_atoms(text)
+    starts = [text.index(word) for word in ("D4", "C_{3", "nilpotent", "C_9")]
+    assert [a.pos for a in (d4, c9_none, profile, c9)] == starts
+    assert (d4.text, d4.part, d4.group) == ("D4", PassivePrimePart(2, (2, 1), 2), "D4")
+    assert (c9_none.text, c9_none.part) == ("C_{3^2}^0", None)
+    assert c9_none.group == PrimaryFactor(3, 2, fin(0))
+    assert profile.text == "nilpotent(p=5, s=[2, 1], dl=2)"
+    assert (profile.part, profile.group) == (PassivePrimePart(5, (2, 1), 2), None)
+    assert (c9.text, c9.part) == ("C_{3^2}^{aleph_0}", PassivePrimePart(3, (2,), 1))
+    assert c9.group == PrimaryFactor(3, 2, A0)
+
+
+@pytest.mark.parametrize("text, at", [
+    ("D4 * C_{3^8000} * C_{2^14000}", 18),
+    ("C_{3^8000} *  nilpotent(p=2, s=[14000])", 14),
+])
+def test_a_passive_exponent_overflow_is_refused_at_the_atom_that_passes_the_limit(text, at):
+    with pytest.raises(ParseError) as err:
+        parse_passive(text)
+    assert (err.value.message, err.value.pos) == ("exponent has more than 4300 digits", at)
 
 
 def test_passive_unknown_preset():
