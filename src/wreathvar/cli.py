@@ -5,7 +5,11 @@ invariants), ``classify`` (K_p-series, class parameters and fingerprint
 of one wreath product), ``decide`` (same-variety decision for two
 wreath products, with witnesses), ``witness`` (the separation witness
 at one prime), ``oracle-verify`` (batch cross-check of the symbolic
-route against enumeration).  Every verb accepts ``--json``.
+route against enumeration).  Every verb accepts ``--json``.  One expression
+argument of ``parse``, ``classify``, ``decide`` or ``witness`` may be
+``-``: that expression is read from standard input, so it is not held to
+the operating system's limit on the length of one argument (128 KiB on
+Linux).
 
 Exit codes: 0 equal/success, 1 unequal, 2 parse error or unreadable
 input, 3 hypothesis failure, 4 oracle mismatch.
@@ -418,6 +422,15 @@ def run_demo() -> int:
 # argument parsing
 
 
+# the arguments that hold an expression, per verb
+_EXPRESSION_ARGS = {
+    "parse": ("expr",),
+    "classify": ("passive", "active"),
+    "decide": ("a1", "a2", "b1", "b2"),
+    "witness": ("a1", "a2", "b1", "b2"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     # SUPPRESS keeps a pre-verb --json from being reset by the subparser default
@@ -434,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_parse = sub.add_parser("parse", parents=[common],
                              help="normalize an abelian group expression")
-    p_parse.add_argument("expr")
+    p_parse.add_argument("expr", help="the expression, or - to read it from standard input")
 
     p_classify = sub.add_parser("classify", parents=[common],
                                 help="class parameters of one wreath product")
@@ -472,8 +485,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.verb is None:
         ap.print_help()
         return EXIT_PARSE
+    from_stdin = [name for name in _EXPRESSION_ARGS.get(args.verb, ())
+                  if getattr(args, name) == "-"]
+    if len(from_stdin) > 1:
+        ap.error("at most one expression may be read from standard input ('-')")
     with _exact_ints():
         try:
+            for name in from_stdin:
+                setattr(args, name, sys.stdin.read().strip())
             if args.verb == "parse":
                 return run_parse(args.expr, as_json)
             if args.verb == "classify":

@@ -624,6 +624,13 @@ PassiveAtom = collections.namedtuple("PassiveAtom", "pos text part group")
 _PRESET_PART = PassivePrimePart(2, (2, 1), 2)
 
 
+def _cyclic_atom(pos: int, f: PrimaryFactor) -> PassiveAtom:
+    """The atom of the cyclic factor ``f`` written at ``pos``."""
+    part = None if f.copies == ZERO else _derived(
+        PassivePrimePart, prime=f.prime, gamma_exponents=(f.power,), derived_length=1)
+    return PassiveAtom(pos, f.render(), part, f)
+
+
 # Python's default int-to-string bound, which interpreters before 3.11 lack
 _DEFAULT_DIGITS = getattr(sys.int_info, "default_max_str_digits", 4300)
 
@@ -641,14 +648,15 @@ def _digit_limit() -> int:
 class _Parser:
     """Recursive descent over the tokens of a whole expression.
 
-    It is the parser of passive expressions, and the one that locates
-    every error in an abelian expression: :func:`parse_abelian` hands it
-    the text only when its own scan refuses it.  Parser and scan judge a
-    base spelling with :func:`_base_verdict` and keep the verdict in
-    ``bases``, one dict per parse that the scan hands over, so no spelling
-    is judged twice, a refused one included.  The text is tokenized up
-    front, so an unexpected character or an over-long literal is reported
-    before any error of the grammar.
+    It reads the passive expressions that hold a ``nilpotent(...)``
+    profile, and locates every error in an expression:
+    :func:`parse_abelian` and :func:`passive_atoms` hand it the text only
+    when their own scan refuses it.  Parser and scans judge a base
+    spelling with :func:`_base_verdict` and keep the verdict in ``bases``,
+    one dict per parse that the scan hands over, so no spelling is judged
+    twice, a refused one included.  The text is tokenized up front, so an
+    unexpected character or an over-long literal is reported before any
+    error of the grammar.
     """
 
     def __init__(self, text: str, bases: Optional[dict] = None):
@@ -777,10 +785,7 @@ class _Parser:
             self.next()
             return PassiveAtom(tok.pos, tok.text, _PRESET_PART, tok.text)
         if tok.text == "C":
-            f = self.cyclic_term()
-            part = None if f.copies == ZERO else _derived(
-                PassivePrimePart, prime=f.prime, gamma_exponents=(f.power,), derived_length=1)
-            return PassiveAtom(tok.pos, f.render(), part, f)
+            return _cyclic_atom(tok.pos, self.cyclic_term())
         if tok.text == "nilpotent":
             return self.profile_atom()
         raise self.error(f"unknown preset {tok.text!r}", tok)
@@ -828,17 +833,23 @@ class _Parser:
         self.expect("=")
 
 
-# One term of an abelian expression, from its 'C' to the next one, with
-# whitespace wherever the tokenizer skips it.  Groups: the base as spelled;
-# the number and exponent of a braced base; a plain and a braced finite
-# multiplicity; 'aleph' and its index; the '*' that follows, if any.
-_TERM = re.compile(r"""
-    C \s* _ \s*
-    ( [0-9]+ | \{ \s* ([0-9]+) \s* (?: \^ \s* ([0-9]+) \s* )? \} )
-    (?: \s* \^ \s* (?: ([0-9]+)
-                      | \{ \s* (?: ([0-9]+) | (aleph) (?: \s* _ \s* ([0-9]+) )? ) \s* \} ) )?
-    \s* (?: (\*) \s* | \Z )
-""", re.VERBOSE)
+# The text between two '*' of an expression (no term holds one): a preset
+# or a cyclic term, with whitespace wherever the tokenizer skips it.
+# Groups: the preset; the base as spelled; the number and exponent of a
+# braced base; a plain and a braced finite multiplicity; 'aleph' and its index.
+# N is a digit run, of no more digits than the tokenizer accepts.
+_PIECE = r"""
+    \s* (?: (D4|Q8)
+          | C \s* _ \s* ( N | \{ \s* (N) \s* (?: \^ \s* (N) \s* )? \} )
+            (?: \s* \^ \s* (?: (N) | \{ \s* (?: (N) | (aleph) (?: \s* _ \s* (N) )? ) \s* \} ) )?
+        ) \s*
+"""
+
+
+@functools.lru_cache(maxsize=4)
+def _piece_pattern(limit: int) -> re.Pattern:
+    """:data:`_PIECE` with its digit runs held to ``limit`` digits."""
+    return re.compile(_PIECE.replace("N", f"[0-9]{{1,{limit}}}"), re.VERBOSE)
 
 
 def _base_verdict(base: str, n: Optional[str], u: Optional[str], limit: int) -> tuple:
@@ -863,42 +874,48 @@ def _base_verdict(base: str, n: Optional[str], u: Optional[str], limit: int) -> 
     return p, e
 
 
-def _scan_abelian(text: str, bases: Optional[dict] = None) -> Optional[AbelianGroupSpec]:
-    """The spec of ``text`` read term by term with :data:`_TERM`, or None
-    when the terms do not make up the whole text or one is refused.
+def _read_piece(piece: str, bases: dict, limit: int):
+    """``piece``, the text between two ``*``, read with :data:`_PIECE`: a
+    preset's name, or ``((p, u), count, aleph)`` for a cyclic term, with
+    ``count`` its finite copies or, when ``aleph``, its aleph index.  None
+    when it does not match (a literal too long for the tokenizer included)
+    or has a refused base, judged once per spelling and parse in ``bases``."""
+    m = _piece_pattern(limit).fullmatch(piece)
+    if m is None:
+        return None
+    preset, base, n, u, mult, braced, aleph, index = m.groups()
+    if preset:
+        return preset
+    key = bases.get(base)
+    if key is None:
+        key = bases[base] = _base_verdict(base, n, u, limit)
+    if type(key[0]) is str:
+        return None
+    if aleph:
+        return key, int(index or 0), True
+    return key, int(mult or braced or 1), False
 
-    ``bases`` keeps the :func:`_base_verdict` on each distinct base
-    spelling, so each is judged once; the token parser reads them when it
-    locates the fault of a refused text.  Multiplicities are merged as
-    plain ints and built into factors by :func:`_normal_form`, so no
-    factor or cardinal is built per term.
-    """
+
+def _scan_abelian(text: str, bases: Optional[dict] = None) -> Optional[AbelianGroupSpec]:
+    """The spec of ``text`` read with :func:`_read_piece` once per distinct
+    piece, whose copies count as often as it is written, or None when a
+    piece is refused or a preset, or the exponent is too large.  The
+    copies are merged as plain ints and built into factors once, by
+    :func:`_normal_form`."""
     if bases is None:
         bases = {}
     limit = _digit_limit()
-    if re.search(f"(?<![0-9])[0-9]{{{limit + 1}}}", text):
-        return None
     finite: dict[tuple[int, int], int] = {}
     alephs: dict[tuple[int, int], int] = {}
-    pos = len(text) - len(text.lstrip())
-    star = "*"  # so that a text with no term is refused
-    for m in _TERM.finditer(text, pos):
-        start, end = m.span()
-        if start != pos:
+    for piece, times in collections.Counter(text.split("*")).items():
+        read = _read_piece(piece, bases, limit)
+        if read is None or type(read) is str:
             return None
-        base, n, u, mult, braced, aleph, index, star = m.groups()
-        key = bases.get(base)
-        if key is None:  # a refused base ends the scan, so a kept one is good
-            key = bases[base] = _base_verdict(base, n, u, limit)
-            if type(key[0]) is str:
-                return None
-        if aleph is None:
-            finite[key] = finite.get(key, 0) + int(mult or braced or 1)
+        key, count, aleph = read
+        if aleph:
+            alephs[key] = max(alephs.get(key, 0), count)
         else:
-            alephs[key] = max(alephs.get(key, 0), int(index or 0))
-        pos = end
-    if star or pos != len(text):
-        return None
+            finite[key] = finite.get(key, 0) + count * times
     factors = _normal_form(finite, alephs)
     if _product_within([(f.prime, f.power) for f in _first_factors(factors)],
                        _digit_cap(limit)) is None:
@@ -915,12 +932,13 @@ def parse_abelian(text: str) -> AbelianGroupSpec:
     ``^{aleph_0}``; ``1`` is the trivial group.  The result is normalized,
     so ``parse_abelian(spec.render()) == spec``.
 
-    The text is read in one scan, one compiled pattern per term, and each
-    distinct base spelling is tested once.  A text that the scan does not
-    accept whole goes to the token parser, which raises the
-    :class:`ParseError` that locates its first fault; it takes the scan's
-    verdict on every base the scan tested, a refused one included, rather
-    than testing it again.
+    The text is split at each ``*`` and each distinct piece is read once,
+    with one compiled pattern; its copies count as often as it is written,
+    so the cost grows with the number of distinct spellings.  A text that
+    the scan does not accept whole goes to the token parser, which raises
+    the :class:`ParseError` that locates its first fault; it takes the
+    scan's verdict on every base the scan tested, a refused one included,
+    rather than testing it again.
     """
     if text.strip() == "1":
         return TRIVIAL
@@ -943,8 +961,30 @@ def _merge_parts(parts: Sequence[PassivePrimePart]) -> PassivePrimePart:
 
 
 def passive_atoms(text: str) -> tuple[PassiveAtom, ...]:
-    """The raw factors of a passive group expression, in input order."""
-    return _Parser(text).passive()
+    """The raw factors of a passive group expression, in input order.
+
+    The text is split at each ``*``, each piece (a preset or a cyclic
+    term) is read with one compiled pattern, and each distinct base
+    spelling is tested once.  The token parser gets the text only to read
+    a ``nilpotent(...)`` profile or to locate a refused piece's fault, and
+    takes the scan's verdict on every base the scan tested.
+    """
+    bases: dict = {}
+    limit = _digit_limit()
+    atoms, end = [], 0
+    for piece in text.split("*"):
+        read = _read_piece(piece, bases, limit)
+        if read is None:
+            return _Parser(text, bases).passive()
+        pos, end = end + len(piece) - len(piece.lstrip()), end + len(piece) + 1
+        if type(read) is str:
+            atoms.append(PassiveAtom(pos, read, _PRESET_PART, read))
+        else:
+            (p, u), count, aleph = read
+            copies = Cardinal.aleph(count) if aleph else Cardinal.finite(count)
+            atoms.append(_cyclic_atom(pos, _derived(PrimaryFactor, prime=p, power=u,
+                                                    copies=copies)))
+    return tuple(atoms)
 
 
 def parse_passive(text: str) -> PassiveGroupSpec:

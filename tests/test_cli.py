@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import wreathvar.oracle
-from wreathvar import Cardinal, PrimaryFactor, groupspec, normalize
+from wreathvar import Cardinal, PrimaryFactor, cli, groupspec, normalize
 from wreathvar.cli import main
 
 SAMPLE = "C_{3^5}^6 * C_{3^3}^{aleph_0} * C_{3^2}^5 * C_3^{aleph_1} * C_{5^3}^4 * C_{5^2}"
@@ -356,14 +357,16 @@ def test_oracle_verify_all_match(capsys, tmp_path):
 
 
 def test_oracle_verify_parses_each_passive_expression_once(capsys, tmp_path, monkeypatch):
+    # both routes, the scan and the token parser, are behind passive_atoms
     parsed = []
-    passive = groupspec._Parser.passive
+    passive_atoms = groupspec.passive_atoms
 
-    def recorded(parser):
-        parsed.append(parser.text)
-        return passive(parser)
+    def recorded(text):
+        parsed.append(text)
+        return passive_atoms(text)
 
-    monkeypatch.setattr(groupspec._Parser, "passive", recorded)
+    monkeypatch.setattr(groupspec, "passive_atoms", recorded)
+    monkeypatch.setattr(cli, "passive_atoms", recorded)
     manifest = write_manifest(tmp_path, "C_2 Wr C_2\nD4 * C_2 Wr C_2\n")
     code, _, _ = run(capsys, "oracle-verify", "--manifest", manifest)
     assert code == 0
@@ -527,11 +530,11 @@ def test_demo_reproduces_the_worked_examples(capsys):
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_process(*argv):
+def run_process(*argv, stdin=None):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "wreathvar.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=10)
+                          input=stdin, capture_output=True, text=True, timeout=10)
     assert "Traceback" not in proc.stderr
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -622,3 +625,40 @@ def test_parse_twenty_thousand_terms():
     code, out, _ = run_process("parse", expr)
     assert code == 0
     assert out.splitlines()[0] == f"normalized: {normalize(factors).render()}"
+
+
+def test_parse_an_expression_of_200000_bytes_from_standard_input():
+    # longer than one argument may be on Linux (128 KiB)
+    rng = random.Random(200_000)
+    bases = [(2, 1), (2, 2), (3, 2), (5, 1), (43, 1), (9999999967, 1)]
+    factors, terms, size = [], [], 0
+    while size < 200_000:
+        p, u = rng.choice(bases)
+        copies = rng.randint(0, 9)
+        factors.append(PrimaryFactor(p, u, Cardinal.finite(copies)))
+        terms.append(f"C_{{{p}^{u}}}^{copies}" if u > 1 else f"C_{p}^{{{copies}}}")
+        size += len(terms[-1]) + 3
+    expr = " * ".join(terms) + "\n"
+    assert len(expr.encode()) >= 200_000
+    code, out, _ = run_process("parse", "-", stdin=expr)
+    assert code == 0
+    assert out.splitlines()[0] == f"normalized: {normalize(factors).render()}"
+
+
+def test_an_expression_from_standard_input_in_any_slot(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("C_{3^2} * C_3^4\n"))
+    code, out, _ = run(capsys, "witness", "--a1", "C_3", "--a2", "C_3",
+                       "--b1", "C_{3^2}^2", "--b2", "-", "--prime", "3")
+    assert code == 1
+    assert "NOT equivalent" in out
+    monkeypatch.setattr(sys, "stdin", io.StringIO("C_6"))
+    code, _, err = run(capsys, "classify", "--passive", "-", "--active", "C_2")
+    assert code == 2
+    assert err.splitlines()[-2:] == ["  C_6", "    ^"]
+
+
+def test_at_most_one_expression_from_standard_input(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["decide", "--a1", "-", "--a2", "D4", "--b1", "C_2", "--b2", "-"])
+    assert exit_.value.code == 2
+    assert "at most one expression" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -148,12 +149,32 @@ def spelled_expressions(draw):
     text = "*".join(draw(st.permutations(terms)))
     if draw(st.sampled_from([False] * 9 + [True])):  # now and then the trivial group
         text = f"{draw(SPACE)}1{draw(SPACE)}"
+    return hostile_edit(draw, text)
+
+
+def hostile_edit(draw, text):
+    """``text``, perhaps with one character inserted, deleted or replaced
+    by one of ``HOSTILE``."""
     edit = draw(st.sampled_from(("none", "insert", "delete", "replace")))
     if edit != "none" and text:
         i = draw(st.integers(0, len(text) - (edit != "insert")))
         new = "" if edit == "delete" else draw(st.sampled_from(HOSTILE))
         text = text[:i] + new + text[i + (edit != "insert"):]
     return text
+
+
+@st.composite
+def spelled_passives(draw):
+    """A passive expression of presets and cyclic terms (``^0`` copies and
+    alephs among them), some repeated verbatim, now and then with one
+    inline profile, then perhaps one ``HOSTILE`` edit."""
+    preset = st.builds(lambda a, name, b: f"{a}{name}{b}", SPACE, st.sampled_from(("D4", "Q8")),
+                       SPACE)
+    terms = draw(st.lists(preset | spelled_terms(), min_size=1, max_size=4))
+    terms += draw(st.lists(st.sampled_from(terms), max_size=4))
+    if draw(st.sampled_from([False] * 4 + [True])):
+        terms.append(f"{draw(SPACE)}nilpotent(p=3, s=[2, 1], dl=2){draw(SPACE)}")
+    return hostile_edit(draw, "*".join(draw(st.permutations(terms))))
 
 
 def outcome(parse, text):
@@ -171,6 +192,26 @@ def test_scan_agrees_with_the_token_parser(text):
     # the scan itself accepts every expression but "1" that the tokens accept
     if isinstance(by_tokens, groupspec.AbelianGroupSpec) and text.strip() != "1":
         assert groupspec._scan_abelian(text) == by_tokens
+
+
+@given(spelled_passives())
+def test_passive_scan_agrees_with_the_token_parser(text):
+    by_tokens = outcome(lambda t: groupspec._Parser(t).passive(), text)
+    assert outcome(groupspec.passive_atoms, text) == by_tokens
+    assert outcome(parse_passive, text) == outcome(
+        lambda t: groupspec.passive_spec(groupspec._Parser(t).passive(), t), text)
+    # the scan itself reads every text without a profile that the tokens accept
+    if isinstance(by_tokens, tuple) and not isinstance(by_tokens[0], str) \
+            and "nilpotent" not in text:
+        with mock.patch.object(groupspec, "_tokenize", no_tokens):
+            assert groupspec.passive_atoms(text) == by_tokens
+
+
+@pytest.mark.parametrize("text, pos", [("C_2 * D4", 6), ("C_2 **C_3", 5), ("C_3 *", 5)])
+def test_a_preset_or_an_empty_piece_goes_to_the_token_parser(text, pos):
+    want = ("expected a cyclic factor 'C_...'", pos)
+    assert outcome(parse_abelian, text) == outcome(lambda t: groupspec._Parser(t).abelian(),
+                                                   text) == want
 
 
 # term 250 of TERMS_300 replaced by each literal: (replacement, literal, message)
@@ -259,19 +300,18 @@ def test_the_size_rule_at_the_cap(cap, ones, k):
         assert groupspec._product_within(powers, cap) == exact_product_within(powers, cap) == want
 
 
-def test_a_valid_expression_is_scanned_without_tokens_and_each_base_tested_once(monkeypatch):
-    text = " * ".join(TERMS_300 + ["C_{3^2}", "C_{ 43^1 }^0", "C_9999999967^{aleph}"])
-    spellings = {"{3^2}", "43", "{ 9999999967 }", "8", "{ 43^1 }", "9999999967"}
-    want = spec((2, 3, 75), (3, 2, 301), (43, 1, A1), (9999999967, 1, A0))
+def no_tokens(*args):
+    raise AssertionError("the token parser ran on a valid expression")
 
-    def no_tokens(*args):
-        raise AssertionError("the token parser ran on a valid expression")
 
+def count_base_tests(monkeypatch):
+    """The numbers that bases are tested on from now on, each once: a
+    primality test that ``_prime_power`` makes is not counted again."""
     tested, inside = [], []
 
     def counted(fn):
         def call(n):
-            if not inside:  # not the primality test that _prime_power makes
+            if not inside:
                 tested.append(n)
             inside.append(n)
             try:
@@ -280,11 +320,31 @@ def test_a_valid_expression_is_scanned_without_tokens_and_each_base_tested_once(
                 inside.pop()
         return call
 
-    monkeypatch.setattr(groupspec, "_tokenize", no_tokens)
     monkeypatch.setattr(groupspec, "_prime_power", counted(_prime_power))
     monkeypatch.setattr(groupspec, "is_prime", counted(is_prime))
+    return tested
+
+
+def test_a_valid_expression_is_scanned_without_tokens_and_each_base_tested_once(monkeypatch):
+    text = " * ".join(TERMS_300 + ["C_{3^2}", "C_{ 43^1 }^0", "C_9999999967^{aleph}"])
+    spellings = {"{3^2}", "43", "{ 9999999967 }", "8", "{ 43^1 }", "9999999967"}
+    want = spec((2, 3, 75), (3, 2, 301), (43, 1, A1), (9999999967, 1, A0))
+    monkeypatch.setattr(groupspec, "_tokenize", no_tokens)
+    tested = count_base_tests(monkeypatch)
     assert parse_abelian(text) == want
     assert len(tested) <= len(spellings), tested
+
+
+def test_a_valid_passive_is_scanned_without_tokens_and_each_base_tested_once(monkeypatch):
+    terms = ["D4", "C_{3^2}^4", " C_43 ^ {aleph_1}", "Q8 ", "C_{ 9999999967 }^0", "C_8"] * 20
+    text = "*".join(terms)
+    by_tokens = groupspec._Parser(text).passive()
+    monkeypatch.setattr(groupspec, "_tokenize", no_tokens)
+    tested = count_base_tests(monkeypatch)
+    atoms = groupspec.passive_atoms(text)
+    assert atoms == by_tokens
+    assert [a.pos for a in atoms[:4]] == [text.index(w) for w in ("D4", "C_{3", "C_43", "Q8")]
+    assert sorted(tested) == [3, 8, 43, 9999999967], tested
 
 
 # ---------------------------------------------------------------------------
@@ -801,6 +861,15 @@ def test_a_passive_base_is_tested_once_per_parse(monkeypatch):
     # a profile's prime is tested apart from a base of the same digits
     with pytest.raises(ParseError, match="4 is not a prime"):
         parse_passive("C_4 * nilpotent(p=4, s=[1])")
+
+
+def test_a_refused_passive_base_is_tested_once_per_parse(monkeypatch):
+    tested = count_base_tests(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(ParseError) as err:
+            parse_passive("D4 * C_6")
+        assert (err.value.message, err.value.pos) == ("6 is not a prime power", 7)
+    assert tested == [6, 6]
 
 
 def test_a_refused_base_is_tested_once(monkeypatch):
