@@ -10,10 +10,7 @@ as one side is infinite.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-
-_ALEPH_RE = re.compile(r"\Aaleph(?:_([0-9]+))?\Z")
 
 
 @dataclass(frozen=True, order=True)
@@ -34,17 +31,6 @@ class Cardinal:
     @classmethod
     def aleph(cls, index: int = 0) -> "Cardinal":
         return cls(True, index)
-
-    @classmethod
-    def parse(cls, text: str) -> "Cardinal":
-        """Inverse of :meth:`render`; bare ``aleph`` normalizes to ``aleph_0``."""
-        text = text.strip()
-        if text.isascii() and text.isdigit():
-            return cls.finite(int(text))
-        m = _ALEPH_RE.match(text)
-        if m is None:
-            raise ValueError(f"not a cardinal: {text!r}")
-        return cls.aleph(int(m.group(1) or 0))
 
     def as_int(self) -> int:
         """The natural behind a finite cardinal; rejects alephs."""

@@ -192,15 +192,26 @@ def _decision_input(args) -> DecisionInput:
     )
 
 
+def _witness_scope(w: SeparationWitness, inp: DecisionInput) -> str:
+    """What the witness's membership claim is made for: ``whole`` for the
+    wreath products themselves, when ``A`` and both ``B`` are ``p``-groups;
+    otherwise those are not nilpotent, and ``reduced`` for the reduced
+    products ``A_p wr Bi'`` whose classes were computed."""
+    whole = inp.a1.is_p_group() and {*inp.b1.primes(), *inp.b2.primes()} == {w.p}
+    return "whole" if whole else "reduced"
+
+
+def _witness_sides(w: SeparationWitness, inp: DecisionInput) -> dict:
+    """The JSON keys, beside ``witness``, that say which input has the
+    larger reduced class ``class_b1`` and what the claim is made for."""
+    return {"larger_input": w.larger_input, "scope": _witness_scope(w, inp)}
+
+
 def _print_witness_text(w: SeparationWitness, inp: DecisionInput) -> None:
-    """The witness.  Its membership claim is made for the whole wreath
-    products only when ``A`` and both ``B`` are ``p``-groups; otherwise
-    those are not nilpotent, and it is made for the reduced products
-    ``A_p wr Bi'`` whose classes were computed."""
     small, large = (2, 1) if w.larger_input == 1 else (1, 2)
     print(f"witness at p = {w.p}: divergence t = {w.t}, w = {w.w}")
     print(f"  reduced classes: {w.class_b1} (side B{large}) > {w.class_b2} (side B{small})")
-    if inp.a1.is_p_group() and {*inp.b1.primes(), *inp.b2.primes()} == {w.p}:
+    if _witness_scope(w, inp) == "whole":
         contains = f"the B{small} wreath product, not the B{large} one"
     else:
         contains = f"A_{w.p} wr B{small}', not A_{w.p} wr B{large}' (the reduced products)"
@@ -242,7 +253,10 @@ def run_decide(args, as_json: bool) -> int:
     inp = _decision_input(args)
     decision = decide_equal(inp)
     if as_json:
-        _emit_json(decision.to_json_dict())
+        doc = decision.to_json_dict()
+        if decision.witness is not None:
+            doc.update(_witness_sides(decision.witness, inp))
+        _emit_json(doc)
     else:
         _print_decision_text(decision, inp)
     return _VERDICT_EXIT[decision.verdict]
@@ -265,7 +279,8 @@ def run_witness(args, as_json: bool) -> int:
             print(f"p = {p}: equivalent; no witness exists")
         return EXIT_EQUAL
     if as_json:
-        _emit_json({"p": p, "equivalent": False, "witness": witness.to_json_dict()})
+        _emit_json({"p": p, "equivalent": False, "witness": witness.to_json_dict(),
+                    **_witness_sides(witness, inp)})
     else:
         print(f"p = {p}: NOT equivalent")
         _print_witness_text(witness, inp)

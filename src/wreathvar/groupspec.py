@@ -10,10 +10,13 @@ A passive (wreath-product bottom) group is nilpotent of finite exponent
 and is recorded per prime by the exponents of the terms of its lower
 central series; that profile is all the class formula ever reads.
 
-One size rule, :func:`_product_within`, decides whether a number is too
-big: the parser holds each cyclic order and each expression's exponent
-to the cap ``10**limit - 1`` with it, and the oracle every group order
-to its element budget.
+Expressions are read by one pattern, :data:`_PIECE`, applied to each
+piece between two ``*``.  Only a text that it refuses is tokenized, by
+:func:`_locate`, which builds nothing and raises the error at its first
+fault.  One size rule, :func:`_product_within`, decides whether a number
+is too big: the parser holds each cyclic order and each expression's
+exponent to the cap ``10**limit - 1`` with it, and the oracle every
+group order to its element budget.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 
 from .cardinal import Cardinal, ONE, ZERO
 
@@ -613,22 +616,15 @@ def _tokenize(text: str, limit: int) -> list[_Tok]:
     return toks
 
 
-# One factor of a passive expression, as the parser reads it: ``pos``
-# where it starts, ``text`` its label text, ``part`` its profile (None for
-# a cyclic factor of no copies), and ``group`` what the oracle builds: the
-# preset name D4 or Q8, the cyclic ``PrimaryFactor``, or None for an
-# inline nilpotent(...) profile, which has no realization.
+# One factor of a passive expression, as :func:`passive_atoms` reads it:
+# ``pos`` where it starts, ``text`` its label text, ``part`` its profile
+# (None for a cyclic factor of no copies), and ``group`` what the oracle
+# builds: the preset name D4 or Q8, the cyclic ``PrimaryFactor``, or None
+# for an inline nilpotent(...) profile, which has no realization.
 PassiveAtom = collections.namedtuple("PassiveAtom", "pos text part group")
 
 # the profile of D4 and of Q8
 _PRESET_PART = PassivePrimePart(2, (2, 1), 2)
-
-
-def _cyclic_atom(pos: int, f: PrimaryFactor) -> PassiveAtom:
-    """The atom of the cyclic factor ``f`` written at ``pos``."""
-    part = None if f.copies == ZERO else _derived(
-        PassivePrimePart, prime=f.prime, gamma_exponents=(f.power,), derived_length=1)
-    return PassiveAtom(pos, f.render(), part, f)
 
 
 # Python's default int-to-string bound, which interpreters before 3.11 lack
@@ -645,203 +641,18 @@ def _digit_limit() -> int:
     return min(_DEFAULT_DIGITS, current) if current else _DEFAULT_DIGITS
 
 
-class _Parser:
-    """Recursive descent over the tokens of a whole expression.
-
-    It reads the passive expressions that hold a ``nilpotent(...)``
-    profile, and locates every error in an expression:
-    :func:`parse_abelian` and :func:`passive_atoms` hand it the text only
-    when their own scan refuses it.  Parser and scans judge a base
-    spelling with :func:`_base_verdict` and keep the verdict in ``bases``,
-    one dict per parse that the scan hands over, so no spelling is judged
-    twice, a refused one included.  The text is tokenized up front, so an
-    unexpected character or an over-long literal is reported before any
-    error of the grammar.
-    """
-
-    def __init__(self, text: str, bases: Optional[dict] = None):
-        self.text = text
-        self.limit = _digit_limit()
-        self.toks = _tokenize(text, self.limit)
-        self.i = 0
-        self.bases = {} if bases is None else bases
-
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
-
-    def next(self) -> _Tok:
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str, what: Optional[str] = None) -> _Tok:
-        tok = self.next()
-        if tok.kind != kind:
-            found = repr(tok.text) if tok.kind != "end" else "end of input"
-            raise ParseError(f"expected {what or kind!r}, found {found}", tok.pos, self.text)
-        return tok
-
-    def error(self, message: str, tok: _Tok) -> ParseError:
-        return ParseError(message, tok.pos, self.text)
-
-    def expect_int(self, what: str) -> tuple[int, _Tok]:
-        tok = self.expect("int", what)
-        return int(tok.text), tok
-
-    # -- shared pieces ------------------------------------------------
-
-    def product(self, term) -> list:
-        """``term ('*' term)*`` up to the end of the text."""
-        out = [term()]
-        while self.peek().kind == "*":
-            self.next()
-            out.append(term())
-        self.expect("end", "'*' or end of input")
-        return out
-
-    def base(self) -> tuple[int, int]:
-        """``C_`` base: plain prime power or braced ``{p^u}``; returns (p, u)."""
-        ntok = self.peek()
-        n = utok = None
-        if ntok.kind == "int":
-            self.next()
-            spelling = ntok.text
-        else:
-            brace = self.expect("{", "'{' or digits")
-            ntok = self.expect("int", "a number")
-            if self.peek().kind == "^":
-                self.next()
-                utok = self.expect("int", "an exponent")
-            close = self.expect("}")
-            spelling, n = self.text[brace.pos:close.pos + 1], ntok.text
-        verdict = self.bases.get(spelling)
-        if verdict is None:
-            verdict = self.bases[spelling] = _base_verdict(
-                spelling, n, None if utok is None else utok.text, self.limit)
-        if type(verdict[0]) is str:
-            message, blames_exponent = verdict
-            raise self.error(message, utok if blames_exponent else ntok)
-        return verdict
-
-    def multiplicity(self) -> Cardinal:
-        """Optional ``^mult`` suffix; defaults to one copy."""
-        if self.peek().kind != "^":
-            return ONE
-        self.next()
-        tok = self.peek()
-        if tok.kind == "int":
-            self.next()
-            return Cardinal.finite(int(tok.text))
-        self.expect("{", "digits or '{'")
-        tok = self.next()
-        if tok.kind == "int":
-            self.expect("}")
-            return Cardinal.finite(int(tok.text))
-        if tok.kind == "word" and tok.text == "aleph":
-            index = 0
-            if self.peek().kind == "_":
-                self.next()
-                index, _ = self.expect_int("an aleph index")
-            self.expect("}")
-            return Cardinal.aleph(index)
-        raise self.error("expected digits or an aleph", tok)
-
-    def cyclic_term(self) -> PrimaryFactor:
-        self.expect("word", "'C'")  # caller checked the word is C
-        self.expect("_", "'_'")
-        p, u = self.base()
-        return _derived(PrimaryFactor, prime=p, power=u, copies=self.multiplicity())
-
-    # -- abelian grammar ------------------------------------------------
-
-    def abelian(self) -> AbelianGroupSpec:
-        tok = self.peek()
-        if tok.kind == "int" and tok.text == "1":
-            self.next()
-            self.expect("end", "end of input")
-            return TRIVIAL
-        terms = self.product(self.abelian_term)
-        _check_exponent([(f.prime, f.power if f.copies != ZERO else 0, pos) for pos, f in terms],
-                        self.text, self.limit)
-        return normalize([f for _, f in terms])
-
-    def abelian_term(self) -> tuple[int, PrimaryFactor]:
-        """A cyclic factor and where it starts."""
-        tok = self.peek()
-        if tok.kind != "word" or tok.text != "C":
-            raise self.error("expected a cyclic factor 'C_...'", tok)
-        return tok.pos, self.cyclic_term()
-
-    # -- passive grammar ------------------------------------------------
-
-    def passive(self) -> tuple[PassiveAtom, ...]:
-        return tuple(self.product(self.passive_atom))
-
-    def passive_atom(self) -> PassiveAtom:
-        tok = self.peek()
-        if tok.kind != "word":
-            raise self.error("expected a group name", tok)
-        if tok.text in ("D4", "Q8"):
-            self.next()
-            return PassiveAtom(tok.pos, tok.text, _PRESET_PART, tok.text)
-        if tok.text == "C":
-            return _cyclic_atom(tok.pos, self.cyclic_term())
-        if tok.text == "nilpotent":
-            return self.profile_atom()
-        raise self.error(f"unknown preset {tok.text!r}", tok)
-
-    def profile_atom(self) -> PassiveAtom:
-        tok = self.next()  # 'nilpotent'
-        self.expect("(")
-        self.keyword("p")
-        p, ptok = self.expect_int("a prime")
-        try:  # no base spelling: judged anew each time
-            prime = is_prime(p)
-        except ValueError as err:
-            raise self.error(str(err), ptok) from None
-        if not prime:
-            raise self.error(f"{p} is not a prime", ptok)
-        self.expect(",")
-        self.keyword("s")
-        self.expect("[", "'['")
-        s = [self.expect_int("a lower central exponent")[0]]
-        while self.peek().kind == ",":
-            self.next()
-            s.append(self.expect_int("a lower central exponent")[0])
-        self.expect("]")
-        dl = None
-        if self.peek().kind == ",":
-            self.next()
-            self.keyword("dl")
-            dl, _ = self.expect_int("a derived length")
-        self.expect(")")
-        gamma = tuple(s)
-        try:
-            _check_profile(gamma, dl)
-        except ValueError as err:
-            raise self.error(str(err), tok) from None
-        body = f"p={p}, s=[{', '.join(map(str, gamma))}]"
-        if dl is not None:
-            body += f", dl={dl}"
-        part = _derived(PassivePrimePart, prime=p, gamma_exponents=gamma, derived_length=dl)
-        return PassiveAtom(tok.pos, f"nilpotent({body})", part, None)
-
-    def keyword(self, name: str) -> None:
-        tok = self.expect("word", f"'{name}='")
-        if tok.text != name:
-            raise self.error(f"expected '{name}='", tok)
-        self.expect("=")
-
-
-# The text between two '*' of an expression (no term holds one): a preset
-# or a cyclic term, with whitespace wherever the tokenizer skips it.
-# Groups: the preset; the base as spelled; the number and exponent of a
-# braced base; a plain and a braced finite multiplicity; 'aleph' and its index.
-# N is a digit run, of no more digits than the tokenizer accepts.
+# The text between two '*' of an expression (no term holds one): a preset,
+# a cyclic term or a profile, with whitespace wherever the tokenizer skips
+# it.  Groups: the preset; the base as spelled; the number and exponent of
+# a braced base; a plain and a braced finite multiplicity; 'aleph' and its
+# index; a profile's p, its s list and its dl.  N is a digit run, of no
+# more digits than the tokenizer accepts.
 _PIECE = r"""
     \s* (?: (D4|Q8)
           | C \s* _ \s* ( N | \{ \s* (N) \s* (?: \^ \s* (N) \s* )? \} )
             (?: \s* \^ \s* (?: (N) | \{ \s* (?: (N) | (aleph) (?: \s* _ \s* (N) )? ) \s* \} ) )?
+          | nilpotent \s* \( \s* p \s* = \s* (N) \s* , \s* s \s* = \s*
+            \[ \s* (N (?: \s* , \s* N)*) \s* \] (?: \s* , \s* dl \s* = \s* (N) )? \s* \)
         ) \s*
 """
 
@@ -874,53 +685,177 @@ def _base_verdict(base: str, n: Optional[str], u: Optional[str], limit: int) -> 
     return p, e
 
 
-def _read_piece(piece: str, bases: dict, limit: int):
-    """``piece``, the text between two ``*``, read with :data:`_PIECE`: a
-    preset's name, or ``((p, u), count, aleph)`` for a cyclic term, with
-    ``count`` its finite copies or, when ``aleph``, its aleph index.  None
-    when it does not match (a literal too long for the tokenizer included)
-    or has a refused base, judged once per spelling and parse in ``bases``."""
-    m = _piece_pattern(limit).fullmatch(piece)
-    if m is None:
-        return None
-    preset, base, n, u, mult, braced, aleph, index = m.groups()
-    if preset:
-        return preset
-    key = bases.get(base)
-    if key is None:
-        key = bases[base] = _base_verdict(base, n, u, limit)
-    if type(key[0]) is str:
-        return None
-    if aleph:
-        return key, int(index or 0), True
-    return key, int(mult or braced or 1), False
+def _judged(bases: dict, base: str, n: Optional[str], u: Optional[str], limit: int) -> tuple:
+    """:func:`_base_verdict` on ``base``, judged once per spelling and
+    parse: ``bases`` keeps every verdict, a refusal included."""
+    verdict = bases.get(base)
+    if verdict is None:
+        verdict = bases[base] = _base_verdict(base, n, u, limit)
+    return verdict
 
 
-def _scan_abelian(text: str, bases: Optional[dict] = None) -> Optional[AbelianGroupSpec]:
-    """The spec of ``text`` read with :func:`_read_piece` once per distinct
-    piece, whose copies count as often as it is written, or None when a
-    piece is refused or a preset, or the exponent is too large.  The
-    copies are merged as plain ints and built into factors once, by
-    :func:`_normal_form`."""
-    if bases is None:
-        bases = {}
-    limit = _digit_limit()
-    finite: dict[tuple[int, int], int] = {}
-    alephs: dict[tuple[int, int], int] = {}
-    for piece, times in collections.Counter(text.split("*")).items():
-        read = _read_piece(piece, bases, limit)
-        if read is None or type(read) is str:
-            return None
-        key, count, aleph = read
-        if aleph:
-            alephs[key] = max(alephs.get(key, 0), count)
+def _pieces(text: str) -> Iterator[tuple[int, str]]:
+    """Each piece of ``text`` between two ``*``, after where its first non-blank is."""
+    end = 0
+    for piece in text.split("*"):
+        yield end + len(piece) - len(piece.lstrip()), piece
+        end += len(piece) + 1
+
+
+class _Locator:
+    """Recursive descent over the tokens of an expression that the piece
+    scan refused, which raises the :class:`ParseError` at its first fault
+    and builds nothing.  The text is tokenized up front, so an unexpected
+    character or an over-long literal is reported before any error of the
+    grammar.  A base spelling is judged through ``bases``, the dict the
+    scan filled, so no spelling is judged twice in one parse.
+    """
+
+    def __init__(self, text: str, bases: dict):
+        self.text, self.bases = text, bases
+        self.limit = _digit_limit()
+        self.toks = _tokenize(text, self.limit)[::-1]  # the next token last
+
+    def peek(self) -> _Tok:
+        return self.toks[-1]
+
+    def next(self) -> _Tok:
+        return self.toks.pop()
+
+    def expect(self, kind: str, what: Optional[str] = None) -> _Tok:
+        tok = self.next()
+        if tok.kind != kind:
+            found = repr(tok.text) if tok.kind != "end" else "end of input"
+            raise ParseError(f"expected {what or kind!r}, found {found}", tok.pos, self.text)
+        return tok
+
+    def error(self, message: str, tok: _Tok) -> ParseError:
+        return ParseError(message, tok.pos, self.text)
+
+    def product(self, term) -> None:
+        """``term ('*' term)*`` up to the end of the text."""
+        term()
+        while self.peek().kind == "*":
+            self.next()
+            term()
+        self.expect("end", "'*' or end of input")
+
+    def abelian(self) -> None:
+        tok = self.peek()
+        if tok.kind == "int" and tok.text == "1":
+            self.next()
+            self.expect("end", "end of input")
         else:
-            finite[key] = finite.get(key, 0) + count * times
-    factors = _normal_form(finite, alephs)
-    if _product_within([(f.prime, f.power) for f in _first_factors(factors)],
-                       _digit_cap(limit)) is None:
-        return None  # the exponent is too large
-    return AbelianGroupSpec(factors)
+            self.product(self.abelian_term)
+
+    def abelian_term(self) -> None:
+        tok = self.peek()
+        if tok.kind != "word" or tok.text != "C":
+            raise self.error("expected a cyclic factor 'C_...'", tok)
+        self.cyclic_term()
+
+    def passive_atom(self) -> None:
+        tok = self.peek()
+        if tok.kind != "word":
+            raise self.error("expected a group name", tok)
+        if tok.text in ("D4", "Q8"):
+            self.next()
+        elif tok.text == "C":
+            self.cyclic_term()
+        elif tok.text == "nilpotent":
+            self.profile()
+        else:
+            raise self.error(f"unknown preset {tok.text!r}", tok)
+
+    def cyclic_term(self) -> None:
+        self.next()  # 'C', seen by the caller
+        self.expect("_", "'_'")
+        self.base()
+        self.multiplicity()
+
+    def base(self) -> None:
+        """``C_`` base: plain prime power or braced ``{p^u}``."""
+        ntok = self.peek()
+        n = utok = None
+        if ntok.kind == "int":
+            self.next()
+            spelling = ntok.text
+        else:
+            brace = self.expect("{", "'{' or digits")
+            ntok = self.expect("int", "a number")
+            if self.peek().kind == "^":
+                self.next()
+                utok = self.expect("int", "an exponent")
+            close = self.expect("}")
+            spelling, n = self.text[brace.pos:close.pos + 1], ntok.text
+        verdict = _judged(self.bases, spelling, n, utok and utok.text, self.limit)
+        if type(verdict[0]) is str:
+            message, blames_exponent = verdict
+            raise self.error(message, utok if blames_exponent else ntok)
+
+    def multiplicity(self) -> None:
+        """Optional ``^mult`` suffix: digits, braced or not, or an aleph."""
+        if self.peek().kind != "^":
+            return
+        self.next()
+        if self.peek().kind == "int":
+            self.next()
+        else:
+            self.expect("{", "digits or '{'")
+            tok = self.next()
+            if tok.kind == "word" and tok.text == "aleph":
+                if self.peek().kind == "_":
+                    self.next()
+                    self.expect("int", "an aleph index")
+            elif tok.kind != "int":
+                raise self.error("expected digits or an aleph", tok)
+            self.expect("}")
+
+    def profile(self) -> None:
+        tok = self.next()  # 'nilpotent'
+        self.expect("(")
+        self.keyword("p")
+        ptok = self.expect("int", "a prime")
+        try:  # no base spelling: judged anew each time
+            if not is_prime(int(ptok.text)):
+                raise ValueError(f"{int(ptok.text)} is not a prime")
+        except ValueError as err:
+            raise self.error(str(err), ptok) from None
+        self.expect(",")
+        self.keyword("s")
+        self.expect("[", "'['")
+        s = [int(self.expect("int", "a lower central exponent").text)]
+        while self.peek().kind == ",":
+            self.next()
+            s.append(int(self.expect("int", "a lower central exponent").text))
+        self.expect("]")
+        dl = None
+        if self.peek().kind == ",":
+            self.next()
+            self.keyword("dl")
+            dl = int(self.expect("int", "a derived length").text)
+        self.expect(")")
+        try:
+            _check_profile(tuple(s), dl)
+        except ValueError as err:
+            raise self.error(str(err), tok) from None
+
+    def keyword(self, name: str) -> None:
+        tok = self.expect("word", f"'{name}='")
+        if tok.text != name:
+            raise self.error(f"expected '{name}='", tok)
+        self.expect("=")
+
+
+def _locate(text: str, bases: dict, passive: bool = False) -> NoReturn:
+    """Raise the :class:`ParseError` at the first fault of ``text``, an
+    abelian or a ``passive`` expression that the piece scan refused."""
+    locator = _Locator(text, bases)
+    if passive:
+        locator.product(locator.passive_atom)
+    else:
+        locator.abelian()
+    raise AssertionError(f"the piece scan refused {text!r}, which has no fault")
 
 
 def parse_abelian(text: str) -> AbelianGroupSpec:
@@ -932,19 +867,42 @@ def parse_abelian(text: str) -> AbelianGroupSpec:
     ``^{aleph_0}``; ``1`` is the trivial group.  The result is normalized,
     so ``parse_abelian(spec.render()) == spec``.
 
-    The text is split at each ``*`` and each distinct piece is read once,
-    with one compiled pattern; its copies count as often as it is written,
-    so the cost grows with the number of distinct spellings.  A text that
-    the scan does not accept whole goes to the token parser, which raises
-    the :class:`ParseError` that locates its first fault; it takes the
-    scan's verdict on every base the scan tested, a refused one included,
-    rather than testing it again.
+    Each distinct piece between two ``*`` is read once with
+    :data:`_PIECE` and counts as often as it is written, so the cost grows
+    with the number of distinct spellings.  When a piece is refused,
+    :func:`_locate` raises the error at the first fault of the text; when
+    the exponent is too large, the pieces are read again to find the term
+    at which it passes the limit.
     """
     if text.strip() == "1":
         return TRIVIAL
     bases: dict = {}
-    spec = _scan_abelian(text, bases)
-    return spec if spec is not None else _Parser(text, bases).abelian()
+    limit = _digit_limit()
+    pattern = _piece_pattern(limit)
+    finite: dict[tuple[int, int], int] = {}
+    alephs: dict[tuple[int, int], int] = {}
+    for piece, times in collections.Counter(text.split("*")).items():
+        m = pattern.fullmatch(piece)
+        if m is None:
+            _locate(text, bases)
+        preset, base, n, u, mult, braced, aleph, index, p, s, dl = m.groups()
+        key = base and _judged(bases, base, n, u, limit)
+        if not key or type(key[0]) is str:  # a preset, a profile or a refused base
+            _locate(text, bases)
+        if aleph:
+            alephs[key] = max(alephs.get(key, 0), int(index or 0))
+        else:
+            finite[key] = finite.get(key, 0) + int(mult or braced or 1) * times
+    factors = _normal_form(finite, alephs)
+    if _product_within([(f.prime, f.power) for f in _first_factors(factors)],
+                       _digit_cap(limit)) is None:
+        orders = []
+        for pos, piece in _pieces(text):
+            _, base, _, _, mult, braced, aleph, _, _, _, _ = pattern.fullmatch(piece).groups()
+            p, u = bases[base]
+            orders.append((p, u if aleph or int(mult or braced or 1) else 0, pos))
+        _check_exponent(orders, text, limit)
+    return _derived(AbelianGroupSpec, factors=factors)
 
 
 def _merge_parts(parts: Sequence[PassivePrimePart]) -> PassivePrimePart:
@@ -963,27 +921,43 @@ def _merge_parts(parts: Sequence[PassivePrimePart]) -> PassivePrimePart:
 def passive_atoms(text: str) -> tuple[PassiveAtom, ...]:
     """The raw factors of a passive group expression, in input order.
 
-    The text is split at each ``*``, each piece (a preset or a cyclic
-    term) is read with one compiled pattern, and each distinct base
-    spelling is tested once.  The token parser gets the text only to read
-    a ``nilpotent(...)`` profile or to locate a refused piece's fault, and
-    takes the scan's verdict on every base the scan tested.
+    Each piece between two ``*`` (a preset, a cyclic term or a
+    ``nilpotent(...)`` profile) is read with :data:`_PIECE`, and each
+    distinct base spelling is tested once.  When a piece is refused,
+    :func:`_locate` raises the error at the first fault of the text.
     """
     bases: dict = {}
     limit = _digit_limit()
-    atoms, end = [], 0
-    for piece in text.split("*"):
-        read = _read_piece(piece, bases, limit)
-        if read is None:
-            return _Parser(text, bases).passive()
-        pos, end = end + len(piece) - len(piece.lstrip()), end + len(piece) + 1
-        if type(read) is str:
-            atoms.append(PassiveAtom(pos, read, _PRESET_PART, read))
+    pattern = _piece_pattern(limit)
+    atoms = []
+    for pos, piece in _pieces(text):
+        m = pattern.fullmatch(piece)
+        if m is None:
+            _locate(text, bases, passive=True)
+        preset, base, n, u, mult, braced, aleph, index, p, s, dl = m.groups()
+        if preset:
+            atoms.append(PassiveAtom(pos, preset, _PRESET_PART, preset))
+        elif base:
+            key = _judged(bases, base, n, u, limit)
+            if type(key[0]) is str:
+                _locate(text, bases, passive=True)
+            count = int(index or 0) if aleph else int(mult or braced or 1)
+            f = _derived(PrimaryFactor, prime=key[0], power=key[1],
+                         copies=Cardinal(aleph is not None, count))
+            part = _derived(PassivePrimePart, prime=key[0], gamma_exponents=(key[1],),
+                            derived_length=1) if aleph or count else None
+            atoms.append(PassiveAtom(pos, f.render(), part, f))
         else:
-            (p, u), count, aleph = read
-            copies = Cardinal.aleph(count) if aleph else Cardinal.finite(count)
-            atoms.append(_cyclic_atom(pos, _derived(PrimaryFactor, prime=p, power=u,
-                                                    copies=copies)))
+            try:  # the profile's prime is no base spelling: tested anew each time
+                part = PassivePrimePart(int(p), tuple(map(int, s.split(","))), dl and int(dl))
+            except ValueError:  # not a prime, or not a profile
+                part = None
+            if part is None:
+                _locate(text, bases, passive=True)
+            body = f"p={part.prime}, s=[{', '.join(map(str, part.gamma_exponents))}]"
+            if dl is not None:
+                body += f", dl={part.derived_length}"
+            atoms.append(PassiveAtom(pos, f"nilpotent({body})", part, None))
     return tuple(atoms)
 
 

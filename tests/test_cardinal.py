@@ -51,39 +51,6 @@ def test_negative_rejected():
         Cardinal.finite(-1)
 
 
-@pytest.mark.parametrize(
-    "text,expected",
-    [
-        ("6", Cardinal.finite(6)),
-        ("0", ZERO),
-        ("aleph", ALEPH_0),
-        ("aleph_0", ALEPH_0),
-        ("aleph_3", Cardinal.aleph(3)),
-    ],
-)
-def test_parse(text, expected):
-    assert Cardinal.parse(text) == expected
-
-
-def test_parse_rejects_junk():
-    for bad in ("alephs", "aleph_", "-1", "aleph_x", ""):
-        with pytest.raises(ValueError):
-            Cardinal.parse(bad)
-
-
-def test_parse_takes_ascii_digits_only():
-    # str.isdigit accepts "²", which int() rejects, and the Arabic-Indic
-    # three, which int() reads as 3
-    for bad in ("²", "aleph_²", "\u0663", "aleph_\u0663"):
-        with pytest.raises(ValueError, match="not a cardinal"):
-            Cardinal.parse(bad)
-
-
-@given(cardinals())
-def test_render_round_trip(c):
-    assert Cardinal.parse(c.render()) == c
-
-
 @given(cardinals(), cardinals())
 def test_trichotomy(a, b):
     assert (a < b) + (a == b) + (b < a) == 1

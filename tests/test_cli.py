@@ -299,6 +299,18 @@ def test_witness_claims_the_whole_products_only_for_p_groups(capsys, argv, line)
         assert claims == [f"  separating variety {line}"]
 
 
+@pytest.mark.parametrize("verb", ["decide", "witness"])
+def test_witness_json_names_the_larger_side_and_the_scope_of_the_claim(capsys, verb):
+    # B2 has the larger reduced class, and the passive is not a p-group
+    argv = [verb, "--a1", "C_2 * C_3", "--a2", "C_2 * C_3", "--b1", "C_4 * C_3",
+            "--b2", "C_4^2 * C_3", *(["--prime", "2"] if verb == "witness" else [])]
+    text = run(capsys, *argv)[1]
+    doc = json.loads(run(capsys, "--json", *argv)[1])
+    assert (doc["larger_input"], doc["scope"]) == (2, "reduced")
+    assert f"reduced classes: {doc['witness']['class_b1']} (side B2)" in text
+    assert "not A_2 wr B2' (the reduced products)" in text
+
+
 def test_witness_equivalent_prime_exit_0(capsys):
     code, out, _ = run(capsys, "witness", "--a1", "C_3", "--a2", "C_3",
                        "--b1", "C_{3^2}^2", "--b2", "C_{3^2}^2", "--prime", "3")
@@ -334,6 +346,7 @@ def test_witness_json(capsys):
     assert code == 1
     doc = json.loads(out)
     assert doc["witness"]["class_b1"] == 8
+    assert (doc["larger_input"], doc["scope"]) == (1, "whole")
     assert doc["witness"]["separating"] == {"class": 4, "burnside_exponent": 2}
 
 
@@ -357,7 +370,7 @@ def test_oracle_verify_all_match(capsys, tmp_path):
 
 
 def test_oracle_verify_parses_each_passive_expression_once(capsys, tmp_path, monkeypatch):
-    # both routes, the scan and the token parser, are behind passive_atoms
+    # every passive expression, valid or not, is read by passive_atoms
     parsed = []
     passive_atoms = groupspec.passive_atoms
 

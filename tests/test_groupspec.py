@@ -21,6 +21,7 @@ from wreathvar.cli import main
 from wreathvar.groupspec import DivergenceReport, PassivePrimePart, _prime_power, is_prime
 
 from conftest import abelian_specs, factors, multiplicities, p_components
+from reference_parser import _Parser as ReferenceParser
 
 A0 = Cardinal.aleph(0)
 A1 = Cardinal.aleph(1)
@@ -107,7 +108,7 @@ def test_parse_render_round_trip(s):
 
 
 # ---------------------------------------------------------------------------
-# the scan of parse_abelian against the token parser
+# the piece scan and its fault locator against the reference parser
 
 
 SPACE = st.text(" \t\n\u2003", max_size=2)
@@ -163,17 +164,40 @@ def hostile_edit(draw, text):
     return text
 
 
+# passes every Miller-Rabin base, but lies above the last proven tier, so
+# is_prime raises
+UNCERTIFIED = 3317044064679887385962123
+
+
+@st.composite
+def spelled_profiles(draw):
+    """One ``nilpotent(p=..., s=[...], dl=...)`` profile, every gap spelled
+    with whitespace; its prime, its exponents or its derived length may be
+    refused."""
+    def ws():
+        return draw(SPACE)
+
+    p = draw(st.sampled_from((2, 3, 4, 0, 9999999967, UNCERTIFIED)))
+    s = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    body = f"{ws()}p{ws()}={ws()}{p}{ws()},{ws()}s{ws()}={ws()}[{ws()}"
+    body += f"{ws()},{ws()}".join(map(str, s)) + f"{ws()}]"
+    dl = draw(st.none() | st.integers(0, 2))
+    if dl is not None:
+        body += f"{ws()},{ws()}dl{ws()}={ws()}{dl}"
+    return f"{ws()}nilpotent{ws()}({body}{ws()}){ws()}"
+
+
 @st.composite
 def spelled_passives(draw):
     """A passive expression of presets and cyclic terms (``^0`` copies and
-    alephs among them), some repeated verbatim, now and then with one
+    alephs among them), some repeated verbatim, now and then with an
     inline profile, then perhaps one ``HOSTILE`` edit."""
     preset = st.builds(lambda a, name, b: f"{a}{name}{b}", SPACE, st.sampled_from(("D4", "Q8")),
                        SPACE)
     terms = draw(st.lists(preset | spelled_terms(), min_size=1, max_size=4))
     terms += draw(st.lists(st.sampled_from(terms), max_size=4))
-    if draw(st.sampled_from([False] * 4 + [True])):
-        terms.append(f"{draw(SPACE)}nilpotent(p=3, s=[2, 1], dl=2){draw(SPACE)}")
+    if draw(st.sampled_from([False] * 2 + [True])):
+        terms.append(draw(spelled_profiles()))
     return hostile_edit(draw, "*".join(draw(st.permutations(terms))))
 
 
@@ -186,31 +210,36 @@ def outcome(parse, text):
 
 
 @given(spelled_expressions())
-def test_scan_agrees_with_the_token_parser(text):
-    by_tokens = outcome(lambda t: groupspec._Parser(t).abelian(), text)
-    assert outcome(parse_abelian, text) == by_tokens
-    # the scan itself accepts every expression but "1" that the tokens accept
-    if isinstance(by_tokens, groupspec.AbelianGroupSpec) and text.strip() != "1":
-        assert groupspec._scan_abelian(text) == by_tokens
+def test_scan_agrees_with_the_reference_parser(text):
+    want = outcome(lambda t: ReferenceParser(t).abelian(), text)
+    assert outcome(parse_abelian, text) == want
+    # the scan reads every expression that the reference accepts: the
+    # locator never runs on one
+    if isinstance(want, groupspec.AbelianGroupSpec):
+        with mock.patch.object(groupspec, "_tokenize", no_tokens):
+            assert parse_abelian(text) == want
 
 
 @given(spelled_passives())
-def test_passive_scan_agrees_with_the_token_parser(text):
-    by_tokens = outcome(lambda t: groupspec._Parser(t).passive(), text)
-    assert outcome(groupspec.passive_atoms, text) == by_tokens
+# a refused prime is reported before any later fault of its profile
+@example("nilpotent(p=4, s=[x])")
+@example("C_2 * nilpotent(p=0, s=[1, 2], dl=0)")
+def test_passive_scan_agrees_with_the_reference_parser(text):
+    want = outcome(lambda t: ReferenceParser(t).passive(), text)
+    assert outcome(groupspec.passive_atoms, text) == want
     assert outcome(parse_passive, text) == outcome(
-        lambda t: groupspec.passive_spec(groupspec._Parser(t).passive(), t), text)
-    # the scan itself reads every text without a profile that the tokens accept
-    if isinstance(by_tokens, tuple) and not isinstance(by_tokens[0], str) \
-            and "nilpotent" not in text:
+        lambda t: groupspec.passive_spec(ReferenceParser(t).passive(), t), text)
+    # the scan reads every text that the reference accepts, profiles included
+    if isinstance(want, tuple) and not isinstance(want[0], str):
         with mock.patch.object(groupspec, "_tokenize", no_tokens):
-            assert groupspec.passive_atoms(text) == by_tokens
+            assert groupspec.passive_atoms(text) == want
 
 
 @pytest.mark.parametrize("text, pos", [("C_2 * D4", 6), ("C_2 **C_3", 5), ("C_3 *", 5)])
 def test_a_preset_or_an_empty_piece_goes_to_the_token_parser(text, pos):
+    # the fault locator, a descent over the tokens, agrees with the reference
     want = ("expected a cyclic factor 'C_...'", pos)
-    assert outcome(parse_abelian, text) == outcome(lambda t: groupspec._Parser(t).abelian(),
+    assert outcome(parse_abelian, text) == outcome(lambda t: ReferenceParser(t).abelian(),
                                                    text) == want
 
 
@@ -250,11 +279,14 @@ ODD_BASE_LIMITS = [
     ("C_{1000000007^478}", ("cyclic order has more than 4300 digits", "478")),
     ("C_{1000000007^477} * C_{2^23}", 4300),
     ("C_{1000000007^477} * C_{2^24}", ("exponent has more than 4300 digits", "C_{2^24}")),
+    # a term of no copies adds nothing to the exponent
+    ("C_16777216^0 * C_{1000000007^477} * C_{2^24}",
+     ("exponent has more than 4300 digits", "C_{2^24}")),
 ]
 
 
 @pytest.mark.parametrize("text, want", ODD_BASE_LIMITS)
-@pytest.mark.parametrize("parse", [parse_abelian, lambda t: groupspec._Parser(t).abelian(),
+@pytest.mark.parametrize("parse", [parse_abelian, lambda t: ReferenceParser(t).abelian(),
                                    parse_passive], ids=["scan", "tokens", "passive"])
 def test_digit_limit_boundaries_for_odd_bases(parse, text, want):
     got = outcome(parse, text)
@@ -301,7 +333,7 @@ def test_the_size_rule_at_the_cap(cap, ones, k):
 
 
 def no_tokens(*args):
-    raise AssertionError("the token parser ran on a valid expression")
+    raise AssertionError("the fault locator ran on a valid expression")
 
 
 def count_base_tests(monkeypatch):
@@ -337,14 +369,17 @@ def test_a_valid_expression_is_scanned_without_tokens_and_each_base_tested_once(
 
 def test_a_valid_passive_is_scanned_without_tokens_and_each_base_tested_once(monkeypatch):
     terms = ["D4", "C_{3^2}^4", " C_43 ^ {aleph_1}", "Q8 ", "C_{ 9999999967 }^0", "C_8"] * 20
-    text = "*".join(terms)
-    by_tokens = groupspec._Parser(text).passive()
+    text = "*".join(terms + [" nilpotent( p=5,s=[2 , 1],dl = 2)"])
+    want = ReferenceParser(text).passive()
     monkeypatch.setattr(groupspec, "_tokenize", no_tokens)
     tested = count_base_tests(monkeypatch)
     atoms = groupspec.passive_atoms(text)
-    assert atoms == by_tokens
+    assert atoms == want
     assert [a.pos for a in atoms[:4]] == [text.index(w) for w in ("D4", "C_{3", "C_43", "Q8")]
-    assert sorted(tested) == [3, 8, 43, 9999999967], tested
+    assert atoms[-1].pos == text.index("nilpotent")
+    assert atoms[-1].text == "nilpotent(p=5, s=[2, 1], dl=2)"
+    # a profile's prime is no base spelling: it is tested where it is written
+    assert sorted(tested) == [3, 5, 8, 43, 9999999967], tested
 
 
 # ---------------------------------------------------------------------------
@@ -844,8 +879,8 @@ def test_each_prime_is_checked_once_per_input(monkeypatch):
 
 
 def test_a_passive_base_is_tested_once_per_parse(monkeypatch):
-    # the token parser keeps its verdict on each base spelling; a new
-    # parse starts with none
+    # the scan keeps its verdict on each base spelling; a new parse starts
+    # with none
     calls = []
 
     def counted(n):
@@ -873,8 +908,8 @@ def test_a_refused_passive_base_is_tested_once_per_parse(monkeypatch):
 
 
 def test_a_refused_base_is_tested_once(monkeypatch):
-    # the token parser that locates the error takes the scan's verdict on
-    # each base it tested, the refused one included
+    # the fault locator takes the scan's verdict on each base it tested,
+    # the refused one included
     calls = []
 
     def counted(test):
