@@ -2,27 +2,27 @@
 
 Only order, maximum and sum are needed anywhere in the library, so a
 cardinal is either ``finite(n)`` for a natural ``n`` or ``aleph(k)`` for a
-natural index ``k``.  The dataclass compares its fields ``(is_infinite,
-value)`` in order, so every finite value sorts below every aleph and
-alephs sort by index.  Addition absorbs into the larger operand as soon
-as one side is infinite.
+natural index ``k``.  It is the tuple ``(is_infinite, value)``, which
+compares in that order, so every finite value sorts below every aleph and
+alephs sort by index.  The constructor refuses a negative value; a sum of
+two finite cardinals is built without that check.  Addition absorbs into
+the larger operand as soon as one side is infinite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import collections
 
 
-@dataclass(frozen=True, order=True)
-class Cardinal:
+class Cardinal(collections.namedtuple("Cardinal", "is_infinite value")):
     """A finite natural number or an aleph with a natural index."""
 
-    is_infinite: bool
-    value: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ValueError(f"cardinal value must be >= 0, got {self.value}")
+    def __new__(cls, is_infinite: bool, value: int) -> "Cardinal":
+        if value < 0:
+            raise ValueError(f"cardinal value must be >= 0, got {value}")
+        return tuple.__new__(cls, (is_infinite, value))
 
     @classmethod
     def finite(cls, n: int) -> "Cardinal":
@@ -42,7 +42,7 @@ class Cardinal:
         if not isinstance(other, Cardinal):
             return NotImplemented
         if not self.is_infinite and not other.is_infinite:
-            return Cardinal.finite(self.value + other.value)
+            return tuple.__new__(Cardinal, (False, self.value + other.value))
         return max(self, other)
 
     def render(self) -> str:

@@ -28,8 +28,8 @@ import json
 import sys
 from typing import Optional
 
-from . import oracle
 from .groupspec import (
+    DEFAULT_BUDGET,
     ParseError,
     equivalent,
     parse_abelian,
@@ -321,6 +321,8 @@ def _parse_in_line(parse, expr: str, start: int, line: str):
 
 
 def run_oracle_verify(manifest: str, budget: int, as_json: bool) -> int:
+    from . import oracle  # loaded by this verb only
+
     if budget < 1:
         print("error: budget must be positive", file=sys.stderr)
         return EXIT_PARSE
@@ -487,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("oracle-verify", parents=[common],
                               help="cross-check the class formula by enumeration")
     p_verify.add_argument("--manifest", required=True)
-    p_verify.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
+    p_verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     return ap
 
 

@@ -27,7 +27,6 @@ import itertools
 import math
 import re
 import sys
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 
 from .cardinal import Cardinal, ONE, ZERO
@@ -190,6 +189,11 @@ def _product_within(powers: Iterable[tuple[int, int]], cap: int) -> Optional[int
     return product if product <= cap else None
 
 
+# The oracle's element budget by default.  It is kept with the size rule,
+# not in the oracle, so that the CLI can offer it without loading the oracle.
+DEFAULT_BUDGET = 200_000
+
+
 @functools.lru_cache(maxsize=4)
 def _digit_cap(limit: int) -> int:
     """The largest number of at most ``limit`` decimal digits."""
@@ -216,12 +220,11 @@ def _check_exponent(orders: Iterable[tuple[int, int, int]], text: str, limit: in
 
 
 def _derived(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` built from parts of
-    already validated ones, so ``__post_init__`` and its primality test
-    are skipped."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
+    """The record ``cls`` with the given fields, built from parts of
+    already validated ones, so the checks of ``cls.__new__`` (a primality
+    test among them) are skipped.  Inside the package a derived record is
+    built the same way, as ``tuple.__new__(cls, (field, ...))``."""
+    return tuple.__new__(cls, map(fields.__getitem__, cls._fields))
 
 
 def _valuation(n: int, p: int) -> int:
@@ -236,23 +239,21 @@ def _valuation(n: int, p: int) -> int:
 # primary decompositions
 
 
-@dataclass(frozen=True)
-class PrimaryFactor:
+class PrimaryFactor(collections.namedtuple("PrimaryFactor", "prime power copies")):
     """``copies`` direct copies of the cyclic group of order ``prime**power``.
 
     A factor built here has its prime tested; the factors that the module
     derives from it (powers, normal forms, parsed terms) inherit the test.
     """
 
-    prime: int
-    power: int
-    copies: Cardinal
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.prime):
-            raise ValueError(f"{self.prime} is not a prime")
-        if self.power < 1:
-            raise ValueError(f"cyclic power must be >= 1, got {self.power}")
+    def __new__(cls, prime: int, power: int, copies: Cardinal) -> "PrimaryFactor":
+        if not is_prime(prime):
+            raise ValueError(f"{prime} is not a prime")
+        if power < 1:
+            raise ValueError(f"cyclic power must be >= 1, got {power}")
+        return tuple.__new__(cls, (prime, power, copies))
 
     @property
     def cyclic_order(self) -> int:
@@ -273,8 +274,7 @@ class PrimaryFactor:
         return self.render()
 
 
-@dataclass(frozen=True)
-class AbelianGroupSpec:
+class AbelianGroupSpec(collections.namedtuple("AbelianGroupSpec", "factors")):
     """Normalized primary decomposition; the empty tuple is the trivial group.
 
     Factors are sorted by prime ascending then cyclic power descending, one
@@ -282,14 +282,15 @@ class AbelianGroupSpec:
     instances through :func:`normalize` or :func:`parse_abelian`.
     """
 
-    factors: tuple[PrimaryFactor, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        keys = [(f.prime, -f.power) for f in self.factors]
+    def __new__(cls, factors: tuple[PrimaryFactor, ...]) -> "AbelianGroupSpec":
+        keys = [(f.prime, -f.power) for f in factors]
         if keys != sorted(set(keys)):
             raise ValueError("factors are not in normal form; use normalize()")
-        if any(f.copies == ZERO for f in self.factors):
+        if any(f.copies == ZERO for f in factors):
             raise ValueError("zero multiplicity in normalized spec")
+        return tuple.__new__(cls, (factors,))
 
     # -- structure --------------------------------------------------------
 
@@ -314,7 +315,8 @@ class AbelianGroupSpec:
 
     def p_component(self, p: int) -> "AbelianGroupSpec":
         """The subgroup of elements of ``p``-power order (possibly trivial)."""
-        return AbelianGroupSpec(tuple([f for f in self.factors if f.prime == p]))
+        factors = tuple([f for f in self.factors if f.prime == p])
+        return tuple.__new__(AbelianGroupSpec, (factors,))
 
     def power(self, k: int) -> "AbelianGroupSpec":
         """The power subgroup of all ``k``-th powers."""
@@ -324,9 +326,8 @@ class AbelianGroupSpec:
         for f in self.factors:
             drop = _valuation(k, f.prime)
             if f.power > drop:
-                out.append(_derived(PrimaryFactor, prime=f.prime, power=f.power - drop,
-                                    copies=f.copies))
-        return AbelianGroupSpec(tuple(out))
+                out.append(tuple.__new__(PrimaryFactor, (f.prime, f.power - drop, f.copies)))
+        return tuple.__new__(AbelianGroupSpec, (tuple(out),))
 
     def direct_product(self, other: "AbelianGroupSpec") -> "AbelianGroupSpec":
         return normalize(self.factors + other.factors)
@@ -361,16 +362,18 @@ def _normal_form(finite: dict[tuple[int, int], int],
                  alephs: dict[tuple[int, int], int]) -> tuple[PrimaryFactor, ...]:
     """The factors in normal form of the multiplicities merged per
     ``(p, u)``: ``finite`` holds the sum of the finite copies, ``alephs``
-    the largest aleph index, which absorbs them.  No copies, no factor."""
+    the largest aleph index, which absorbs them.  No copies, no factor.
+    Every key is a checked prime power and every count a natural, so the
+    records are built unchecked."""
     out = []
     for key in sorted(finite.keys() | alephs.keys(), key=lambda k: (k[0], -k[1])):
         if key in alephs:
-            copies = Cardinal.aleph(alephs[key])
+            copies = tuple.__new__(Cardinal, (True, alephs[key]))
         elif finite[key]:
-            copies = Cardinal.finite(finite[key])
+            copies = tuple.__new__(Cardinal, (False, finite[key]))
         else:
             continue
-        out.append(_derived(PrimaryFactor, prime=key[0], power=key[1], copies=copies))
+        out.append(tuple.__new__(PrimaryFactor, (key[0], key[1], copies)))
     return tuple(out)
 
 
@@ -384,15 +387,14 @@ def normalize(factors: Iterable[PrimaryFactor]) -> AbelianGroupSpec:
             alephs[key] = max(alephs.get(key, 0), copies.value)
         else:
             finite[key] = finite.get(key, 0) + copies.value
-    return AbelianGroupSpec(_normal_form(finite, alephs))
+    return tuple.__new__(AbelianGroupSpec, (_normal_form(finite, alephs),))
 
 
 # ---------------------------------------------------------------------------
 # the equivalence relation on p-components
 
 
-@dataclass(frozen=True)
-class DivergenceReport:
+class DivergenceReport(collections.namedtuple("DivergenceReport", "t w")):
     """Where two p-components stop agreeing.
 
     ``t`` is the 1-based index of the first position at which the factor
@@ -402,8 +404,7 @@ class DivergenceReport:
     side's power).
     """
 
-    t: int
-    w: int
+    __slots__ = ()
 
 
 def _check_components(p: int, *specs: AbelianGroupSpec) -> None:
@@ -478,8 +479,8 @@ def _check_profile(s: tuple[int, ...], derived_length: Optional[int]) -> None:
         raise ValueError("derived length must be >= 1")
 
 
-@dataclass(frozen=True)
-class PassivePrimePart:
+class PassivePrimePart(collections.namedtuple("PassivePrimePart",
+                                               "prime gamma_exponents derived_length")):
     """One Sylow piece of a nilpotent passive group.
 
     ``gamma_exponents[h-1]`` is the exponent of the ``h``-th lower central
@@ -487,14 +488,14 @@ class PassivePrimePart:
     nilpotency class of the piece.
     """
 
-    prime: int
-    gamma_exponents: tuple[int, ...]
-    derived_length: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.prime):
-            raise ValueError(f"{self.prime} is not a prime")
-        _check_profile(self.gamma_exponents, self.derived_length)
+    def __new__(cls, prime: int, gamma_exponents: tuple[int, ...],
+                derived_length: Optional[int] = None) -> "PassivePrimePart":
+        if not is_prime(prime):
+            raise ValueError(f"{prime} is not a prime")
+        _check_profile(gamma_exponents, derived_length)
+        return tuple.__new__(cls, (prime, gamma_exponents, derived_length))
 
     @property
     def nilpotency_class(self) -> int:
@@ -508,19 +509,19 @@ class PassivePrimePart:
         return self.prime ** self.gamma_exponents[0]
 
 
-@dataclass(frozen=True)
-class PassiveGroupSpec:
+class PassiveGroupSpec(collections.namedtuple("PassiveGroupSpec", "parts label")):
     """Nilpotent group of finite exponent, one part per participating prime."""
 
-    parts: tuple[PassivePrimePart, ...]
-    label: Optional[str] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.parts:
+    def __new__(cls, parts: tuple[PassivePrimePart, ...],
+                label: Optional[str] = None) -> "PassiveGroupSpec":
+        if not parts:
             raise ValueError("passive group must be nontrivial")
-        ps = [part.prime for part in self.parts]
+        ps = [part.prime for part in parts]
         if ps != sorted(set(ps)):
             raise ValueError("parts must have distinct primes in ascending order")
+        return tuple.__new__(cls, (parts, label))
 
     def exponent(self) -> int:
         return math.prod(part.exponent() for part in self.parts)
@@ -694,6 +695,21 @@ def _judged(bases: dict, base: str, n: Optional[str], u: Optional[str], limit: i
     return verdict
 
 
+def _profile_fault(bases: dict, digits: str) -> Optional[str]:
+    """Why the ``nilpotent(...)`` prime spelled ``digits`` is refused, or
+    None for a prime.  Like a base spelling it is judged once per parse:
+    the verdict is kept in ``bases`` under the key ``("p", digits)``, which
+    no base spelling (a string) can take."""
+    key = ("p", digits)
+    if key not in bases:
+        p = int(digits)
+        try:
+            bases[key] = None if is_prime(p) else f"{p} is not a prime"
+        except ValueError as err:  # a primality that cannot be certified
+            bases[key] = str(err)
+    return bases[key]
+
+
 def _pieces(text: str) -> Iterator[tuple[int, str]]:
     """Each piece of ``text`` between two ``*``, after where its first non-blank is."""
     end = 0
@@ -816,11 +832,9 @@ class _Locator:
         self.expect("(")
         self.keyword("p")
         ptok = self.expect("int", "a prime")
-        try:  # no base spelling: judged anew each time
-            if not is_prime(int(ptok.text)):
-                raise ValueError(f"{int(ptok.text)} is not a prime")
-        except ValueError as err:
-            raise self.error(str(err), ptok) from None
+        fault = _profile_fault(self.bases, ptok.text)
+        if fault is not None:
+            raise self.error(fault, ptok)
         self.expect(",")
         self.keyword("s")
         self.expect("[", "'['")
@@ -902,11 +916,13 @@ def parse_abelian(text: str) -> AbelianGroupSpec:
             p, u = bases[base]
             orders.append((p, u if aleph or int(mult or braced or 1) else 0, pos))
         _check_exponent(orders, text, limit)
-    return _derived(AbelianGroupSpec, factors=factors)
+    return tuple.__new__(AbelianGroupSpec, (factors,))
 
 
 def _merge_parts(parts: Sequence[PassivePrimePart]) -> PassivePrimePart:
     # direct product within one prime: componentwise maxima
+    if len(parts) == 1:
+        return parts[0]
     p = parts[0].prime
     c = max(part.nilpotency_class for part in parts)
     s = tuple([
@@ -915,7 +931,7 @@ def _merge_parts(parts: Sequence[PassivePrimePart]) -> PassivePrimePart:
     ])
     dls = [part.derived_length for part in parts]
     dl = None if any(x is None for x in dls) else max(dls)  # type: ignore[type-var]
-    return _derived(PassivePrimePart, prime=p, gamma_exponents=s, derived_length=dl)
+    return tuple.__new__(PassivePrimePart, (p, s, dl))
 
 
 def passive_atoms(text: str) -> tuple[PassiveAtom, ...]:
@@ -923,8 +939,9 @@ def passive_atoms(text: str) -> tuple[PassiveAtom, ...]:
 
     Each piece between two ``*`` (a preset, a cyclic term or a
     ``nilpotent(...)`` profile) is read with :data:`_PIECE`, and each
-    distinct base spelling is tested once.  When a piece is refused,
-    :func:`_locate` raises the error at the first fault of the text.
+    distinct base spelling and profile prime is tested once.  When a
+    piece is refused, :func:`_locate` raises the error at the first fault
+    of the text.
     """
     bases: dict = {}
     limit = _digit_limit()
@@ -942,18 +959,22 @@ def passive_atoms(text: str) -> tuple[PassiveAtom, ...]:
             if type(key[0]) is str:
                 _locate(text, bases, passive=True)
             count = int(index or 0) if aleph else int(mult or braced or 1)
-            f = _derived(PrimaryFactor, prime=key[0], power=key[1],
-                         copies=Cardinal(aleph is not None, count))
-            part = _derived(PassivePrimePart, prime=key[0], gamma_exponents=(key[1],),
-                            derived_length=1) if aleph or count else None
+            copies = tuple.__new__(Cardinal, (aleph is not None, count))
+            f = tuple.__new__(PrimaryFactor, (key[0], key[1], copies))
+            part = None
+            if aleph or count:
+                part = tuple.__new__(PassivePrimePart, (key[0], (key[1],), 1))
             atoms.append(PassiveAtom(pos, f.render(), part, f))
         else:
-            try:  # the profile's prime is no base spelling: tested anew each time
-                part = PassivePrimePart(int(p), tuple(map(int, s.split(","))), dl and int(dl))
-            except ValueError:  # not a prime, or not a profile
-                part = None
-            if part is None:
+            gamma, length = tuple(map(int, s.split(","))), dl and int(dl)
+            try:
+                _check_profile(gamma, length)
+                refused = _profile_fault(bases, p) is not None
+            except ValueError:  # not a profile
+                refused = True
+            if refused:
                 _locate(text, bases, passive=True)
+            part = tuple.__new__(PassivePrimePart, (int(p), gamma, length))
             body = f"p={part.prime}, s=[{', '.join(map(str, part.gamma_exponents))}]"
             if dl is not None:
                 body += f", dl={part.derived_length}"
@@ -984,4 +1005,6 @@ def passive_spec(atoms: Sequence[PassiveAtom], text: str) -> PassiveGroupSpec:
         _check_exponent([(a.part.prime, a.part.gamma_exponents[0], a.pos) for a in present],
                         text, limit)
     label = " * ".join(sorted(atom.text for atom in atoms))
-    return PassiveGroupSpec(merged, label=label)
+    # the parts were checked when they were read, and merged has one per
+    # prime in ascending order
+    return tuple.__new__(PassiveGroupSpec, (merged, label))

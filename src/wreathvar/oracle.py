@@ -26,18 +26,18 @@ instances.
 
 from __future__ import annotations
 
+import collections
 import copy
 import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from itertools import repeat
 from operator import add, getitem, itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
-from .groupspec import (AbelianGroupSpec, PassiveAtom, PassiveGroupSpec, _product_within,
-                        prime_divisors)
+from .groupspec import (DEFAULT_BUDGET, AbelianGroupSpec, PassiveAtom, PassiveGroupSpec,
+                        _product_within, prime_divisors)
 from .shield import baumslag_nilpotent, kp_series, shield_class, wreath_exponent
 
 __all__ = [
@@ -68,7 +68,6 @@ __all__ = [
     "verify_shield",
 ]
 
-DEFAULT_BUDGET = 200_000
 # every triple from the multiplication table up to this order: its n**2
 # products are no more than the 4 * _SPOT_TRIPLES of the spot check
 _FULL_ASSOC_LIMIT = 28
@@ -241,11 +240,10 @@ def _spot_indices(n: int, k: int) -> tuple[int, ...]:
     return tuple(map(int, map(float(n).__mul__, draws)))
 
 
-@dataclass(frozen=True)
-class SubgroupChain:
+class SubgroupChain(collections.namedtuple("SubgroupChain", "terms")):
     """Descending chain of explicit element sets, first term the whole group."""
 
-    terms: tuple[frozenset, ...]
+    __slots__ = ()
 
     def orders(self) -> tuple[int, ...]:
         return tuple(len(t) for t in self.terms)
@@ -797,18 +795,12 @@ def element_order_profile(G: ConcreteGroup) -> dict[int, int]:
 # cross-validation of the symbolic route
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(collections.namedtuple(
+        "VerifyReport", "label wreath_order shield_class oracle_class spec_exponent "
+        "oracle_exponent symbolic_chain_orders concrete_chain_orders")):
     """Side-by-side symbolic and enumerated values for one wreath product."""
 
-    label: str
-    wreath_order: int
-    shield_class: int
-    oracle_class: Optional[int]
-    spec_exponent: int
-    oracle_exponent: int
-    symbolic_chain_orders: tuple[int, ...]
-    concrete_chain_orders: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def class_match(self) -> bool:

@@ -16,6 +16,8 @@ for cross-checks against enumeration.
 
 from __future__ import annotations
 
+import collections
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,12 +40,10 @@ class NotNilpotentError(ValueError):
     """The wreath product fails Baumslag's nilpotency criterion."""
 
 
-@dataclass(frozen=True)
-class KpChain:
+class KpChain(collections.namedtuple("KpChain", "p terms")):
     """The distinct terms ``B**(p**j)``, ``j = 0..u``; the last is trivial."""
 
-    p: int
-    terms: tuple[AbelianGroupSpec, ...]
+    __slots__ = ()
 
     @property
     def d(self) -> int:
@@ -106,16 +106,28 @@ def shield_params(B: AbelianGroupSpec, p: int) -> ShieldParams:
     """Shield's parameters of a nontrivial finite abelian p-group, read off
     its factors: ``B**(p**j)`` loses one copy of ``C_p`` per cyclic factor
     of power above ``j``, so ``steps[j]`` counts those factors, and
-    ``sum_j p**j * steps[j] = sum_f m_f * (p**u_f - 1) / (p - 1)``."""
+    ``sum_j p**j * steps[j] = sum_f m_f * (p**u_f - 1) / (p - 1)``.  One
+    pass over the factors and one over ``j``: ``O(u + factors)``.
+    :func:`shield_class`, which has checked the same conditions on ``B``
+    through Baumslag's criterion, reads them without this check."""
     _require_finite_p_group(B, p)
+    return _params(B, p)
+
+
+def _params(B: AbelianGroupSpec, p: int) -> ShieldParams:
+    """:func:`shield_params` of a ``B`` known to be a nontrivial finite p-group."""
     u = B.factors[0].power  # factors come in descending power
-    # built from a list: tuple() over a generator resizes its result, and
-    # CPython's per-length tuple free lists then keep every freed one: 2.5 MB
-    # more resident memory after 30 000 calls on CPython 3.11
-    steps = tuple([sum(f.copies.as_int() for f in B.factors if f.power > j)
-                   for j in range(u)])
-    a = 1 + sum(f.copies.as_int() * (p**f.power - 1) for f in B.factors)
-    return ShieldParams(p, steps, a)
+    drops, a = [0] * u, 1  # drops[j]: the copies of the factors of power j + 1
+    for f in B.factors:
+        drops[f.power - 1] = f.copies.value  # one factor per power
+        a += f.copies.value * (p**f.power - 1)
+    # steps[j] is the sum of drops[j:]; built from a list, because tuple()
+    # over an iterator resizes its result, and CPython's per-length tuple
+    # free lists then keep every freed one (2.5 MB more resident memory
+    # after 30 000 calls on CPython 3.11)
+    steps = list(itertools.accumulate(reversed(drops)))
+    steps.reverse()
+    return ShieldParams(p, tuple(steps), a)
 
 
 def baumslag_reason(A: PassiveGroupSpec, B: AbelianGroupSpec) -> Optional[str]:
@@ -145,7 +157,7 @@ def shield_class(A: PassiveGroupSpec, B: AbelianGroupSpec) -> int:
     if reason is not None:
         raise NotNilpotentError(reason)
     part = A.parts[0]
-    params = shield_params(B, part.prime)
+    params = _params(B, part.prime)
     a, b = params.a, params.b
     return max(a * h + (s_h - 1) * b for h, s_h in enumerate(part.gamma_exponents, 1))
 

@@ -11,6 +11,7 @@ the other.
 
 from __future__ import annotations
 
+import collections
 import enum
 from dataclasses import dataclass
 from typing import Optional
@@ -21,11 +22,10 @@ from .groupspec import (
     DivergenceReport,
     PassiveGroupSpec,
     PrimaryFactor,
-    _derived,
     divergence,
     normalize,
 )
-from .shield import baumslag_nilpotent, shield_class, wreath_exponent
+from .shield import NotNilpotentError, shield_class, wreath_exponent
 
 __all__ = [
     "Verdict",
@@ -59,8 +59,7 @@ class Verdict(str, enum.Enum):
     NOT_APPLICABLE = "not_applicable"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(collections.namedtuple("Violation", "code detail")):
     """One failed hypothesis of the decision.
 
     ``code`` names the hypothesis, ``detail`` says how it failed, and
@@ -69,16 +68,15 @@ class Violation:
     to unequal instead.
     """
 
-    code: str
-    detail: str
+    __slots__ = ()
 
     @property
     def fatal(self) -> bool:
         return self.code != "active_exponent_mismatch"
 
 
-@dataclass(frozen=True)
-class DecisionInput:
+class DecisionInput(collections.namedtuple(
+        "DecisionInput", "a1 a2 b1 b2 assert_passive_var_equal", defaults=(False,))):
     """Two wreath products ``a1 wr b1`` and ``a2 wr b2`` to compare.
 
     ``assert_passive_var_equal`` is the caller's promise that the passive
@@ -87,29 +85,24 @@ class DecisionInput:
     identical or whitelisted.
     """
 
-    a1: PassiveGroupSpec
-    a2: PassiveGroupSpec
-    b1: AbelianGroupSpec
-    b2: AbelianGroupSpec
-    assert_passive_var_equal: bool = False
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PrimeVerdict:
-    p: int
-    divergence: Optional[DivergenceReport]
+class PrimeVerdict(collections.namedtuple("PrimeVerdict", "p divergence")):
+    """The divergence of the p-components at ``p``: None when equivalent."""
+
+    __slots__ = ()
 
     @property
     def equivalent(self) -> bool:
         return self.divergence is None
 
 
-@dataclass(frozen=True)
-class SeparatingVariety:
+class SeparatingVariety(collections.namedtuple("SeparatingVariety",
+                                                "nilpotency_class burnside_exponent")):
     """Nilpotent-of-class-``nilpotency_class``-by-Burnside-of-exponent product."""
 
-    nilpotency_class: int
-    burnside_exponent: int
+    __slots__ = ()
 
     def render(self) -> str:
         return f"N_{self.nilpotency_class} B_{self.burnside_exponent}"
@@ -277,15 +270,15 @@ def decide_equal(inp: DecisionInput) -> Decision:
         return Decision(Verdict.NOT_APPLICABLE, tuple(violations), (), None, fps)
     if violations:  # only the nonfatal active exponent mismatch
         return Decision(Verdict.UNEQUAL, tuple(violations), (), None, fps)
-    per = []
+    per, witness = [], None
     for p in inp.b1.primes():
-        div = divergence(inp.b1.p_component(p), inp.b2.p_component(p), p)
+        comp1, comp2 = inp.b1.p_component(p), inp.b2.p_component(p)
+        div = divergence(comp1, comp2, p)
         per.append(PrimeVerdict(p, div))
-    failing = [pv.p for pv in per if not pv.equivalent]
-    if not failing:
-        return Decision(Verdict.EQUAL, (), tuple(per), None, fps)
-    witness = separation_witness(inp.a1, inp.b1, inp.b2, failing[0])
-    return Decision(Verdict.UNEQUAL, (), tuple(per), witness, fps)
+        if div is not None and witness is None:
+            witness = _witness(inp.a1, comp1, comp2, p, div)
+    verdict = Verdict.EQUAL if witness is None else Verdict.UNEQUAL
+    return Decision(verdict, (), tuple(per), witness, fps)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +312,13 @@ def separation_witness(
     div = divergence(comp1, comp2, p)
     if div is None:
         raise EquivalentComponentsError(f"p-components are equivalent at p={p}; no witness exists")
+    return _witness(passive, comp1, comp2, p, div)
+
+
+def _witness(passive: PassiveGroupSpec, comp1: AbelianGroupSpec, comp2: AbelianGroupSpec,
+             p: int, div: DivergenceReport) -> SeparationWitness:
+    """The witness at ``p`` for the p-components ``comp1`` and ``comp2``,
+    whose divergence ``div`` is already known."""
     part = passive.part_for(p)
     if part is None:
         raise ValueError(f"prime {p} does not divide the passive exponent")
@@ -338,11 +338,12 @@ def separation_witness(
 
     def w_slot(n: int) -> tuple[PrimaryFactor, ...]:
         # p was tested where the components were built, or by divergence
-        return (_derived(PrimaryFactor, prime=p, power=w, copies=Cardinal.finite(n)),) if n else ()
+        copies = tuple.__new__(Cardinal, (False, n))
+        return (tuple.__new__(PrimaryFactor, (p, w, copies)),) if n else ()
 
     reduced_big = normalize(prefix + w_slot(big_n)).power(shift)
     reduced_small = normalize(prefix + w_slot(small_n)).power(shift)
-    a_p = PassiveGroupSpec((part,))
+    a_p = tuple.__new__(PassiveGroupSpec, ((part,), None))
     class_big = shield_class(a_p, reduced_big)
     if reduced_small.is_trivial():
         # A wr 1 is A itself; its class bounds the small side from above
@@ -359,7 +360,10 @@ def separation_witness(
 
 def fingerprint(passive: PassiveGroupSpec, active: AbelianGroupSpec) -> Fingerprint:
     """Exponent, nilpotency, class and solubility bound of one wreath product."""
-    cls = shield_class(passive, active) if baumslag_nilpotent(passive, active) else None
+    try:
+        cls = shield_class(passive, active)
+    except NotNilpotentError:
+        cls = None
     dl = passive.derived_length
     return Fingerprint(
         exponent=wreath_exponent(passive, active),

@@ -898,6 +898,31 @@ def test_a_passive_base_is_tested_once_per_parse(monkeypatch):
         parse_passive("C_4 * nilpotent(p=4, s=[1])")
 
 
+def test_a_profile_prime_is_tested_once_per_parse(monkeypatch):
+    # like a base spelling: the scan keeps its verdict on each profile
+    # prime, and the fault locator reads it
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(groupspec, "is_prime", counted)
+    p = 9999999967
+    assert parse_passive(" * ".join([f"nilpotent(p={p}, s=[1])"] * 50)).exponent() == p
+    assert calls == [p]
+    calls.clear()
+    mersenne = 2**521 - 1
+    with pytest.raises(ParseError, match="cannot be certified") as err:
+        parse_passive(f"C_2 * nilpotent(p={mersenne}, s=[1])")
+    assert err.value.pos == len("C_2 * nilpotent(p=")
+    assert calls == [mersenne]
+    calls.clear()
+    with pytest.raises(ParseError, match="non-increasing"):
+        parse_passive(f"nilpotent(p={p}, s=[1]) * nilpotent(p={p}, s=[1, 2])")
+    assert calls == [p]
+
+
 def test_a_refused_passive_base_is_tested_once_per_parse(monkeypatch):
     tested = count_base_tests(monkeypatch)
     for _ in range(2):

@@ -16,7 +16,7 @@ from wreathvar import (
     wreath_exponent,
 )
 
-from conftest import SMALL_PRIMES, p_components, plog
+from conftest import SMALL_PRIMES, abelian_specs, p_components, plog
 
 
 def spec(*triples):
@@ -146,6 +146,18 @@ def test_steps_are_the_log_drops_along_the_chain(p, data):
     params = shield_params(B, p)
     assert params.d == chain.d
     assert params.steps == tuple(plog(x) - plog(y) for x, y in zip(chain.terms, chain.terms[1:]))
+
+
+@given(st.sampled_from(SMALL_PRIMES), st.data())
+def test_steps_and_a_are_their_sums_over_the_factors(p, data):
+    # steps[j] counts the copies of the factors of power above j
+    B = data.draw(abelian_specs((p,), max_factors=6, max_power=9, allow_infinite=False,
+                                min_factors=1))
+    params = shield_params(B, p)
+    u = B.factors[0].power
+    assert params.steps == tuple(sum(f.copies.as_int() for f in B.factors if f.power > j)
+                                 for j in range(u))
+    assert params.a == 1 + sum(f.copies.as_int() * (p**f.power - 1) for f in B.factors)
 
 
 @given(st.sampled_from(SMALL_PRIMES), st.data())
