@@ -8,9 +8,11 @@ check only what their construction adds (see ``ConcreteGroup``).  Their
 elements are permutations of at most 256 points, stored as ``bytes``
 (``_byte_perms``): a wreath product acts on ``A x B``, a direct product
 on the disjoint union of its factors.  A product is one
-``bytes.translate``, and a whole batch of them, a coset or a rung of the
-exponent ladder, is one ``map`` of it (``ConcreteGroup.muls`` and
-``ConcreteGroup.right``).  Past 256 points a wreath product's elements are
+``bytes.translate``, and a whole batch of them is one ``map`` of it: a
+coset (``ConcreteGroup.right``, which also lists a wreath product coset
+by coset of its base), pairs (``ConcreteGroup.muls``) or a rung of the
+exponent ladder raised to a power (``ConcreteGroup.powers``, one padded
+table per element).  Past 256 points a wreath product's elements are
 index vectors into its factors' element lists, multiplied by table
 lookups, and a direct product's are tuples.  Subgroups are explicit
 element sets, built from generators.  Every constructor checks the order
@@ -18,7 +20,8 @@ of its group against the element budget before it lists an element, by
 the size rule of ``groupspec`` (``_product_within``), which
 ``skip_reason`` plans with too.  The point of the module is to recompute,
 by sheer enumeration, everything the symbolic modules derive:
-lower central series, nilpotency classes, exponents, derived lengths and
+lower central series, nilpotency classes (from the sizes of the terms
+alone, ``_central_terms``), exponents, derived lengths and
 the general K_p-series (including the commutator terms an abelian group
 never exercises), so that the two routes can be compared on desk-scale
 instances.
@@ -93,8 +96,8 @@ class ConcreteGroup:
     or tuples, the same checks run.  The full check of such groups runs in
     the tests.
 
-    Besides ``mul``, a group has two batched products, ``muls`` and
-    ``right``.  On byte permutations they are the group's own (see
+    Besides ``mul``, a group has three batched rules, ``muls``, ``right``
+    and ``powers``.  On byte permutations they are the group's own (see
     ``_byte_perms``); on any other group they map ``mul``, read when they
     are called.
     """
@@ -117,13 +120,15 @@ class ConcreteGroup:
     @classmethod
     def _from_factors(cls, label: str, elements: Iterable, identity, generators: Sequence,
                       mul: Callable, inv: Callable, muls: Optional[Callable] = None,
-                      right: Optional[Callable] = None) -> "ConcreteGroup":
+                      right: Optional[Callable] = None,
+                      powers: Optional[Callable] = None) -> "ConcreteGroup":
         """A group whose rules are assembled from already checked groups,
-        with its own batched products when ``muls`` and ``right`` are given."""
+        with its own batched rules when ``muls``, ``right`` and ``powers``
+        are given."""
         group = cls.__new__(cls)
         group._assign(label, elements, mul, inv, identity, generators)
         if muls is not None:
-            group.muls, group.right = muls, right
+            group.muls, group.right, group.powers = muls, right, powers
         group._check_laws(group.generators)
         group._check_associative()
         return group
@@ -195,6 +200,14 @@ class ConcreteGroup:
     def right(self, xs: Iterable, t) -> Iterator:
         """The products ``x t`` of each of ``xs`` with ``t``."""
         return map(self.mul, xs, repeat(t))
+
+    def powers(self, xs: Collection, k: int) -> Iterable:
+        """The powers ``x ** k``, ``k >= 1``, of each of ``xs``: ``k - 1``
+        chained batches ``muls``, each of which iterates ``xs`` again."""
+        ys = xs
+        for _ in range(k - 1):
+            ys = self.muls(ys, xs)
+        return ys
 
     def power(self, x, k: int):
         """``x ** k`` by squaring from the top bit down, in
@@ -276,16 +289,20 @@ def concrete_cyclic(n: int, budget: int = DEFAULT_BUDGET) -> ConcreteGroup:
     )
 
 
-def _byte_perms(n: int) -> tuple[Callable, Callable, Callable, Callable]:
-    """The product, inverse and batched products (``muls`` and ``right``
-    of ``ConcreteGroup``) of permutations of ``n <= _MAX_POINTS`` points
-    stored as ``bytes``, ``x[i]`` the image of point ``i``.
+def _byte_perms(n: int) -> tuple[Callable, ...]:
+    """The product, inverse and batched rules (``muls``, ``right`` and
+    ``powers`` of ``ConcreteGroup``) of permutations of ``n <=
+    _MAX_POINTS`` points stored as ``bytes``, ``x[i]`` the image of point
+    ``i``.
 
     ``x y`` (``x`` first) sends ``i`` to ``y[x[i]]``: one
     ``bytes.translate`` through ``y``, padded to a full table.  A batch is
     one ``map`` of ``bytes.translate``, with no Python call per product;
     the tables are padded by ``operator.add``, since mapping the slot
-    wrapper ``bytes.__add__`` is slower.
+    wrapper ``bytes.__add__`` is slower.  ``powers`` pads each element
+    once and translates through that table ``k - 1`` times; the ``tee``
+    copies of the tables are drawn in lockstep, one element at a time, so
+    no list of them is held.
     """
     pad, points = bytes(256 - n), bytes(range(n))
 
@@ -301,7 +318,13 @@ def _byte_perms(n: int) -> tuple[Callable, Callable, Callable, Callable]:
     def right(xs, t):
         return map(bytes.translate, xs, repeat(t + pad))
 
-    return mul, inv, muls, right
+    def powers(xs, k):
+        ys = xs
+        for tables in itertools.tee(map(add, xs, repeat(pad)), k - 1):
+            ys = map(bytes.translate, ys, tables)
+        return ys
+
+    return mul, inv, muls, right, powers
 
 
 def _placed(rows: Sequence[Sequence[int]], offset: int) -> list[bytes]:
@@ -446,9 +469,11 @@ def _wreath_on_points(A: ConcreteGroup, B: ConcreteGroup, b_tables: tuple) -> tu
     ``(A.elements[a], B.elements[k])``, given ``_tables(B)``.
 
     ``(f, b)`` maps the block of ``k``'s points onto the block of
-    ``k b``'s by the right multiplication by ``f(k)``, so the elements
-    with active coordinate ``b`` are the joins of one placed row of
-    ``A``'s table per block.
+    ``k b``'s by the right multiplication by ``f(k)``, so the base, the
+    elements with active coordinate ``1``, are the joins of one placed row
+    of ``A``'s table per block.  The elements with active coordinate ``b``
+    are the coset of the base by ``(1, b)``, one batch ``right``: they are
+    listed coset by coset, in the order of ``B.elements``.
     """
     na = A.order
     a_index, a_right, _ = _tables(A)
@@ -458,10 +483,13 @@ def _wreath_on_points(A: ConcreteGroup, B: ConcreteGroup, b_tables: tuple) -> tu
     def element(vector, j):
         return b"".join(map(getitem, blocks[j], vector))
 
+    rules = _byte_perms(na * B.order)
+    right = rules[3]
+    e_b, trivial = b_tables[0][B.identity], [a_index[A.identity]] * B.order
+    base = list(map(b"".join, itertools.product(*blocks[e_b])))
     elements = itertools.chain.from_iterable(
-        map(b"".join, itertools.product(*rows)) for rows in blocks)
-    return (elements, *_wreath_generators(A, B, a_index, b_tables[0], element),
-            *_byte_perms(na * B.order))
+        base if j == e_b else right(base, element(trivial, j)) for j in range(B.order))
+    return (elements, *_wreath_generators(A, B, a_index, b_tables[0], element), *rules)
 
 
 def _wreath_on_indices(A: ConcreteGroup, B: ConcreteGroup, b_tables: tuple) -> tuple:
@@ -666,9 +694,10 @@ def _commutator(G: ConcreteGroup, x, y):
     return G.mul(G.mul(G.inv(x), G.inv(y)), G.mul(x, y))
 
 
-def lower_central_series(G: ConcreteGroup) -> SubgroupChain:
-    """Commutator chain with the whole group first, stopping at the first
-    trivial or stable term.
+def _central_terms(G: ConcreteGroup) -> Iterator[list]:
+    """The lower central terms after ``G``, each as the element list of its
+    ``_Subgroup``, up to the first trivial one, or up to the last before
+    the series stalls.
 
     Each term is carried by normal generators: if ``N`` is the normal
     closure of ``S`` and ``G = <X>``, then ``[N, G]`` is the normal closure
@@ -676,22 +705,32 @@ def lower_central_series(G: ConcreteGroup) -> SubgroupChain:
     Group Theory, 2005).  Only the commutators that enlarge the next term
     as it is built are kept as its normal generators.
     """
-    terms = [frozenset(G.elements)]
-    normal_gens = list(G.generators)
-    while len(terms[-1]) > 1:
+    size, normal_gens = G.order, list(G.generators)
+    while size > 1:
         N = _Subgroup(G)
         normal_gens = [c for c in (_commutator(G, s, x)
                                    for s in normal_gens for x in G.generators)
                        if N.adjoin(c)]
         N.make_normal(G.generators)
-        if len(N.elements) == len(terms[-1]):
-            break
-        terms.append(frozenset(N.elements))
-    return SubgroupChain(tuple(terms))
+        if len(N.elements) == size:
+            return
+        yield N.elements
+        size = len(N.elements)
+
+
+def lower_central_series(G: ConcreteGroup) -> SubgroupChain:
+    """Commutator chain with the whole group first, stopping at the first
+    trivial or stable term (see ``_central_terms``)."""
+    return SubgroupChain((frozenset(G.elements), *map(frozenset, _central_terms(G))))
 
 
 def nilpotency_class(G: ConcreteGroup) -> Optional[int]:
-    return lower_central_series(G).length()
+    """``lower_central_series(G).length()``, read off the terms' sizes: no
+    term, ``G`` included, is frozen into a set."""
+    c, size = 0, G.order
+    for c, term in enumerate(_central_terms(G), 1):
+        size = len(term)
+    return c if size == 1 else None
 
 
 def derived_series(G: ConcreteGroup) -> SubgroupChain:
@@ -725,21 +764,18 @@ def subgroup_exponent(G: ConcreteGroup, H: Collection) -> int:
 
     For each prime ``q`` dividing ``|H|`` a ladder starts from the
     ``q``-parts of the elements (their powers to the ``q'``-part of
-    ``|H|``) and raises the whole rung to the ``q``-th power, ``q - 1``
-    chained batches ``G.muls`` over it, until only the identity is left;
-    the ``q``-part of the exponent is ``q`` to the number of rungs.
+    ``|H|``) and raises the whole rung to the ``q``-th power, one batch
+    ``G.powers`` over it, until only the identity is left; the ``q``-part
+    of the exponent is ``q`` to the number of rungs.
     """
-    exponent, muls = 1, G.muls
+    exponent, powers = 1, G.powers
     for q in prime_divisors(len(H)):
         m = len(H)
         while m % q == 0:
             m //= q
         level = H if m == 1 else {G.power(x, m) for x in H}
         while len(level) > 1:  # every rung holds the identity
-            powers = level  # each pass over level visits it in one order
-            for _ in range(q - 1):
-                powers = muls(powers, level)
-            level = set(powers)
+            level = set(powers(level, q))  # its passes over level share one order
             exponent *= q
     return exponent
 

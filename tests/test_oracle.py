@@ -255,27 +255,64 @@ def test_byte_permutations_and_index_vectors_build_the_same_wreaths():
 
 
 def assert_batches_match_mul(G, seed):
-    """``G.right`` and ``G.muls`` against ``G.mul`` on seeded draws."""
+    """``G.right``, ``G.muls`` and ``G.powers`` against ``G.mul`` on
+    seeded draws."""
     rng = random.Random(seed)
     xs, ys = rng.choices(G.elements, k=200), rng.choices(G.elements, k=200)
     for t in rng.choices(G.elements, k=5):
         assert list(G.right(xs, t)) == [G.mul(x, t) for x in xs], G.label
     assert list(G.muls(xs, ys)) == list(map(G.mul, xs, ys)), G.label
+    for k in (1, 2, 3, 5):
+        assert list(G.powers(xs, k)) == [G.power(x, k) for x in xs], (G.label, k)
 
 
 def test_batched_products_are_the_products_of_mul():
     checked = 0
     for label, _, a_conc, b_spec in sweep_pairs(2_500):
         G = concrete_wreath(a_conc, concrete_abelian(b_spec))
-        assert "muls" in vars(G) and "right" in vars(G), label  # byte permutations
+        assert {"muls", "right", "powers"} <= vars(G).keys(), label  # byte permutations
         assert_batches_match_mul(G, label)
         checked += 1
     assert checked == 15
     on_indices = concrete_wreath(concrete_cyclic(256), concrete_cyclic(2))
     on_tuples = concrete_product([concrete_cyclic(250), concrete_preset("D4")])
     for G in (on_indices, on_tuples):
-        assert "muls" not in vars(G) and "right" not in vars(G), G.label
+        assert not {"muls", "right", "powers"} & vars(G).keys(), G.label
         assert_batches_match_mul(G, G.label)
+
+
+def ref_wreath_elements(A, B):
+    """``A wr B``'s elements as byte permutations, each the join of one
+    block per point of ``B``: active coordinate by active coordinate in
+    the order of ``B.elements``, then the vectors in lexicographic order.
+    This is how the byte build listed them before it listed cosets."""
+    na = A.order
+    a_index = {x: i for i, x in enumerate(A.elements)}
+    b_index = {b: j for j, b in enumerate(B.elements)}
+    # placed[c][i]: the right multiplication by A.elements[i] on block c
+    placed = [[bytes([c * na + a_index[A.mul(x, y)] for x in A.elements])
+               for y in A.elements] for c in range(B.order)]
+    elements = []
+    for b in B.elements:
+        blocks = [placed[b_index[B.mul(k, b)]] for k in B.elements]
+        elements += map(b"".join, itertools.product(*blocks))
+    return elements
+
+
+def test_byte_wreaths_list_their_elements_in_the_reference_order():
+    # the spot check draws elements by index, so the order is pinned too
+    c3 = concrete_cyclic(3)
+    c3_identity_second = ConcreteGroup("C_3", [1, 0, 2], mul=c3.mul, inv=c3.inv,
+                                       identity=0, generators=(1,))
+    pairs = [(a_conc, concrete_abelian(b_spec)) for _, _, a_conc, b_spec in sweep_pairs(2_500)]
+    pairs += [(concrete_preset("D4"), concrete_abelian(parse_abelian("C_2^2"))),
+              (concrete_cyclic(2), c3_identity_second)]
+    for A, B in pairs:
+        elements, identity, *_ = oracle._wreath_on_points(A, B, oracle._tables(B))
+        assert list(elements) == ref_wreath_elements(A, B), (A.label, B.label)
+    # on the last pair the base, the identity first, follows the 2^3
+    # elements with active coordinate 1
+    assert len(pairs) == 17 and identity == bytes(range(6)) == ref_wreath_elements(A, B)[8]
 
 
 def test_byte_permutations_and_tuples_build_the_same_products():
@@ -372,7 +409,7 @@ def test_a_wrong_product_in_one_cell_is_refused_up_to_28_elements():
     # neither factor is the identity or the other's inverse: the laws
     # on the generators hold, and associativity fails on some triple,
     # which the 784 products of the table find wherever the cell is
-    elements, identity, generators, mul, inv, muls, right = oracle._product_on_points(
+    elements, identity, generators, mul, inv, *batches = oracle._product_on_points(
         [concrete_cyclic(4), concrete_cyclic(7)])
     elements = list(elements)
     assert len(elements) == 28
@@ -386,7 +423,7 @@ def test_a_wrong_product_in_one_cell_is_refused_up_to_28_elements():
 
         with pytest.raises(ValueError, match="associativity fails"):
             ConcreteGroup._from_factors("C_4 x C_7?", elements, identity, generators,
-                                        mul_with_one_wrong_cell, inv, muls, right)
+                                        mul_with_one_wrong_cell, inv, *batches)
 
 
 def test_wreath_refuses_an_active_group_that_does_not_act():
@@ -584,9 +621,10 @@ def test_engine_matches_reference_on_the_oracle_sweep():
 
 
 def count_mul_calls(G):
-    """Wraps ``G.mul``, and the batched products of a group that has its
-    own, so that every product on ``G`` is counted once: the default
-    batches map ``G.mul`` and are counted there."""
+    """Wraps ``G.mul``, and the batched rules of a group that has its own,
+    so that every product on ``G`` is counted once: a ``k``-th power
+    counts ``k - 1``, and the default batches map ``G.mul`` and are
+    counted there."""
     calls = [0]
     mul = G.mul
 
@@ -594,15 +632,17 @@ def count_mul_calls(G):
         calls[0] += 1
         return mul(x, y)
 
-    def counted(batch):
+    def counted(batch, per_item=lambda *args: 1):
         def counted_batch(*args):
-            for product in batch(*args):
-                calls[0] += 1
-                yield product
+            products = per_item(*args)
+            for item in batch(*args):
+                calls[0] += products
+                yield item
         return counted_batch
 
     if "muls" in vars(G):
         G.muls, G.right = counted(G.muls), counted(G.right)
+        G.powers = counted(G.powers, lambda xs, k: k - 1)
     G.mul = counted_mul
     return calls
 
@@ -618,8 +658,37 @@ def test_engine_cost_is_far_below_one_product_per_element():
     assert lower_central_series(G).orders() == (2048, 128, 16, 2, 1)
     assert calls[0] == 398
     calls[0] = 0
+    assert nilpotency_class(G) == 4  # the same terms, sized, not frozen
+    assert calls[0] == 398
+    calls[0] = 0
     assert exponent_concrete(G) == 4
     assert calls[0] == 2_120
+
+
+def test_a_cube_rung_forms_two_products_per_element():
+    # C_9 wr C_3, 2 187 elements of exponent 27: its rungs of 2 187, 33
+    # and 3 elements are cubed, one batch G.powers each
+    G = concrete_wreath(concrete_cyclic(9), concrete_cyclic(3))
+    calls = count_mul_calls(G)
+    assert exponent_concrete(G) == 27
+    assert calls[0] == 2 * (2_187 + 33 + 3) == 4_446
+
+
+def test_nilpotency_class_is_the_length_of_the_series():
+    groups = []
+    for label, _, a_conc, b_spec in sweep_pairs(2_500):
+        B = concrete_abelian(b_spec)
+        groups += [ConcreteGroup._from_factors(label, *build(a_conc, B, oracle._tables(B)))
+                   for build in (oracle._wreath_on_points, oracle._wreath_on_indices)]
+    assert len(groups) == 30
+    on_tuples = ConcreteGroup._from_factors(
+        "D4 x Q8", *oracle._product_on_tuples([concrete_preset("D4"), concrete_preset("Q8")]))
+    assert type(on_tuples.identity) is tuple
+    # C_3 wr C_2 stalls at a term of order 3; the trivial group has class 0
+    groups += [on_tuples, SMALL_GROUPS["C_3 wr C_2"](), concrete_cyclic(1)]
+    classes = [nilpotency_class(G) for G in groups]
+    assert classes == [lower_central_series(G).length() for G in groups]
+    assert classes[-3:] == [2, None, 0]
 
 
 # ---------------------------------------------------------------------------
