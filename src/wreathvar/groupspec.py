@@ -162,9 +162,8 @@ def _prime_power(n: int) -> Optional[tuple[int, int]]:
         r = _iroot(n, k)
         if r**k == n:
             n, u = r, u * k  # r may be a k-th power again
-        else:  # the next prime k, by trial division: k is below a bit count
-            k = next(j for j in itertools.count(k + 1)
-                     if all(j % f for f in range(2, math.isqrt(j) + 1)))
+        else:
+            k = next(j for j in itertools.count(k + 1) if is_prime(j))
     return (n, u) if is_prime(n) else None
 
 
@@ -217,14 +216,6 @@ def _check_exponent(orders: Iterable[tuple[int, int, int]], text: str, limit: in
             exponent = _product_within(((exponent, 1), (p, u - top)), cap)
             if exponent is None:
                 raise ParseError(f"exponent has more than {limit} digits", pos, text)
-
-
-def _derived(cls, **fields):
-    """The record ``cls`` with the given fields, built from parts of
-    already validated ones, so the checks of ``cls.__new__`` (a primality
-    test among them) are skipped.  Inside the package a derived record is
-    built the same way, as ``tuple.__new__(cls, (field, ...))``."""
-    return tuple.__new__(cls, map(fields.__getitem__, cls._fields))
 
 
 def _valuation(n: int, p: int) -> int:
@@ -508,6 +499,14 @@ class PassivePrimePart(collections.namedtuple("PassivePrimePart",
     def exponent(self) -> int:
         return self.prime ** self.gamma_exponents[0]
 
+    def render(self) -> str:
+        """The profile as written, ``nilpotent(p=..., s=[...], dl=...)``,
+        with ``dl`` only when the derived length is known."""
+        body = f"p={self.prime}, s=[{', '.join(map(str, self.gamma_exponents))}]"
+        if self.derived_length is not None:
+            body += f", dl={self.derived_length}"
+        return f"nilpotent({body})"
+
 
 class PassiveGroupSpec(collections.namedtuple("PassiveGroupSpec", "parts label")):
     """Nilpotent group of finite exponent, one part per participating prime."""
@@ -549,11 +548,7 @@ class PassiveGroupSpec(collections.namedtuple("PassiveGroupSpec", "parts label")
     def render(self) -> str:
         if self.label is not None:
             return self.label
-        chunks = []
-        for part in self.parts:
-            s = ", ".join(str(x) for x in part.gamma_exponents)
-            chunks.append(f"nilpotent(p={part.prime}, s=[{s}])")
-        return " * ".join(chunks)
+        return " * ".join(part.render() for part in self.parts)
 
     def __str__(self) -> str:
         return self.render()
@@ -975,10 +970,7 @@ def passive_atoms(text: str) -> tuple[PassiveAtom, ...]:
             if refused:
                 _locate(text, bases, passive=True)
             part = tuple.__new__(PassivePrimePart, (int(p), gamma, length))
-            body = f"p={part.prime}, s=[{', '.join(map(str, part.gamma_exponents))}]"
-            if dl is not None:
-                body += f", dl={part.derived_length}"
-            atoms.append(PassiveAtom(pos, f"nilpotent({body})", part, None))
+            atoms.append(PassiveAtom(pos, part.render(), part, None))
     return tuple(atoms)
 
 

@@ -8,11 +8,11 @@ check only what their construction adds (see ``ConcreteGroup``).  Their
 elements are permutations of at most 256 points, stored as ``bytes``
 (``_byte_perms``): a wreath product acts on ``A x B``, a direct product
 on the disjoint union of its factors.  A product is one
-``bytes.translate``, and a whole batch of them is one ``map`` of it: a
-coset (``ConcreteGroup.right``, which also lists a wreath product coset
-by coset of its base), pairs (``ConcreteGroup.muls``) or a rung of the
-exponent ladder raised to a power (``ConcreteGroup.powers``, one padded
-table per element).  Past 256 points a wreath product's elements are
+``bytes.translate``, and each of the two batches is one ``map`` of it:
+a coset (``ConcreteGroup.right``, which also lists a wreath product
+coset by coset of its base) or a rung of the exponent ladder raised to a
+power (``ConcreteGroup.powers``, one padded table per element); other
+groups chain ``mul``.  Past 256 points a wreath product's elements are
 index vectors into its factors' element lists, multiplied by table
 lookups, and a direct product's are tuples.  Subgroups are explicit
 element sets, built from generators.  Every constructor checks the order
@@ -96,10 +96,10 @@ class ConcreteGroup:
     or tuples, the same checks run.  The full check of such groups runs in
     the tests.
 
-    Besides ``mul``, a group has three batched rules, ``muls``, ``right``
-    and ``powers``.  On byte permutations they are the group's own (see
-    ``_byte_perms``); on any other group they map ``mul``, read when they
-    are called.
+    Besides ``mul``, a group has two batched rules, ``right`` and
+    ``powers``.  On byte permutations they are the group's own (see
+    ``_byte_perms``); on any other group they chain ``mul``, read when
+    they are called.
     """
 
     def __init__(
@@ -119,16 +119,15 @@ class ConcreteGroup:
 
     @classmethod
     def _from_factors(cls, label: str, elements: Iterable, identity, generators: Sequence,
-                      mul: Callable, inv: Callable, muls: Optional[Callable] = None,
-                      right: Optional[Callable] = None,
+                      mul: Callable, inv: Callable, right: Optional[Callable] = None,
                       powers: Optional[Callable] = None) -> "ConcreteGroup":
         """A group whose rules are assembled from already checked groups,
-        with its own batched rules when ``muls``, ``right`` and ``powers``
-        are given."""
+        with its own batched rules when ``right`` and ``powers`` are
+        given."""
         group = cls.__new__(cls)
         group._assign(label, elements, mul, inv, identity, generators)
-        if muls is not None:
-            group.muls, group.right, group.powers = muls, right, powers
+        if right is not None:
+            group.right, group.powers = right, powers
         group._check_laws(group.generators)
         group._check_associative()
         return group
@@ -193,20 +192,16 @@ class ConcreteGroup:
             if [rows[xy] for xy in row_x] != list(map(bytes.translate, rows, repeat(row_x + pad))):
                 raise ValueError(f"{self.label}: associativity fails")
 
-    def muls(self, xs: Iterable, ys: Iterable) -> Iterator:
-        """The products ``x y`` of ``xs`` and ``ys`` taken in pairs."""
-        return map(self.mul, xs, ys)
-
     def right(self, xs: Iterable, t) -> Iterator:
         """The products ``x t`` of each of ``xs`` with ``t``."""
         return map(self.mul, xs, repeat(t))
 
     def powers(self, xs: Collection, k: int) -> Iterable:
         """The powers ``x ** k``, ``k >= 1``, of each of ``xs``: ``k - 1``
-        chained batches ``muls``, each of which iterates ``xs`` again."""
+        chained maps of ``mul``, each of which iterates ``xs`` again."""
         ys = xs
         for _ in range(k - 1):
-            ys = self.muls(ys, xs)
+            ys = map(self.mul, ys, xs)
         return ys
 
     def power(self, x, k: int):
@@ -229,9 +224,6 @@ class ConcreteGroup:
             y = self.mul(y, x)
             n += 1
         return n
-
-    def exponent(self) -> int:
-        return subgroup_exponent(self, self.elements)
 
     def is_abelian(self) -> bool:
         return all(
@@ -290,10 +282,9 @@ def concrete_cyclic(n: int, budget: int = DEFAULT_BUDGET) -> ConcreteGroup:
 
 
 def _byte_perms(n: int) -> tuple[Callable, ...]:
-    """The product, inverse and batched rules (``muls``, ``right`` and
-    ``powers`` of ``ConcreteGroup``) of permutations of ``n <=
-    _MAX_POINTS`` points stored as ``bytes``, ``x[i]`` the image of point
-    ``i``.
+    """The product, inverse and batched rules (``right`` and ``powers`` of
+    ``ConcreteGroup``) of permutations of ``n <= _MAX_POINTS`` points
+    stored as ``bytes``, ``x[i]`` the image of point ``i``.
 
     ``x y`` (``x`` first) sends ``i`` to ``y[x[i]]``: one
     ``bytes.translate`` through ``y``, padded to a full table.  A batch is
@@ -312,9 +303,6 @@ def _byte_perms(n: int) -> tuple[Callable, ...]:
     def inv(x):
         return bytes.maketrans(x, points)[:n]
 
-    def muls(xs, ys):
-        return map(bytes.translate, xs, map(add, ys, repeat(pad)))
-
     def right(xs, t):
         return map(bytes.translate, xs, repeat(t + pad))
 
@@ -324,7 +312,7 @@ def _byte_perms(n: int) -> tuple[Callable, ...]:
             ys = map(bytes.translate, ys, tables)
         return ys
 
-    return mul, inv, muls, right, powers
+    return mul, inv, right, powers
 
 
 def _placed(rows: Sequence[Sequence[int]], offset: int) -> list[bytes]:
@@ -483,13 +471,13 @@ def _wreath_on_points(A: ConcreteGroup, B: ConcreteGroup, b_tables: tuple) -> tu
     def element(vector, j):
         return b"".join(map(getitem, blocks[j], vector))
 
-    rules = _byte_perms(na * B.order)
-    right = rules[3]
+    mul, inv, right, powers = _byte_perms(na * B.order)
     e_b, trivial = b_tables[0][B.identity], [a_index[A.identity]] * B.order
     base = list(map(b"".join, itertools.product(*blocks[e_b])))
     elements = itertools.chain.from_iterable(
         base if j == e_b else right(base, element(trivial, j)) for j in range(B.order))
-    return (elements, *_wreath_generators(A, B, a_index, b_tables[0], element), *rules)
+    return (elements, *_wreath_generators(A, B, a_index, b_tables[0], element),
+            mul, inv, right, powers)
 
 
 def _wreath_on_indices(A: ConcreteGroup, B: ConcreteGroup, b_tables: tuple) -> tuple:
@@ -541,14 +529,22 @@ def concrete_abelian(spec: AbelianGroupSpec, budget: int = DEFAULT_BUDGET) -> Co
     # order check before expanding multiplicities into factor lists
     if _product_within(_abelian_powers(spec), budget) is None:
         raise BudgetExceededError(f"{spec.render()}: order exceeds the budget {budget}")
-    parts = []
-    for f in spec.factors:
-        parts.extend([concrete_cyclic(f.cyclic_order, budget)] * f.copies.as_int())
-    # C_n was checked in full when built; a product of one factor would
-    # only check it again
-    group = parts[0] if len(parts) == 1 else concrete_product(parts, budget)
+    group = _realized(spec.factors, budget)
     group.label = spec.render()
     return group
+
+
+def _realized(factors: Iterable, budget: int) -> ConcreteGroup:
+    """The direct product of ``factors``, each a preset's name or a finite
+    ``PrimaryFactor``.  A single group is returned as built: it was
+    checked in full, and a product of one factor would check it again."""
+    parts = []
+    for f in factors:
+        if isinstance(f, str):
+            parts.append(concrete_preset(f))
+        else:
+            parts.extend([concrete_cyclic(f.cyclic_order, budget)] * f.copies.as_int())
+    return parts[0] if len(parts) == 1 else concrete_product(parts, budget)
 
 
 def passive_order(atoms: Iterable[PassiveAtom], cap: int) -> Optional[int]:
@@ -598,16 +594,7 @@ def concrete_passive(atoms: Iterable[PassiveAtom], budget: int = DEFAULT_BUDGET)
     atoms = tuple(atoms)
     if passive_order(atoms, cap=budget) is None:
         raise BudgetExceededError(f"passive group: order exceeds the budget {budget}")
-    parts = []
-    for atom in atoms:
-        f = atom.group
-        if isinstance(f, str):
-            parts.append(concrete_preset(f))
-        else:
-            parts.extend([concrete_cyclic(f.cyclic_order, budget)] * f.copies.as_int())
-    if len(parts) == 1:
-        return parts[0]
-    return concrete_product(parts, budget)
+    return _realized((atom.group for atom in atoms), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -781,7 +768,7 @@ def subgroup_exponent(G: ConcreteGroup, H: Collection) -> int:
 
 
 def exponent_concrete(G: ConcreteGroup) -> int:
-    return G.exponent()
+    return subgroup_exponent(G, G.elements)
 
 
 def kp_series_concrete(G: ConcreteGroup, p: int) -> SubgroupChain:
@@ -872,7 +859,7 @@ class VerifyReport(collections.namedtuple(
 
 
 def _check_describes(spec_exponent: int, conc: ConcreteGroup, what: str) -> None:
-    actual = conc.exponent()
+    actual = subgroup_exponent(conc, conc.elements)
     if actual != spec_exponent:
         raise ValueError(
             f"{what}: spec exponent {spec_exponent} but {conc.label} has exponent {actual}"
@@ -907,7 +894,8 @@ def verify_shield(
     if a_chain.length() != part.nilpotency_class:
         raise ValueError(f"passive group: profile class {part.nilpotency_class} "
                          f"does not match {a_conc.label}")
-    for h in range(1, part.nilpotency_class + 1):
+    # term 1 is a_conc itself, whose exponent _check_describes compared
+    for h in range(2, part.nilpotency_class + 1):
         gamma_exp = subgroup_exponent(a_conc, a_chain.terms[h - 1])
         if gamma_exp != part.prime ** part.s(h):
             raise ValueError(

@@ -6,7 +6,8 @@ the scan and its fault locator are tested against.
 expression and ``_Parser(text).passive()`` the atoms of a passive one;
 both raise the ``ParseError`` at the first fault.  The class is the
 library's former parser, unchanged; ``_cyclic_atom`` is the helper it
-used to build a cyclic atom.
+used to build a cyclic atom, and ``_derived`` the one it built records
+with.
 """
 
 from __future__ import annotations
@@ -26,12 +27,19 @@ from wreathvar.groupspec import (
     _base_verdict,
     _check_exponent,
     _check_profile,
-    _derived,
     _digit_limit,
     _tokenize,
     is_prime,
     normalize,
 )
+
+
+def _derived(cls, **fields):
+    """The record ``cls`` with the given fields, built from parts of
+    already validated ones, so the checks of ``cls.__new__`` (a primality
+    test among them) are skipped.  Inside the package a derived record is
+    built the same way, as ``tuple.__new__(cls, (field, ...))``."""
+    return tuple.__new__(cls, map(fields.__getitem__, cls._fields))
 
 
 def _cyclic_atom(pos: int, f: PrimaryFactor) -> PassiveAtom:

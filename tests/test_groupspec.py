@@ -7,6 +7,7 @@ from hypothesis import example, given, strategies as st
 from wreathvar import (
     Cardinal,
     ParseError,
+    PassiveGroupSpec,
     PrimaryFactor,
     TRIVIAL,
     divergence,
@@ -20,7 +21,7 @@ from wreathvar import groupspec
 from wreathvar.cli import main
 from wreathvar.groupspec import DivergenceReport, PassivePrimePart, _prime_power, is_prime
 
-from conftest import abelian_specs, factors, multiplicities, p_components
+from conftest import PRIMES, abelian_specs, factors, multiplicities, p_components
 from reference_parser import _Parser as ReferenceParser
 
 A0 = Cardinal.aleph(0)
@@ -463,10 +464,17 @@ def test_power_subgroup():
     assert spec((3, 2, 2)).power(3) == spec((3, 1, 2))
     s = parse_abelian(SAMPLE)
     assert s.power(1) == s
+    with pytest.raises(ValueError, match="power exponent must be >= 1, got 0"):
+        s.power(0)
 
 
 def test_power_drops_infinite_factors_of_small_order():
     assert spec((2, 1, A0)).power(2).is_trivial()
+
+
+def test_an_infinite_spec_has_no_order():
+    with pytest.raises(ValueError, match="infinite group has no finite order"):
+        spec((2, 1, 3), (3, 1, A0)).order()
 
 
 @given(abelian_specs(max_power=3), st.integers(1, 8), st.integers(1, 8))
@@ -690,6 +698,9 @@ def test_passive_inline_profile():
     assert g.derived_length is None
     g2 = parse_passive("nilpotent(p=2, s=[3, 1], dl=2)")
     assert g2.derived_length == 2
+    # built without a label, a spec spells its profiles, dl only when known
+    g3 = PassiveGroupSpec((PassivePrimePart(2, (2, 1), 2), PassivePrimePart(3, (1,), None)))
+    assert g3.render() == "nilpotent(p=2, s=[2, 1], dl=2) * nilpotent(p=3, s=[1])"
 
 
 def test_passive_atoms_carry_their_start_label_profile_and_group():
@@ -728,6 +739,23 @@ def test_passive_trivial_rejected():
 
 def test_passive_label_is_canonical():
     assert parse_passive("C_3 * D4").label == parse_passive("D4 * C_3").label
+
+
+@st.composite
+def unlabeled_passive_specs(draw):
+    """Specs built from their parts, with no label: one profile per prime,
+    its derived length known or not."""
+    parts = []
+    for p in sorted(draw(st.sets(st.sampled_from(PRIMES), min_size=1, max_size=3))):
+        s = sorted(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)), reverse=True)
+        parts.append(PassivePrimePart(p, tuple(s), draw(st.none() | st.integers(1, 5))))
+    return PassiveGroupSpec(tuple(parts))
+
+
+@given(unlabeled_passive_specs())
+@example(PassiveGroupSpec((PassivePrimePart(2, (2, 1), 2), PassivePrimePart(3, (1,), None))))
+def test_an_unlabeled_spec_renders_as_profiles_that_parse_back(g):
+    assert parse_passive(g.render()).parts == g.parts
 
 
 def test_passive_profile_validation():
@@ -859,6 +887,8 @@ def test_factors_given_by_hand_are_still_checked():
         PrimaryFactor(2**89 - 1, 1, Cardinal.finite(1))
     with pytest.raises(ValueError, match="4 is not a prime"):
         divergence(TRIVIAL, TRIVIAL, 4)
+    with pytest.raises(ValueError, match="not a 2-component: contains prime 3"):
+        divergence(parse_abelian("C_3"), parse_abelian("C_2"), 2)
     with pytest.raises(ValueError, match="4 is not a prime"):
         equivalent_p(TRIVIAL, TRIVIAL, 4)
 
@@ -875,7 +905,9 @@ def test_each_prime_is_checked_once_per_input(monkeypatch):
     code = main(["decide", "--a1", f"C_{p}", "--a2", f"C_{p}",
                  "--b1", f"C_{p}^3", "--b2", f"C_{p}^4"])
     assert code == 1
-    assert len(calls) <= 4, calls
+    # _prime_power also tests the root degrees it tries, which are below
+    # the bit count of p: only the tests of bases are counted
+    assert len([n for n in calls if n >= p.bit_length()]) <= 4, calls
 
 
 def test_a_passive_base_is_tested_once_per_parse(monkeypatch):
@@ -961,4 +993,6 @@ def test_a_refused_base_is_tested_once(monkeypatch):
     with pytest.raises(ParseError, match="cannot be certified") as err:
         parse_abelian(f"C_{n}")
     assert err.value.pos == 2
-    assert calls == [("_prime_power", n), ("is_prime", n)]
+    # the root degrees _prime_power tries are tested too, each below the
+    # bit count of n
+    assert [c for c in calls if c[1] >= n.bit_length()] == [("_prime_power", n), ("is_prime", n)]

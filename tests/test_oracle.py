@@ -50,10 +50,12 @@ def symbolic_orders(expr, p):
 
 def test_cyclic():
     c4 = concrete_cyclic(4)
-    assert (c4.order, c4.exponent()) == (4, 4)
+    assert (c4.order, exponent_concrete(c4)) == (4, 4)
     assert concrete_cyclic(1).order == 1
     c9 = concrete_cyclic(9)
     assert c9.element_order(c9.generators[0]) == 9
+    with pytest.raises(ValueError, match="order must be >= 1, got 0"):
+        concrete_cyclic(0)
 
 
 def test_cyclic_budget():
@@ -63,17 +65,23 @@ def test_cyclic_budget():
 
 def test_product():
     klein = concrete_product([concrete_cyclic(2), concrete_cyclic(2)])
-    assert (klein.order, klein.exponent()) == (4, 2)
+    assert (klein.order, exponent_concrete(klein)) == (4, 2)
     big = concrete_abelian(parse_abelian("C_{3^2} * C_3^4"))
     assert big.order == 729
     assert concrete_product([]).order == 1
+    c3 = concrete_cyclic(3)
+    with pytest.raises(BudgetExceededError, match="C_3 x C_3 x C_3: 27 elements exceed "
+                                                  "the budget 26"):
+        concrete_product([c3, c3, c3], budget=26)
+    with pytest.raises(ValueError, match="cannot enumerate the infinite group"):
+        concrete_abelian(parse_abelian("C_2^{aleph_0}"))
 
 
 def test_presets():
     d4 = concrete_preset("D4")
     q8 = concrete_preset("Q8")
     for g in (d4, q8):
-        assert (g.order, g.exponent()) == (8, 4)
+        assert (g.order, exponent_concrete(g)) == (8, 4)
         assert nilpotency_class(g) == 2
     # distinct element-order profiles: the presets are not isomorphic
     assert element_order_profile(d4)[4] == 2
@@ -106,7 +114,7 @@ def test_wreath_budget():
 
 def test_concrete_passive():
     g = concrete_passive(passive_atoms("D4 * C_3"))
-    assert (g.order, g.exponent()) == (24, 12)
+    assert (g.order, exponent_concrete(g)) == (24, 12)
     with pytest.raises(ValueError):
         concrete_passive(passive_atoms("C_3^{aleph_0}"))
     with pytest.raises(ValueError):
@@ -127,11 +135,11 @@ def test_wreath_of_a_trivial_active_group_is_the_passive_group():
     q8 = concrete_preset("Q8")
     w = concrete_wreath(q8, concrete_cyclic(1))
     assert (w.label, q8.label, w.elements) == ("Q8 wr C_1", "Q8", q8.elements)
-    assert (w.order, w.exponent(), nilpotency_class(w)) == (8, 4, 2)
+    assert (w.order, exponent_concrete(w), nilpotency_class(w)) == (8, 4, 2)
     assert element_order_profile(w) == element_order_profile(q8)
     assert_full_axioms(w)
     c4 = concrete_wreath(concrete_cyclic(1), concrete_cyclic(4))
-    assert (c4.order, c4.exponent(), nilpotency_class(c4)) == (4, 4, 1)
+    assert (c4.order, exponent_concrete(c4), nilpotency_class(c4)) == (4, 4, 1)
     assert_full_axioms(c4)
 
 
@@ -255,13 +263,11 @@ def test_byte_permutations_and_index_vectors_build_the_same_wreaths():
 
 
 def assert_batches_match_mul(G, seed):
-    """``G.right``, ``G.muls`` and ``G.powers`` against ``G.mul`` on
-    seeded draws."""
+    """``G.right`` and ``G.powers`` against ``G.mul`` on seeded draws."""
     rng = random.Random(seed)
-    xs, ys = rng.choices(G.elements, k=200), rng.choices(G.elements, k=200)
+    xs = rng.choices(G.elements, k=200)
     for t in rng.choices(G.elements, k=5):
         assert list(G.right(xs, t)) == [G.mul(x, t) for x in xs], G.label
-    assert list(G.muls(xs, ys)) == list(map(G.mul, xs, ys)), G.label
     for k in (1, 2, 3, 5):
         assert list(G.powers(xs, k)) == [G.power(x, k) for x in xs], (G.label, k)
 
@@ -270,15 +276,17 @@ def test_batched_products_are_the_products_of_mul():
     checked = 0
     for label, _, a_conc, b_spec in sweep_pairs(2_500):
         G = concrete_wreath(a_conc, concrete_abelian(b_spec))
-        assert {"muls", "right", "powers"} <= vars(G).keys(), label  # byte permutations
+        assert {"right", "powers"} <= vars(G).keys(), label  # byte permutations
         assert_batches_match_mul(G, label)
         checked += 1
     assert checked == 15
     on_indices = concrete_wreath(concrete_cyclic(256), concrete_cyclic(2))
     on_tuples = concrete_product([concrete_cyclic(250), concrete_preset("D4")])
     for G in (on_indices, on_tuples):
-        assert not {"muls", "right", "powers"} & vars(G).keys(), G.label
+        assert not {"right", "powers"} & vars(G).keys(), G.label
         assert_batches_match_mul(G, G.label)
+    # the two batches are the only ones; a group's exponent is exponent_concrete's
+    assert not hasattr(ConcreteGroup, "muls") and not hasattr(ConcreteGroup, "exponent")
 
 
 def ref_wreath_elements(A, B):
@@ -370,7 +378,7 @@ def test_tiny_products_check_every_triple_and_single_factors_are_not_wrapped(mon
     # one cyclic factor is the cyclic group, checked in full once
     c4 = concrete_abelian(parse_abelian("C_4"))
     assert checked == [("C_4", "table", 4)]
-    assert (c4.label, c4.order, c4.exponent()) == ("C_{2^2}", 4, 4)
+    assert (c4.label, c4.order, exponent_concrete(c4)) == ("C_{2^2}", 4, 4)
     checked.clear()
     concrete_abelian(parse_abelian("C_2^3"))  # one C_2, repeated
     assert checked == [("C_2", "table", 2), ("C_2 x C_2 x C_2", "table", 8)]
@@ -402,6 +410,9 @@ def test_a_wrong_rule_is_refused_when_built():
     with pytest.raises(ValueError, match="closure fails"):
         ConcreteGroup("Z?", range(4), mul=lambda a, b: a + b,
                       inv=lambda a: -a, identity=0, generators=(1,))
+    with pytest.raises(ValueError, match="identity not among the elements"):
+        ConcreteGroup("C_3?", [1, 2], mul=lambda a, b: (a + b) % 3,
+                      inv=lambda a: -a % 3, identity=0, generators=(1,))
 
 
 def test_a_wrong_product_in_one_cell_is_refused_up_to_28_elements():
@@ -424,6 +435,28 @@ def test_a_wrong_product_in_one_cell_is_refused_up_to_28_elements():
         with pytest.raises(ValueError, match="associativity fails"):
             ConcreteGroup._from_factors("C_4 x C_7?", elements, identity, generators,
                                         mul_with_one_wrong_cell, inv, *batches)
+
+
+def test_a_wrong_product_in_a_drawn_cell_is_refused_above_28_elements():
+    # C_4 x C_8, 32 elements, takes the spot triples.  The product of the
+    # cell (x, y) of the first seeded triple (x, y, z) of non-identity
+    # elements, not all equal, with x y not the identity, is changed to
+    # x x y: that triple then reads (x y) z as x x y z and x (y z) as x y z
+    elements, identity, generators, mul, inv, *batches = oracle._product_on_points(
+        [concrete_cyclic(4), concrete_cyclic(8)])
+    elements = list(elements)
+    assert len(elements) == 32
+    draws = iter([elements[i] for i in oracle._spot_indices(32, 3 * oracle._SPOT_TRIPLES)])
+    x, y = next((x, y) for x, y, z in zip(draws, draws, draws)
+                if identity not in (x, y, z) and mul(x, y) != identity and not x == y == z)
+    wrong = mul(x, mul(x, y))
+
+    def mul_with_one_wrong_cell(a, b):
+        return wrong if (a, b) == (x, y) else mul(a, b)
+
+    with pytest.raises(ValueError, match="associativity fails"):
+        ConcreteGroup._from_factors("C_4 x C_8?", elements, identity, generators,
+                                    mul_with_one_wrong_cell, inv, *batches)
 
 
 def test_wreath_refuses_an_active_group_that_does_not_act():
@@ -623,7 +656,7 @@ def test_engine_matches_reference_on_the_oracle_sweep():
 def count_mul_calls(G):
     """Wraps ``G.mul``, and the batched rules of a group that has its own,
     so that every product on ``G`` is counted once: a ``k``-th power
-    counts ``k - 1``, and the default batches map ``G.mul`` and are
+    counts ``k - 1``, and the default batches chain ``G.mul`` and are
     counted there."""
     calls = [0]
     mul = G.mul
@@ -640,8 +673,8 @@ def count_mul_calls(G):
                 yield item
         return counted_batch
 
-    if "muls" in vars(G):
-        G.muls, G.right = counted(G.muls), counted(G.right)
+    if "right" in vars(G):
+        G.right = counted(G.right)
         G.powers = counted(G.powers, lambda xs, k: k - 1)
     G.mul = counted_mul
     return calls
@@ -697,6 +730,7 @@ def test_nilpotency_class_is_the_length_of_the_series():
 
 def test_kp_concrete_cyclic():
     assert kp_series_concrete(concrete_cyclic(4), 2).orders() == (4, 2, 1)
+    assert kp_series_concrete(concrete_cyclic(1), 2).terms == (frozenset({0}),)
 
 
 def test_kp_concrete_matches_symbolic_on_abelian_groups():
@@ -784,6 +818,16 @@ def test_verify_shield_rejects_mismatched_spec():
     with pytest.raises(ValueError):
         verify_shield(parse_passive("C_3"), concrete_cyclic(3),
                       parse_abelian("C_3^2"), concrete_cyclic(3))
+    d4, c2 = concrete_preset("D4"), parse_abelian("C_2")
+    # an active group of the spec's exponent 4 that is not abelian
+    with pytest.raises(ValueError, match="active group D4 is not abelian"):
+        verify_shield(parse_passive("C_2"), concrete_cyclic(2), parse_abelian("C_4 * C_2"), d4)
+    # a passive group of the profile's exponent 4, but of class 2
+    with pytest.raises(ValueError, match="profile class 1 does not match D4"):
+        verify_shield(parse_passive("nilpotent(p=2, s=[2])"), d4, c2, concrete_abelian(c2))
+    # of class 2 as profiled, but its second term has exponent 2
+    with pytest.raises(ValueError, match="term 2 has exponent 2, profile says 4"):
+        verify_shield(parse_passive("nilpotent(p=2, s=[2, 2])"), d4, c2, concrete_abelian(c2))
 
 
 def test_verify_shield_rejects_non_nilpotent_pairs():

@@ -21,8 +21,9 @@ from wreathvar import (
     parse_passive,
 )
 from wreathvar.cardinal import ALEPH_0, ONE, ZERO, Cardinal
-from wreathvar.groupspec import _derived
 from wreathvar.oracle import SubgroupChain, VerifyReport
+
+from reference_parser import _derived
 
 
 def factor():
