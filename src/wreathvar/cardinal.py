@@ -1,12 +1,14 @@
 """Multiplicities of cyclic factors: exact naturals and symbolic alephs.
 
-Only order, maximum and sum are needed anywhere in the library, so a
-cardinal is either ``finite(n)`` for a natural ``n`` or ``aleph(k)`` for a
-natural index ``k``.  It is the tuple ``(is_infinite, value)``, which
-compares in that order, so every finite value sorts below every aleph and
-alephs sort by index.  The constructor refuses a negative value; a sum of
-two finite cardinals is built without that check.  Addition absorbs into
-the larger operand as soon as one side is infinite.
+A cardinal is either ``finite(n)`` for a natural ``n`` or ``aleph(k)``
+for a natural index ``k``, with order, maximum and sum.  Nothing in the
+library adds cardinals (``normalize`` sums the plain ints of finite
+multiplicities); ``+`` is offered to callers.  A cardinal is the tuple
+``(is_infinite, value)``, which compares in that order, so every finite
+value sorts below every aleph and alephs sort by index.  The constructor
+refuses a negative value; a sum of two finite cardinals is built without
+that check.  Addition absorbs into the larger operand as soon as one side
+is infinite.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ the operating system's limit on the length of one argument (128 KiB on
 Linux).
 
 Exit codes: 0 equal/success, 1 unequal, 2 parse error or unreadable
-input, 3 hypothesis failure, 4 oracle mismatch.
+input, 3 hypothesis failure, 4 oracle mismatch, 5 internal error (an
+exception the verbs do not expect, reported on one line).
 
 Numbers are printed exactly.  The parser bounds each literal, each cyclic
 order and each expression's exponent to as many digits as Python converts
@@ -55,6 +56,7 @@ EXIT_UNEQUAL = 1
 EXIT_PARSE = 2
 EXIT_HYPOTHESIS = 3
 EXIT_ORACLE = 4
+EXIT_INTERNAL = 5
 
 
 @contextlib.contextmanager
@@ -159,19 +161,14 @@ def run_classify(passive_expr: str, active_expr: str, as_json: bool) -> int:
     print(f"passive: {passive.render()} (exponent {passive.exponent()}, "
           f"class {passive.nilpotency_class})")
     print(f"active:  {active.render()} (exponent {active.exponent()})")
-    if not fp.nilpotent:
+    if fp.nilpotent:
+        rendered = ", ".join(t.render() for t in chain.terms)
+        print(f"K_{p}-series, K_i = B^({p}^j) for the least j with {p}^j >= i: {rendered}")
+        print(f"d = {params.d}, e({p}^j) = {list(params.steps)}, a = {params.a}, b = {params.b}")
+        print(f"s(h) = {list(passive.parts[0].gamma_exponents)}")
+        print(f"nilpotency class: {fp.nilpotency_class}")
+    else:
         print(f"not nilpotent (Baumslag: {reason})")
-        print(f"wreath exponent: {fp.exponent}")
-        if fp.solubility_bound is not None:
-            print(f"solubility bound: {fp.solubility_bound}")
-        return EXIT_EQUAL
-    p = passive.parts[0].prime
-    rendered = ", ".join(t.render() for t in chain.terms)
-    print(f"K_{p}-series, K_i = B^({p}^j) for the least j with {p}^j >= i: {rendered}")
-    print(f"d = {params.d}, e({p}^j) = {list(params.steps)}, a = {params.a}, b = {params.b}")
-    s = list(passive.parts[0].gamma_exponents)
-    print(f"s(h) = {s}")
-    print(f"nilpotency class: {fp.nilpotency_class}")
     print(f"wreath exponent: {fp.exponent}")
     if fp.solubility_bound is not None:
         print(f"solubility bound: {fp.solubility_bound}")
@@ -528,6 +525,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         except ValueError as err:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_HYPOTHESIS
+        except Exception as err:  # a fault of the program, not of the input
+            print(f"error: internal error: {type(err).__name__}: {err}", file=sys.stderr)
+            return EXIT_INTERNAL
     raise AssertionError(f"unhandled verb {args.verb!r}")
 
 

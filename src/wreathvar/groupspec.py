@@ -690,21 +690,6 @@ def _judged(bases: dict, base: str, n: Optional[str], u: Optional[str], limit: i
     return verdict
 
 
-def _profile_fault(bases: dict, digits: str) -> Optional[str]:
-    """Why the ``nilpotent(...)`` prime spelled ``digits`` is refused, or
-    None for a prime.  Like a base spelling it is judged once per parse:
-    the verdict is kept in ``bases`` under the key ``("p", digits)``, which
-    no base spelling (a string) can take."""
-    key = ("p", digits)
-    if key not in bases:
-        p = int(digits)
-        try:
-            bases[key] = None if is_prime(p) else f"{p} is not a prime"
-        except ValueError as err:  # a primality that cannot be certified
-            bases[key] = str(err)
-    return bases[key]
-
-
 def _pieces(text: str) -> Iterator[tuple[int, str]]:
     """Each piece of ``text`` between two ``*``, after where its first non-blank is."""
     end = 0
@@ -827,9 +812,10 @@ class _Locator:
         self.expect("(")
         self.keyword("p")
         ptok = self.expect("int", "a prime")
-        fault = _profile_fault(self.bases, ptok.text)
-        if fault is not None:
-            raise self.error(fault, ptok)
+        # judged as the braced base {p^1}, whose verdict it shares
+        verdict = _judged(self.bases, "{" + ptok.text + "^1}", ptok.text, "1", self.limit)
+        if type(verdict[0]) is str:
+            raise self.error(verdict[0], ptok)
         self.expect(",")
         self.keyword("s")
         self.expect("[", "'['")
@@ -934,9 +920,10 @@ def passive_atoms(text: str) -> tuple[PassiveAtom, ...]:
 
     Each piece between two ``*`` (a preset, a cyclic term or a
     ``nilpotent(...)`` profile) is read with :data:`_PIECE`, and each
-    distinct base spelling and profile prime is tested once.  When a
-    piece is refused, :func:`_locate` raises the error at the first fault
-    of the text.
+    distinct base spelling is judged once; a profile prime ``p`` is judged
+    as the braced base ``{p^1}`` and shares its verdict.  When a piece is
+    refused, :func:`_locate` raises the error at the first fault of the
+    text.
     """
     bases: dict = {}
     limit = _digit_limit()
@@ -964,7 +951,7 @@ def passive_atoms(text: str) -> tuple[PassiveAtom, ...]:
             gamma, length = tuple(map(int, s.split(","))), dl and int(dl)
             try:
                 _check_profile(gamma, length)
-                refused = _profile_fault(bases, p) is not None
+                refused = type(_judged(bases, "{" + p + "^1}", p, "1", limit)[0]) is str
             except ValueError:  # not a profile
                 refused = True
             if refused:

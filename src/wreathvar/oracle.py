@@ -30,7 +30,6 @@ instances.
 from __future__ import annotations
 
 import collections
-import copy
 import functools
 import itertools
 import math
@@ -153,14 +152,11 @@ class ConcreteGroup:
             if mul(x, inv(x)) != e:
                 raise ValueError(f"{self.label}: inverse fails on {x!r}")
 
-    def _spot_elements(self, k: int) -> list:
-        """``k`` seeded draws, the same as ``Random(0xC0FFEE).choices(
-        self.elements, k=k)``."""
-        elements = self.elements
-        return [elements[i] for i in _spot_indices(self.order, k)]
-
     def _spot_triples(self) -> Iterable[tuple]:
-        draws = iter(self._spot_elements(3 * _SPOT_TRIPLES))
+        """``_SPOT_TRIPLES`` triples of seeded draws, the same as
+        ``Random(0xC0FFEE).choices(self.elements, k=3 * _SPOT_TRIPLES)``."""
+        elements = self.elements
+        draws = iter([elements[i] for i in _spot_indices(self.order, 3 * _SPOT_TRIPLES)])
         return zip(draws, draws, draws)
 
     def _check_associative(self) -> None:
@@ -262,8 +258,20 @@ class SubgroupChain(collections.namedtuple("SubgroupChain", "terms")):
 # constructions
 
 
-def _abelian_powers(spec: AbelianGroupSpec) -> Iterable[tuple[int, int]]:
-    return ((f.prime, f.power * f.copies.as_int()) for f in spec.factors)
+def _factor_powers(factors: Iterable) -> Iterator[tuple[int, int]]:
+    """``(base, count)`` for each of ``factors``, a preset's name or a
+    ``PrimaryFactor``, whose order is ``base ** count``.  An inline profile
+    (None) or an infinite factor has no enumerable order: the
+    ``ValueError`` raised names it in the words of :func:`skip_reason`."""
+    for f in factors:
+        if isinstance(f, str):  # a preset, of order 8
+            yield 8, 1
+        elif f is None:
+            raise ValueError("inline profiles cannot be enumerated")
+        elif f.copies.is_infinite:
+            raise ValueError("passive group is infinite")
+        else:
+            yield f.prime, f.power * f.copies.as_int()
 
 
 def concrete_cyclic(n: int, budget: int = DEFAULT_BUDGET) -> ConcreteGroup:
@@ -423,9 +431,9 @@ def concrete_wreath(A: ConcreteGroup, B: ConcreteGroup, budget: int = DEFAULT_BU
     Up to ``_MAX_POINTS`` points, an element ``(f, b)`` is the permutation
     ``(a, k) -> (a f(k), k b)`` of ``A x B`` (:func:`_wreath_on_points`);
     past that, it is an index vector (:func:`_wreath_on_indices`).
-    ``A wr 1`` is a copy of ``A`` under the wreath's label, since ``A``
-    alone may have far more than ``_MAX_POINTS`` elements and ``|A|^2``
-    table entries.
+    ``A wr 1`` has ``A``'s elements and rules under the wreath's label,
+    since ``A`` alone may have far more than ``_MAX_POINTS`` elements and
+    ``|A|^2`` table entries.
 
     ``B``'s rule is checked to be a translation action on its generators:
     with ``A`` and ``B`` checked when built, that and the generator laws
@@ -444,9 +452,8 @@ def concrete_wreath(A: ConcreteGroup, B: ConcreteGroup, budget: int = DEFAULT_BU
         if any(shift[s_g[b]] != tuple(map(s_g.__getitem__, shift[b])) for b in range(nb)):
             raise ValueError(f"{label}: {B.label} does not act by translation")
     if nb == 1:
-        group = copy.copy(A)
-        group.label = label
-        return group
+        return ConcreteGroup._from_factors(label, A.elements, A.identity, A.generators,
+                                           A.mul, A.inv, A.right, A.powers)
     build = _wreath_on_points if A.order * nb <= _MAX_POINTS else _wreath_on_indices
     return ConcreteGroup._from_factors(label, *build(A, B, b_tables))
 
@@ -527,7 +534,7 @@ def concrete_abelian(spec: AbelianGroupSpec, budget: int = DEFAULT_BUDGET) -> Co
     if not spec.is_finite():
         raise ValueError(f"cannot enumerate the infinite group {spec}")
     # order check before expanding multiplicities into factor lists
-    if _product_within(_abelian_powers(spec), budget) is None:
+    if _product_within(_factor_powers(spec.factors), budget) is None:
         raise BudgetExceededError(f"{spec.render()}: order exceeds the budget {budget}")
     group = _realized(spec.factors, budget)
     group.label = spec.render()
@@ -548,24 +555,11 @@ def _realized(factors: Iterable, budget: int) -> ConcreteGroup:
 
 
 def passive_order(atoms: Iterable[PassiveAtom], cap: int) -> Optional[int]:
-    """Order of the group a passive expression denotes, or None above ``cap``.
-
-    An infinite or inline-profile factor has no enumerable order: the
-    ``ValueError`` raised names the first one in the words of
-    :func:`skip_reason`.
-    """
-    powers = []
-    for atom in atoms:
-        f = atom.group
-        if isinstance(f, str):  # a preset, of order 8
-            powers.append((8, 1))
-        elif f is None:
-            raise ValueError("inline profiles cannot be enumerated")
-        elif f.copies.is_infinite:
-            raise ValueError("passive group is infinite")
-        else:
-            powers.append((f.prime, f.power * f.copies.as_int()))
-    return _product_within(powers, cap)
+    """Order of the group a passive expression denotes, or None above
+    ``cap``.  Every factor is read before any is multiplied, so the first
+    with no enumerable order is named (:func:`_factor_powers`) even past
+    the cap."""
+    return _product_within(list(_factor_powers(atom.group for atom in atoms)), cap)
 
 
 def skip_reason(atoms: Sequence[PassiveAtom], b_spec: AbelianGroupSpec,
@@ -581,7 +575,7 @@ def skip_reason(atoms: Sequence[PassiveAtom], b_spec: AbelianGroupSpec,
         return f"budget exceeded (passive group alone is larger than {budget})"
     # B alone is named only past twice the budget; up to there the
     # wreath line below names its exact order
-    b_order = _product_within(_abelian_powers(b_spec), 2 * budget)
+    b_order = _product_within(_factor_powers(b_spec.factors), 2 * budget)
     if b_order is None:
         return f"budget exceeded (active group alone is larger than {budget})"
     if wreath_order(a_order, b_order, budget) is None:

@@ -237,6 +237,17 @@ def test_decide_equal_exit_0(capsys):
     assert "verdict: equal" in out
 
 
+def test_an_unexpected_exception_is_an_internal_error_exit_5(capsys, monkeypatch):
+    # a fault of the program must not read as a verdict (exit 1 is unequal)
+    def boom(inp):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "decide_equal", boom)
+    code, out, err = run(capsys, "decide", *DECIDE_ARGS)
+    assert code == cli.EXIT_INTERNAL == 5
+    assert (out, err) == ("", "error: internal error: RuntimeError: boom\n")
+
+
 def test_decide_hypothesis_failure_exit_3(capsys):
     code, out, _ = run(capsys, "decide", "--a1", "C_2", "--a2", "C_2",
                        "--b1", "C_3", "--b2", "C_3")

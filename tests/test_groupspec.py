@@ -955,6 +955,37 @@ def test_a_profile_prime_is_tested_once_per_parse(monkeypatch):
     assert calls == [p]
 
 
+def test_a_profile_prime_shares_the_verdict_of_its_braced_base(monkeypatch):
+    # nilpotent(p=P, ...) is judged as the base {P^1}: one test for both
+    p = 9999999967
+    calls = []
+
+    def counted(n):
+        if n.bit_length() >= p.bit_length():
+            calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(groupspec, "is_prime", counted)
+    assert parse_passive(f"C_{{{p}^1}} * nilpotent(p={p}, s=[1])").exponent() == p
+    assert calls == [p]
+    # the plain base 4 is another spelling, judged apart from {4^1}
+    with pytest.raises(ParseError) as err:
+        parse_passive("C_4 * nilpotent(p=4, s=[1])")
+    assert (err.value.message, err.value.pos) == ("4 is not a prime", 18)
+
+
+def test_the_locator_refuses_a_term_after_the_trivial_group():
+    with pytest.raises(ParseError) as err:
+        parse_abelian("1 * C_2")
+    assert (err.value.message, err.value.pos) == ("expected 'end of input', found '*'", 2)
+
+
+def test_the_locator_refuses_a_wrong_profile_keyword():
+    with pytest.raises(ParseError) as err:
+        parse_passive("nilpotent(q=2, s=[1])")
+    assert (err.value.message, err.value.pos) == ("expected 'p='", 10)
+
+
 def test_a_refused_passive_base_is_tested_once_per_parse(monkeypatch):
     tested = count_base_tests(monkeypatch)
     for _ in range(2):

@@ -176,7 +176,8 @@ def test_power_squares_per_bit_and_multiplies_per_set_bit_below_the_top():
 def test_spot_elements_are_the_seeded_choices(order):
     G = concrete_cyclic(order)
     for k in (0, 1, 16, 600):
-        assert G._spot_elements(k) == random.Random(0xC0FFEE).choices(G.elements, k=k)
+        assert [G.elements[i] for i in oracle._spot_indices(G.order, k)] == \
+            random.Random(0xC0FFEE).choices(G.elements, k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +532,25 @@ def test_derived_lengths():
     assert derived_length_concrete(concrete_cyclic(5)) == 1
     assert derived_length_concrete(
         concrete_wreath(concrete_cyclic(2), concrete_cyclic(2))) == 2
+
+
+def test_the_derived_series_of_a_perfect_group_stalls():
+    # A5, the even permutations of 5 points, is its own commutator
+    # subgroup: its series stops at the whole group, above the trivial one
+    def even(x):
+        return sum(x[i] > x[j] for i, j in itertools.combinations(range(5), 2)) % 2 == 0
+
+    a5 = ConcreteGroup(
+        label="A5",
+        elements=[x for x in itertools.permutations(range(5)) if even(x)],
+        mul=lambda x, y: tuple(y[i] for i in x),
+        inv=lambda x: tuple(sorted(range(5), key=x.__getitem__)),
+        identity=tuple(range(5)),
+        generators=((1, 2, 0, 3, 4), (1, 2, 3, 4, 0)),
+    )
+    assert derived_series(a5).orders() == (60,)
+    assert derived_length_concrete(a5) is None
+    assert nilpotency_class(a5) is None
 
 
 def test_exponent_of_trivial_group():
