@@ -37,7 +37,7 @@ from .shield import (
     KpChain,
     NotNilpotentError,
     ShieldParams,
-    baumslag_nilpotent,
+    baumslag_reason,
     kp_series,
     shield_class,
     shield_params,

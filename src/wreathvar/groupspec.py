@@ -56,12 +56,21 @@ __all__ = [
 # them all), and the Miller-Rabin bases
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
+# below it, a number with no prime factor <= 41 is a prime
+_TRIAL_BOUND = _SMALL_PRIMES[-1] ** 2
 # (n, bases): n is the smallest strong pseudoprime to all of ``bases``, so
-# below n they decide primality exactly (Pomerance, Selfridge and Wagstaff
-# 1980; Jaeschke 1993; Sorenson and Webster, Math. Comp. 86, 2017)
+# below n they decide primality exactly.  A tier serves the numbers from
+# the bound before it (from 41**2, as smaller ones are settled by trial
+# division) up to its own.  From 1 373 653 to 1.1e12, three or four chosen
+# bases do the work of the first four to six primes (Pomerance, Selfridge
+# and Wagstaff, Math. Comp. 35, 1980, for 1 373 653 and 25 326 001;
+# Jaeschke, Math. Comp. 61, 1993, for the next three bounds; Sorenson and
+# Webster, Math. Comp. 86, 2017, for the last)
 _MR_TIERS = (
-    (1_373_653, _SMALL_PRIMES[:2]),
-    (3_215_031_751, _SMALL_PRIMES[:4]),
+    (1_373_653, (2, 3)),
+    (25_326_001, (2, 3, 5)),
+    (4_759_123_141, (2, 7, 61)),
+    (1_122_004_669_633, (2, 13, 23, 1_662_803)),
     (3_474_749_660_383, _SMALL_PRIMES[:6]),
     (3_317_044_064_679_887_385_961_981, _SMALL_PRIMES),
 )
@@ -91,15 +100,17 @@ def _strong_probable_prime(n: int, bases: Sequence[int]) -> bool:
 
 def is_prime(n: int) -> bool:
     """Whether ``n`` is a prime, by trial division by the primes <= 41 and
-    then deterministic Miller-Rabin, with the fewest bases proven exact
-    for the size of ``n``.  Above the last tier no proof is at hand:
-    ``False`` when a base witnesses that ``n`` is composite, otherwise
-    ``ValueError``."""
+    then deterministic Miller-Rabin, with a set of bases proven exact for
+    the size of ``n`` (:data:`_MR_TIERS`: at most four below 1.1e12).
+    Above the last tier no proof is at hand: ``False`` when a base
+    witnesses that ``n`` is composite, otherwise ``ValueError``.  Nothing
+    is kept between calls; a parse keeps its verdicts through
+    :func:`_tested`."""
     if n < 2:
         return False
     if math.gcd(n, _SMALL_PRODUCT) != 1:
         return n in _SMALL_PRIMES
-    if n < _SMALL_PRIMES[-1] ** 2:
+    if n < _TRIAL_BOUND:
         return True
     for bound, bases in _MR_TIERS:
         if n < bound:
@@ -108,6 +119,27 @@ def is_prime(n: int) -> bool:
         return False
     raise ValueError(f"primality of {n} cannot be certified: deterministic "
                      f"Miller-Rabin is proven only below {_MR_TIERS[-1][0]}")
+
+
+def _tested(known: dict, n: int) -> bool:
+    """:func:`is_prime` on ``n``, tested once per ``known``: a parse's
+    verdicts on numbers, each True, False, or the message of the
+    ``ValueError`` that refused to certify it, raised again on every
+    lookup.  A number below :data:`_TRIAL_BOUND` is tested each time and
+    not kept: no Miller-Rabin round runs on it, so its test costs no
+    more than a lookup."""
+    if n < _TRIAL_BOUND:
+        return is_prime(n)
+    verdict = known.get(n)
+    if verdict is None:
+        try:
+            verdict = is_prime(n)
+        except ValueError as err:
+            verdict = str(err)
+        known[n] = verdict
+    if type(verdict) is str:
+        raise ValueError(verdict)
+    return verdict
 
 
 def prime_divisors(n: int) -> list[int]:
@@ -142,12 +174,16 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
-def _prime_power(n: int) -> Optional[tuple[int, int]]:
+def _prime_power(n: int, known: dict) -> Optional[tuple[int, int]]:
     """``(p, u)`` with ``n == p**u`` and ``u >= 1``, or None.  Nothing is
     factored: a prime <= 41 is divided out, and otherwise ``n`` is reduced
     by integer ``k``-th roots, prime ``k`` only, to a number that is no
-    perfect power, whose primality decides.  Raises ``ValueError`` when
-    that primality cannot be certified (see :func:`is_prime`)."""
+    perfect power, whose primality decides.  That test goes through
+    ``known``, a parse's verdicts on numbers (see :func:`_tested`).  A
+    number they already hold as a prime, or one below
+    :data:`_TRIAL_BOUND`, skips the root search.  Raises
+    ``ValueError`` when that primality cannot be certified (see
+    :func:`is_prime`)."""
     if n < 2:
         return None
     q = math.gcd(n, _SMALL_PRODUCT)
@@ -156,6 +192,8 @@ def _prime_power(n: int) -> Optional[tuple[int, int]]:
             return None
         u = _valuation(n, q)
         return (q, u) if n == q**u else None
+    if n < _TRIAL_BOUND or known.get(n) is True:  # a prime
+        return n, 1
     u, k = 1, 2
     # any root is >= 43 > 2**5, so a k-th power has more than 5k bits
     while 5 * k <= n.bit_length():
@@ -164,7 +202,7 @@ def _prime_power(n: int) -> Optional[tuple[int, int]]:
             n, u = r, u * k  # r may be a k-th power again
         else:
             k = next(j for j in itertools.count(k + 1) if is_prime(j))
-    return (n, u) if is_prime(n) else None
+    return (n, u) if _tested(known, n) else None
 
 
 def _product_within(powers: Iterable[tuple[int, int]], cap: int) -> Optional[int]:
@@ -659,18 +697,21 @@ def _piece_pattern(limit: int) -> re.Pattern:
     return re.compile(_PIECE.replace("N", f"[0-9]{{1,{limit}}}"), re.VERBOSE)
 
 
-def _base_verdict(base: str, n: Optional[str], u: Optional[str], limit: int) -> tuple:
+def _base_verdict(base: str, n: Optional[str], u: Optional[str], limit: int,
+                  known: dict) -> tuple:
     """The verdict on the ``C_`` base spelled ``base``, whose number is
     ``n`` when it is braced (None when plain) and whose braced exponent is
     ``u``, if any: ``(p, u)`` for a prime power of at most ``limit``
     digits, otherwise ``(message, blames_exponent)``, the fault and whether
-    it lies in the exponent rather than in the number."""
+    it lies in the exponent rather than in the number.  Primality is
+    tested through ``known`` (see :func:`_tested`); the message is built
+    from this spelling."""
     try:
         if u is None:
-            pu = _prime_power(int(n or base))
+            pu = _prime_power(int(n or base), known)
             return pu or (f"{base if n is None else int(n)} is not a prime power", False)
         p, e = int(n), int(u)
-        if not is_prime(p):
+        if not _tested(known, p):
             return f"{p} is not a prime", False
     except ValueError as err:  # a primality that cannot be certified
         return str(err), False
@@ -683,10 +724,15 @@ def _base_verdict(base: str, n: Optional[str], u: Optional[str], limit: int) -> 
 
 def _judged(bases: dict, base: str, n: Optional[str], u: Optional[str], limit: int) -> tuple:
     """:func:`_base_verdict` on ``base``, judged once per spelling and
-    parse: ``bases`` keeps every verdict, a refusal included."""
+    parse.  ``bases`` is the parse's one memo: under a spelling (a str) it
+    keeps the verdict on that base, and under a number (an int) the
+    verdict on its primality (see :func:`_tested`), so each number is
+    tested by Miller-Rabin at most once per parse however it is spelled,
+    ``C_p``, ``C_{p^3}`` or ``nilpotent(p=p, ...)``.  A refusal is kept
+    too.  Nothing outlives the parse."""
     verdict = bases.get(base)
     if verdict is None:
-        verdict = bases[base] = _base_verdict(base, n, u, limit)
+        verdict = bases[base] = _base_verdict(base, n, u, limit, bases)
     return verdict
 
 
@@ -704,7 +750,8 @@ class _Locator:
     and builds nothing.  The text is tokenized up front, so an unexpected
     character or an over-long literal is reported before any error of the
     grammar.  A base spelling is judged through ``bases``, the dict the
-    scan filled, so no spelling is judged twice in one parse.
+    scan filled, so no spelling is judged, and no number tested, twice in
+    one parse.
     """
 
     def __init__(self, text: str, bases: dict):
@@ -919,9 +966,10 @@ def passive_atoms(text: str) -> tuple[PassiveAtom, ...]:
     """The raw factors of a passive group expression, in input order.
 
     Each piece between two ``*`` (a preset, a cyclic term or a
-    ``nilpotent(...)`` profile) is read with :data:`_PIECE`, and each
-    distinct base spelling is judged once; a profile prime ``p`` is judged
-    as the braced base ``{p^1}`` and shares its verdict.  When a piece is
+    ``nilpotent(...)`` profile) is read with :data:`_PIECE`, each
+    distinct base spelling is judged once and each number tested once; a
+    profile prime ``p`` is judged as the braced base ``{p^1}`` and shares
+    its verdict.  When a piece is
     refused, :func:`_locate` raises the error at the first fault of the
     text.
     """

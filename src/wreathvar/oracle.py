@@ -40,7 +40,7 @@ from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from .groupspec import (DEFAULT_BUDGET, AbelianGroupSpec, PassiveAtom, PassiveGroupSpec,
                         _product_within, prime_divisors)
-from .shield import baumslag_nilpotent, kp_series, shield_class, wreath_exponent
+from .shield import baumslag_reason, kp_series, shield_class, wreath_exponent
 
 __all__ = [
     "BudgetExceededError",
@@ -873,7 +873,7 @@ def verify_shield(
     Raises when the specs do not describe the concrete groups (that is a
     caller bug, not a disagreement between the two routes).
     """
-    if not baumslag_nilpotent(a_spec, b_spec):
+    if baumslag_reason(a_spec, b_spec) is not None:
         raise ValueError("pair fails the nilpotency criterion; nothing to verify")
     _check_describes(a_spec.exponent(), a_conc, "passive group")
     _check_describes(b_spec.exponent(), b_conc, "active group")

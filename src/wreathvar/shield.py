@@ -29,7 +29,6 @@ __all__ = [
     "ShieldParams",
     "kp_series",
     "shield_params",
-    "baumslag_nilpotent",
     "baumslag_reason",
     "shield_class",
     "wreath_exponent",
@@ -144,11 +143,6 @@ def baumslag_reason(A: PassiveGroupSpec, B: AbelianGroupSpec) -> Optional[str]:
     if B.primes() != [p]:
         return f"active group is not a {p}-group"
     return None
-
-
-def baumslag_nilpotent(A: PassiveGroupSpec, B: AbelianGroupSpec) -> bool:
-    """Whether ``A wr B`` is nilpotent."""
-    return baumslag_reason(A, B) is None
 
 
 def shield_class(A: PassiveGroupSpec, B: AbelianGroupSpec) -> int:

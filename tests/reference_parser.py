@@ -5,9 +5,10 @@ the scan and its fault locator are tested against.
 ``_Parser(text).abelian()`` returns the normalized spec of an abelian
 expression and ``_Parser(text).passive()`` the atoms of a passive one;
 both raise the ``ParseError`` at the first fault.  The class is the
-library's former parser, unchanged; ``_cyclic_atom`` is the helper it
-used to build a cyclic atom, and ``_derived`` the one it built records
-with.
+library's former parser, unchanged but for the empty memo of numbers it
+hands ``_base_verdict``, so each spelling tests its number anew;
+``_cyclic_atom`` is the helper it used to build a cyclic atom, and
+``_derived`` the one it built records with.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ class _Parser:
         verdict = self.bases.get(spelling)
         if verdict is None:
             verdict = self.bases[spelling] = _base_verdict(
-                spelling, n, None if utok is None else utok.text, self.limit)
+                spelling, n, None if utok is None else utok.text, self.limit, {})
         if type(verdict[0]) is str:
             message, blames_exponent = verdict
             raise self.error(message, utok if blames_exponent else ntok)

@@ -14,8 +14,12 @@ from wreathvar import (
     equivalent,
     equivalent_p,
     normalize,
+    fingerprint,
+    kp_series,
     parse_abelian,
     parse_passive,
+    separation_witness,
+    shield_params,
 )
 from wreathvar import groupspec
 from wreathvar.cli import main
@@ -343,12 +347,12 @@ def count_base_tests(monkeypatch):
     tested, inside = [], []
 
     def counted(fn):
-        def call(n):
+        def call(n, *known):
             if not inside:
                 tested.append(n)
             inside.append(n)
             try:
-                return fn(n)
+                return fn(n, *known)
             finally:
                 inside.pop()
         return call
@@ -786,11 +790,16 @@ def strong_probable_prime(n, bases):
 
 BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PROOF_BOUND = 3_317_044_064_679_887_385_961_981
-# one prime from every tier of the test: trial division (<= 41, then below
-# 41**2), then Miller-Rabin to 2, 4, 6 and 13 bases
-TIER_PRIMES = (2, 3, 41, 43, 1669, 1693, 1373639, 1373677, 9999999967, 3215031767,
-               3474749660329, 3474749660401, 10000000000000061,
-               3317044064679887385961813)
+# where is_prime changes how it decides: from 43 trial division alone,
+# from 41**2 on each tier of Miller-Rabin bases in turn
+TIER_BOUNDS = (43, 41**2, 1373653, 25326001, 4759123141, 1122004669633, 3474749660383,
+               PROOF_BOUND)
+# primes from every tier of the test, on both sides of each bound among
+# them: trial division (<= 41, then below 41**2), then Miller-Rabin to
+# 2, 3, 3, 4, 6 and 13 bases
+TIER_PRIMES = (2, 3, 41, 43, 1669, 1693, 1373639, 1373677, 25325981, 25326023, 3215031767,
+               4759123129, 4759123151, 9999999967, 1122004669603, 1122004669637,
+               3474749660329, 3474749660401, 10000000000000061, 3317044064679887385961813)
 
 
 def test_is_prime_matches_trial_division_below_200000():
@@ -806,12 +815,48 @@ def test_is_prime_rejects_carmichael_numbers(n):
 
 @pytest.mark.parametrize("n, fooled", [
     (1373653, BASES[:2]),
+    (25326001, BASES[:3]),
     (3215031751, BASES[:4]),
+    (4759123141, (2, 7, 61)),
+    (1122004669633, (2, 13, 23, 1662803)),
     (3474749660383, BASES[:6]),
     (3825123056546413051, BASES[:9]),
 ])
 def test_is_prime_rejects_the_smallest_strong_pseudoprimes_of_each_tier(n, fooled):
-    # each fools the bases of the tier below it; all 13 bases expose it
+    # each fools the bases of a tier (3215031751 those of the first four
+    # primes, which no tier uses); all 13 bases expose it
+    assert strong_probable_prime(n, fooled)
+    assert not strong_probable_prime(n, BASES)
+    assert not is_prime(n)
+
+
+# composites with no prime factor <= 41, each inside the range of a tier
+# and fooling all its bases but one: drop that base and is_prime takes the
+# number for a prime.  The first five are the smallest such; the others
+# were found among n = p * (k(p - 1) + 1) with both factors prime.  Bases
+# 3, 5 and 11 of 2 to 13, and 2 to 37 of 2 to 41, have none here.
+@pytest.mark.parametrize("n, fooled", [
+    (8321, (2,)),
+    (12403, (3,)),
+    (1373653, (2, 3)),
+    (4181921, (2, 5)),
+    (1563151, (3, 5)),
+    (359394751, (2, 7)),
+    (461272267, (2, 61)),
+    (1579079503, (7, 61)),
+    (138894295567, (2, 13, 23)),
+    (1113332658301, (2, 13, 1662803)),
+    (65085388961, (2, 23, 1662803)),
+    (313302520171, (13, 23, 1662803)),
+    (1599118427341, (3, 5, 7, 11, 13)),
+    (2202383837281, (2, 3, 5, 11, 13)),
+    (2152302898747, BASES[:5]),
+    (318665857834031151167461, BASES[:12]),
+])
+def test_each_tier_needs_each_of_its_bases(n, fooled):
+    bound, bases = next(tier for tier in groupspec._MR_TIERS if n < tier[0])
+    assert set(fooled) < set(bases)
+    assert math.gcd(n, math.prod(BASES)) == 1 and n > 41**2
     assert strong_probable_prime(n, fooled)
     assert not strong_probable_prime(n, BASES)
     assert not is_prime(n)
@@ -820,6 +865,14 @@ def test_is_prime_rejects_the_smallest_strong_pseudoprimes_of_each_tier(n, foole
 @pytest.mark.parametrize("p", TIER_PRIMES)
 def test_is_prime_accepts_primes_next_to_each_tier_bound(p):
     assert is_prime(p)
+
+
+@given(st.integers(0, len(TIER_BOUNDS) - 2).flatmap(
+    lambda i: st.integers(TIER_BOUNDS[i], TIER_BOUNDS[i + 1] - 1)))
+def test_is_prime_agrees_with_all_thirteen_bases_in_every_tier(n):
+    # below the proof bound the 13 bases decide exactly, whatever the tier
+    n -= 1 - n % 2  # odd, and still in its tier: every bound is odd
+    assert is_prime(n) == strong_probable_prime(n, BASES)
 
 
 def test_is_prime_above_the_proof_bound_names_composites_and_certifies_nothing():
@@ -836,9 +889,9 @@ def test_is_prime_above_the_proof_bound_names_composites_and_certifies_nothing()
 @given(st.sampled_from(TIER_PRIMES), st.sampled_from(TIER_PRIMES), st.integers(1, 40))
 def test_prime_power_finds_every_prime_power_and_nothing_else(p, q, u):
     u = min(u, (1024 - q.bit_length()) // p.bit_length())  # within the witness search
-    assert _prime_power(p**u) == (p, u)
+    assert _prime_power(p**u, {}) == (p, u)
     if q != p:
-        assert _prime_power(p**u * q) is None
+        assert _prime_power(p**u * q, {}) is None
 
 
 @given(st.integers(1, 2**3000), st.integers(2, 400), st.integers(-1, 1))
@@ -849,11 +902,12 @@ def test_integer_root_is_the_floor_of_the_real_root(n, k, nudge):
 
 
 def test_prime_power_reduces_by_roots_of_every_prime_degree():
-    assert _prime_power(43**2 * 47**2) is None
-    assert _prime_power(43**6) == (43, 6)
-    assert _prime_power(1000000007**35) == (1000000007, 35)
-    assert _prime_power(1000000016000000063) is None  # 1000000007 * 1000000009
-    assert _prime_power(4) == (2, 2) and _prime_power(12) is None and _prime_power(1) is None
+    assert _prime_power(43**2 * 47**2, {}) is None
+    assert _prime_power(43**6, {}) == (43, 6)
+    assert _prime_power(1000000007**35, {}) == (1000000007, 35)
+    assert _prime_power(1000000016000000063, {}) is None  # 1000000007 * 1000000009
+    assert _prime_power(4, {}) == (2, 2)
+    assert _prime_power(12, {}) is None and _prime_power(1, {}) is None
 
 
 def test_prime_power_never_factors(monkeypatch):
@@ -893,33 +947,34 @@ def test_factors_given_by_hand_are_still_checked():
         equivalent_p(TRIVIAL, TRIVIAL, 4)
 
 
-def test_each_prime_is_checked_once_per_input(monkeypatch):
+def count_tests_of(monkeypatch, p):
+    """The primality tests of numbers of at least the bit count of ``p``
+    from now on: so not those of the root degrees ``_prime_power`` tries."""
     calls = []
 
     def counted(n):
-        calls.append(n)
+        if n.bit_length() >= p.bit_length():
+            calls.append(n)
         return is_prime(n)
 
     monkeypatch.setattr(groupspec, "is_prime", counted)
+    return calls
+
+
+def test_each_prime_is_checked_once_per_input(monkeypatch):
     p = 9999999967
+    calls = count_tests_of(monkeypatch, p)
     code = main(["decide", "--a1", f"C_{p}", "--a2", f"C_{p}",
-                 "--b1", f"C_{p}^3", "--b2", f"C_{p}^4"])
+                 "--b1", f"C_{p}^3 * C_{{{p}}} * C_{{{p}^1}}^2", "--b2", f"C_{p}^4 * C_{{ {p} }}"])
     assert code == 1
-    # _prime_power also tests the root degrees it tries, which are below
-    # the bit count of p: only the tests of bases are counted
-    assert len([n for n in calls if n >= p.bit_length()]) <= 4, calls
+    # one test for each of the four expressions, however each spells p
+    assert len(calls) == 4, calls
 
 
 def test_a_passive_base_is_tested_once_per_parse(monkeypatch):
     # the scan keeps its verdict on each base spelling; a new parse starts
     # with none
-    calls = []
-
-    def counted(n):
-        calls.append(n)
-        return is_prime(n)
-
-    monkeypatch.setattr(groupspec, "is_prime", counted)
+    calls = count_tests_of(monkeypatch, 9999999967)
     text = " * ".join(["C_{9999999967^2}"] * 50)
     assert parse_passive(text).exponent() == 9999999967**2
     assert calls == [9999999967]
@@ -933,14 +988,8 @@ def test_a_passive_base_is_tested_once_per_parse(monkeypatch):
 def test_a_profile_prime_is_tested_once_per_parse(monkeypatch):
     # like a base spelling: the scan keeps its verdict on each profile
     # prime, and the fault locator reads it
-    calls = []
-
-    def counted(n):
-        calls.append(n)
-        return is_prime(n)
-
-    monkeypatch.setattr(groupspec, "is_prime", counted)
     p = 9999999967
+    calls = count_tests_of(monkeypatch, p)
     assert parse_passive(" * ".join([f"nilpotent(p={p}, s=[1])"] * 50)).exponent() == p
     assert calls == [p]
     calls.clear()
@@ -958,20 +1007,53 @@ def test_a_profile_prime_is_tested_once_per_parse(monkeypatch):
 def test_a_profile_prime_shares_the_verdict_of_its_braced_base(monkeypatch):
     # nilpotent(p=P, ...) is judged as the base {P^1}: one test for both
     p = 9999999967
-    calls = []
-
-    def counted(n):
-        if n.bit_length() >= p.bit_length():
-            calls.append(n)
-        return is_prime(n)
-
-    monkeypatch.setattr(groupspec, "is_prime", counted)
+    calls = count_tests_of(monkeypatch, p)
     assert parse_passive(f"C_{{{p}^1}} * nilpotent(p={p}, s=[1])").exponent() == p
     assert calls == [p]
     # the plain base 4 is another spelling, judged apart from {4^1}
     with pytest.raises(ParseError) as err:
         parse_passive("C_4 * nilpotent(p=4, s=[1])")
     assert (err.value.message, err.value.pos) == ("4 is not a prime", 18)
+
+
+def test_a_number_is_tested_once_per_parse_however_it_is_spelled(monkeypatch):
+    p = 9999999967
+    calls = count_tests_of(monkeypatch, p)
+    spec = parse_abelian(f"C_{p} * C_{{{p}}} * C_{{{p}^1}} * C_{{ {p} ^ 3 }}")
+    assert spec.render() == f"C_{{{p}^3}} * C_{p}^3"
+    assert calls == [p]
+    calls.clear()
+    assert parse_passive(f"C_{p} * nilpotent(p={p}, s=[1])").exponent() == p
+    assert calls == [p]
+    calls.clear()
+    # a new parse tests again
+    parse_abelian(f"C_{p}")
+    assert calls == [p]
+
+
+def test_a_number_refused_a_certificate_is_tested_once_per_parse(monkeypatch):
+    mersenne = 2**521 - 1
+    calls = count_tests_of(monkeypatch, mersenne)
+    with pytest.raises(ParseError, match="cannot be certified") as err:
+        parse_abelian(f"C_{{{mersenne}^1}} * C_{mersenne}")
+    assert err.value.pos == 3
+    assert calls == [mersenne]
+
+
+def test_witness_and_classify_test_their_prime_once_per_expression(monkeypatch):
+    # one test in each expression they parse, each spelling p in several
+    # ways: the passive and two actives, then the passive and one active
+    p = 9999999967
+    a, b1, b2 = f"C_{p}^2", f"C_{p}^3 * C_{{{p}}} * C_{{{p}^1}}^2", f"C_{p}^7 * C_{{ {p} }}"
+    calls = count_tests_of(monkeypatch, p)
+    assert separation_witness(parse_passive(a), parse_abelian(b1), parse_abelian(b2), p)
+    assert len(calls) == 3, calls
+    calls.clear()
+    passive, active = parse_passive(a), parse_abelian(b1)
+    fingerprint(passive, active)
+    kp_series(active, p)
+    shield_params(active, p)
+    assert len(calls) == 2, calls
 
 
 def test_the_locator_refuses_a_term_after_the_trivial_group():
@@ -1001,9 +1083,9 @@ def test_a_refused_base_is_tested_once(monkeypatch):
     calls = []
 
     def counted(test):
-        def run(n):
+        def run(n, *known):
             calls.append((test.__name__, n))
-            return test(n)
+            return test(n, *known)
         return run
 
     monkeypatch.setattr(groupspec, "_prime_power", counted(_prime_power))

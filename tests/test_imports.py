@@ -11,13 +11,14 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# what ``from wreathvar import *`` bound when the package imported the oracle eagerly
+# what ``from wreathvar import *`` bound when the package imported the oracle
+# eagerly, with ``baumslag_reason`` in place of ``baumslag_nilpotent``
 STAR_NAMES = set("""
     AbelianGroupSpec BudgetExceededError Cardinal ConcreteGroup DEFAULT_BUDGET Decision
     DecisionInput DivergenceReport EquivalentComponentsError Fingerprint KpChain
     NotNilpotentError ParseError PassiveGroupSpec PassivePrimePart PrimaryFactor PrimeVerdict
     SeparatingVariety SeparationWitness ShieldParams SubgroupChain TRIVIAL Verdict VerifyReport
-    Violation baumslag_nilpotent cardinal check_hypotheses concrete_abelian concrete_cyclic
+    Violation baumslag_reason cardinal check_hypotheses concrete_abelian concrete_cyclic
     concrete_passive concrete_preset concrete_product concrete_wreath decide_equal
     derived_length_concrete divergence equivalent equivalent_p exponent_concrete fingerprint
     groupspec kp_series kp_series_concrete lower_central_series nilpotency_class

@@ -6,7 +6,7 @@ from wreathvar import (
     NotNilpotentError,
     PrimaryFactor,
     ShieldParams,
-    baumslag_nilpotent,
+    baumslag_reason,
     kp_series,
     normalize,
     parse_abelian,
@@ -188,20 +188,22 @@ def test_a_matches_the_factor_form_and_the_written_out_e(p, data):
 
 
 def test_baumslag_positive():
-    assert baumslag_nilpotent(parse_passive("C_2"), parse_abelian("C_{2^2}"))
-    assert baumslag_nilpotent(parse_passive("C_3"), parse_abelian("C_{3^2}^2"))
+    assert baumslag_reason(parse_passive("C_2"), parse_abelian("C_{2^2}")) is None
+    assert baumslag_reason(parse_passive("C_3"), parse_abelian("C_{3^2}^2")) is None
 
 
 def test_baumslag_negative():
-    assert not baumslag_nilpotent(parse_passive("D4"),
-                                  parse_abelian("C_{2^2}^3 * C_2^{aleph_0}"))
-    assert not baumslag_nilpotent(parse_passive("C_2"), parse_abelian("C_3"))
-    assert not baumslag_nilpotent(parse_passive("C_2 * C_3"), parse_abelian("C_2"))
+    assert baumslag_reason(parse_passive("D4"), parse_abelian(
+        "C_{2^2}^3 * C_2^{aleph_0}")) == "active group is infinite"
+    assert baumslag_reason(parse_passive("C_2"), parse_abelian("C_3")) == \
+        "active group is not a 2-group"
+    assert baumslag_reason(parse_passive("C_2 * C_3"), parse_abelian("C_2")) == \
+        "passive group is not a p-group"
 
 
 def test_baumslag_rejects_trivial_active():
     with pytest.raises(ValueError):
-        baumslag_nilpotent(parse_passive("C_2"), parse_abelian("1"))
+        baumslag_reason(parse_passive("C_2"), parse_abelian("1"))
 
 
 @pytest.mark.parametrize(
