@@ -1,14 +1,11 @@
 """Multiplicities of cyclic factors: exact naturals and symbolic alephs.
 
 A cardinal is either ``finite(n)`` for a natural ``n`` or ``aleph(k)``
-for a natural index ``k``, with order, maximum and sum.  Nothing in the
-library adds cardinals (``normalize`` sums the plain ints of finite
-multiplicities); ``+`` is offered to callers.  A cardinal is the tuple
-``(is_infinite, value)``, which compares in that order, so every finite
-value sorts below every aleph and alephs sort by index.  The constructor
-refuses a negative value; a sum of two finite cardinals is built without
-that check.  Addition absorbs into the larger operand as soon as one side
-is infinite.
+for a natural index ``k``, with order and maximum.  Cardinals are not
+added: ``normalize`` sums the plain ints of finite multiplicities, and an
+aleph absorbs them.  A cardinal is the tuple ``(is_infinite, value)``,
+which compares in that order, so every finite value sorts below every
+aleph and alephs sort by index.  The constructor refuses a negative value.
 """
 
 from __future__ import annotations
@@ -39,13 +36,6 @@ class Cardinal(collections.namedtuple("Cardinal", "is_infinite value")):
         if self.is_infinite:
             raise ValueError(f"{self} is not finite")
         return self.value
-
-    def __add__(self, other: "Cardinal") -> "Cardinal":
-        if not isinstance(other, Cardinal):
-            return NotImplemented
-        if not self.is_infinite and not other.is_infinite:
-            return tuple.__new__(Cardinal, (False, self.value + other.value))
-        return max(self, other)
 
     def render(self) -> str:
         if self.is_infinite:

@@ -1,9 +1,9 @@
 """Command line front end.
 
 Verbs: ``parse`` (normalize an abelian group expression and print its
-invariants), ``classify`` (K_p-series, class parameters and fingerprint
-of one wreath product), ``decide`` (same-variety decision for two
-wreath products, with witnesses), ``witness`` (the separation witness
+invariants), ``classify`` (K_p-series, one run per cyclic factor, class
+parameters and fingerprint of one wreath product), ``decide`` (same-variety
+decision for two wreath products, with witnesses), ``witness`` (the separation witness
 at one prime), ``oracle-verify`` (batch cross-check of the symbolic
 route against enumeration).  Every verb accepts ``--json``.  One expression
 argument of ``parse``, ``classify``, ``decide`` or ``witness`` may be
@@ -38,7 +38,7 @@ from .groupspec import (
     passive_atoms,
     passive_spec,
 )
-from .shield import baumslag_reason, kp_series, shield_params
+from .shield import baumslag_reason, shield_params
 from .variety import (
     Decision,
     DecisionInput,
@@ -135,12 +135,13 @@ def run_classify(passive_expr: str, active_expr: str, as_json: bool) -> int:
     passive = parse_passive(passive_expr)
     active = parse_abelian(active_expr)
     fp = fingerprint(passive, active)
-    chain = params = None
+    params = runs = None
     reason = None
     if fp.nilpotent:
-        p = passive.parts[0].prime
-        chain = kp_series(active, p)
-        params = shield_params(active, p)
+        params = shield_params(active, passive.parts[0].prime)
+        # the runs of equal steps, (e, j_below): e(p^j) = steps[u_f - 1] for
+        # j from the power of the next smaller factor (or 0) to below u_f
+        runs = [(params.steps[f.power - 1], f.power) for f in reversed(active.factors)]
     else:
         reason = baumslag_reason(passive, active)
     if as_json:
@@ -151,9 +152,11 @@ def run_classify(passive_expr: str, active_expr: str, as_json: bool) -> int:
                 "fingerprint": fp.to_json_dict(),
                 "params": None
                 if params is None
-                else {"d": params.d, "steps": list(params.steps), "a": params.a,
-                      "b": params.b},
-                "chain": None if chain is None else [t.render() for t in chain.terms],
+                else {"p": params.p, "d": params.d,
+                      "steps": [{"e": e, "j_below": end} for e, end in runs],
+                      "a": params.a, "b": params.b},
+                "chain": None if params is None else [
+                    {"u": f.power, "mult": f.copies.value} for f in active.factors],
                 "reason": reason,
             }
         )
@@ -162,9 +165,14 @@ def run_classify(passive_expr: str, active_expr: str, as_json: bool) -> int:
           f"class {passive.nilpotency_class})")
     print(f"active:  {active.render()} (exponent {active.exponent()})")
     if fp.nilpotent:
-        rendered = ", ".join(t.render() for t in chain.terms)
-        print(f"K_{p}-series, K_i = B^({p}^j) for the least j with {p}^j >= i: {rendered}")
-        print(f"d = {params.d}, e({p}^j) = {list(params.steps)}, a = {params.a}, b = {params.b}")
+        p = params.p
+        factors = " * ".join(
+            f"C_{{{p}^({f.power}-j)}}" + ("" if f.copies.value == 1 else f"^{f.copies.value}")
+            + f" (j < {f.power})" for f in active.factors)
+        steps = " then ".join(f"{e} (j < {end})" for e, end in runs)
+        print(f"K_{p}-series, K_i = B^({p}^j) for the least j with {p}^j >= i: "
+              f"B^({p}^j) = {factors}")
+        print(f"d = {params.d}, e({p}^j) = {steps}, a = {params.a}, b = {params.b}")
         print(f"s(h) = {list(passive.parts[0].gamma_exponents)}")
         print(f"nilpotency class: {fp.nilpotency_class}")
     else:

@@ -358,12 +358,6 @@ class AbelianGroupSpec(collections.namedtuple("AbelianGroupSpec", "factors")):
                 out.append(tuple.__new__(PrimaryFactor, (f.prime, f.power - drop, f.copies)))
         return tuple.__new__(AbelianGroupSpec, (tuple(out),))
 
-    def direct_product(self, other: "AbelianGroupSpec") -> "AbelianGroupSpec":
-        return normalize(self.factors + other.factors)
-
-    def __mul__(self, other: "AbelianGroupSpec") -> "AbelianGroupSpec":
-        return self.direct_product(other)
-
     # -- text -------------------------------------------------------------
 
     def render(self) -> str:

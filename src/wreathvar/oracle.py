@@ -40,7 +40,7 @@ from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from .groupspec import (DEFAULT_BUDGET, AbelianGroupSpec, PassiveAtom, PassiveGroupSpec,
                         _product_within, prime_divisors)
-from .shield import baumslag_reason, kp_series, shield_class, wreath_exponent
+from .shield import ShieldParams, baumslag_reason, shield_class, shield_params, wreath_exponent
 
 __all__ = [
     "BudgetExceededError",
@@ -66,7 +66,6 @@ __all__ = [
     "exponent_concrete",
     "subgroup_exponent",
     "kp_series_concrete",
-    "element_order_profile",
     "verify_shield",
 ]
 
@@ -799,15 +798,6 @@ def kp_series_concrete(G: ConcreteGroup, p: int) -> SubgroupChain:
         i, last = i + 1, js
 
 
-def element_order_profile(G: ConcreteGroup) -> dict[int, int]:
-    """How many elements have each order; a cheap isomorphism invariant."""
-    profile: dict[int, int] = {}
-    for x in G.elements:
-        n = G.element_order(x)
-        profile[n] = profile.get(n, 0) + 1
-    return profile
-
-
 # ---------------------------------------------------------------------------
 # cross-validation of the symbolic route
 
@@ -850,6 +840,18 @@ class VerifyReport(collections.namedtuple(
             "chain_match": self.chain_match,
             "ok": self.ok,
         }
+
+
+def _symbolic_chain_orders(params: ShieldParams) -> tuple[int, ...]:
+    """``|K_1| .. |K_{d+1}|`` of ``B`` from Shield's steps alone: ``K_i`` is
+    ``B^(p^j)`` for the least ``j`` with ``p^j >= i``, and ``|B^(p^j)| =
+    p^(steps[j] + ... + steps[u-1])``, the suffix sums, ``j = 0..u``."""
+    p, d = params.p, params.d
+    orders = [p**s for s in itertools.accumulate(reversed(params.steps), initial=0)][::-1]
+    chain = [orders[0]]  # i = 1, j = 0
+    for j in range(1, len(orders)):  # p^(j-1) < i <= p^j, and i <= d + 1
+        chain += [orders[j]] * (min(p**j, d + 1) - p ** (j - 1))
+    return tuple(chain)
 
 
 def _check_describes(spec_exponent: int, conc: ConcreteGroup, what: str) -> None:
@@ -898,8 +900,6 @@ def verify_shield(
             )
     p = part.prime
     wreath = concrete_wreath(a_conc, b_conc, budget)
-    symbolic_chain = kp_series(b_spec, p)
-    concrete_chain = kp_series_concrete(b_conc, p)
     return VerifyReport(
         label=wreath.label,
         wreath_order=wreath.order,
@@ -907,7 +907,6 @@ def verify_shield(
         oracle_class=nilpotency_class(wreath),
         spec_exponent=wreath_exponent(a_spec, b_spec),
         oracle_exponent=exponent_concrete(wreath),
-        symbolic_chain_orders=tuple(symbolic_chain.term(i).order()
-                                    for i in range(1, symbolic_chain.d + 2)),
-        concrete_chain_orders=concrete_chain.orders(),
+        symbolic_chain_orders=_symbolic_chain_orders(shield_params(b_spec, p)),
+        concrete_chain_orders=kp_series_concrete(b_conc, p).orders(),
     )

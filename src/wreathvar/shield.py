@@ -10,8 +10,9 @@ unless ``s = p**j``, and ``e(p**j)`` is the number of factors with
 ``u_f > j``), ``a = 1 + sum_f m_f * (p**u_f - 1)`` and ``b = (p-1) * d``.
 The nilpotency class of ``A wr B`` under Baumslag's criterion is
 ``max_h { a*h + (s(h)-1)*b }`` over the lower central profile ``s(h)`` of
-the passive group ``A``.  The series itself is built only for display and
-for cross-checks against enumeration.
+the passive group ``A``.  The library reads the series from ``steps`` and
+the factors of ``B``; written out (``kp_series``, ``KpChain``,
+``ShieldParams.e``) it is kept for the benchmark only (ROADMAP.md, item 1).
 """
 
 from __future__ import annotations
@@ -40,20 +41,14 @@ class NotNilpotentError(ValueError):
 
 
 class KpChain(collections.namedtuple("KpChain", "p terms")):
-    """The distinct terms ``B**(p**j)``, ``j = 0..u``; the last is trivial."""
+    """The distinct terms ``B**(p**j)``, ``j = 0..u``; the last is trivial.
+    Read by the benchmark only."""
 
     __slots__ = ()
 
     @property
     def d(self) -> int:
         return self.p ** (len(self.terms) - 2)
-
-    def term(self, i: int) -> AbelianGroupSpec:
-        """``K_i`` (``i >= 1``): the term for the least ``j`` with ``p**j >= i``."""
-        j, q = 0, 1
-        while q < i and j < len(self.terms) - 1:
-            j, q = j + 1, q * self.p
-        return self.terms[j]
 
 
 @dataclass(frozen=True)
@@ -75,7 +70,7 @@ class ShieldParams:
 
     @property
     def e(self) -> tuple[int, ...]:
-        """``e(1..d)`` written out: length ``d``, so only for short chains."""
+        """``e(1..d)`` written out, for the benchmark only: length ``d``."""
         e = [0] * self.d
         for j, step in enumerate(self.steps):
             e[self.p**j - 1] = step
@@ -93,7 +88,8 @@ def _require_finite_p_group(B: AbelianGroupSpec, p: int) -> None:
 
 
 def kp_series(B: AbelianGroupSpec, p: int) -> KpChain:
-    """The distinct terms of the series of a nontrivial finite abelian p-group."""
+    """The distinct terms of the series of a nontrivial finite abelian
+    p-group, for the benchmark only."""
     _require_finite_p_group(B, p)
     terms = [B]
     while not terms[-1].is_trivial():

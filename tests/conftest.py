@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from hypothesis import settings, strategies as st
 
-from wreathvar import Cardinal, PrimaryFactor, normalize
+from wreathvar import Cardinal, PrimaryFactor, kp_series, normalize
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -55,3 +55,18 @@ def p_components(p: int, max_factors: int = 4, max_power: int = 4,
 def plog(spec) -> int:
     """log_p of the order of a finite single-prime spec."""
     return sum(f.power * f.copies.as_int() for f in spec.factors)
+
+
+def least_j(p: int, i: int) -> int:
+    """The least ``j`` with ``p**j >= i``."""
+    j = 0
+    while p**j < i:
+        j += 1
+    return j
+
+
+def kp_terms(B, p) -> list:
+    """``K_1 .. K_{d+1}`` of ``B``: term ``i`` is the distinct term of
+    ``kp_series(B, p)`` at the least ``j`` with ``p**j >= i``."""
+    chain = kp_series(B, p)
+    return [chain.terms[least_j(p, i)] for i in range(1, chain.d + 2)]

