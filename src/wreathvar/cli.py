@@ -135,13 +135,9 @@ def run_classify(passive_expr: str, active_expr: str, as_json: bool) -> int:
     passive = parse_passive(passive_expr)
     active = parse_abelian(active_expr)
     fp = fingerprint(passive, active)
-    params = runs = None
-    reason = None
+    params = reason = None
     if fp.nilpotent:
         params = shield_params(active, passive.parts[0].prime)
-        # the runs of equal steps, (e, j_below): e(p^j) = steps[u_f - 1] for
-        # j from the power of the next smaller factor (or 0) to below u_f
-        runs = [(params.steps[f.power - 1], f.power) for f in reversed(active.factors)]
     else:
         reason = baumslag_reason(passive, active)
     if as_json:
@@ -150,11 +146,8 @@ def run_classify(passive_expr: str, active_expr: str, as_json: bool) -> int:
                 "passive": passive.render(),
                 "active": active.render(),
                 "fingerprint": fp.to_json_dict(),
-                "params": None
-                if params is None
-                else {"p": params.p, "d": params.d,
-                      "steps": [{"e": e, "j_below": end} for e, end in runs],
-                      "a": params.a, "b": params.b},
+                "params": None if params is None else {
+                    "p": params.p, "d": params.d, "a": params.a, "b": params.b},
                 "chain": None if params is None else [
                     {"u": f.power, "mult": f.copies.value} for f in active.factors],
                 "reason": reason,
@@ -169,7 +162,9 @@ def run_classify(passive_expr: str, active_expr: str, as_json: bool) -> int:
         factors = " * ".join(
             f"C_{{{p}^({f.power}-j)}}" + ("" if f.copies.value == 1 else f"^{f.copies.value}")
             + f" (j < {f.power})" for f in active.factors)
-        steps = " then ".join(f"{e} (j < {end})" for e, end in runs)
+        # e(p^j) sums the multiplicities of the factors of power above j;
+        # each is printed once, with its range, and never a sum of them
+        steps = " + ".join(f"{f.copies.value} (j < {f.power})" for f in active.factors)
         print(f"K_{p}-series, K_i = B^({p}^j) for the least j with {p}^j >= i: "
               f"B^({p}^j) = {factors}")
         print(f"d = {params.d}, e({p}^j) = {steps}, a = {params.a}, b = {params.b}")

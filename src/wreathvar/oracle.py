@@ -40,7 +40,7 @@ from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from .groupspec import (DEFAULT_BUDGET, AbelianGroupSpec, PassiveAtom, PassiveGroupSpec,
                         _product_within, prime_divisors)
-from .shield import ShieldParams, baumslag_reason, shield_class, shield_params, wreath_exponent
+from .shield import ShieldParams, shield_class, shield_params, wreath_exponent
 
 __all__ = [
     "BudgetExceededError",
@@ -872,11 +872,12 @@ def verify_shield(
     """Recompute class, exponent and K_p-chain of ``a wr b`` by enumeration
     and report them next to the symbolic values.
 
-    Raises when the specs do not describe the concrete groups (that is a
-    caller bug, not a disagreement between the two routes).
+    Raises :class:`NotNilpotentError` when the pair fails Baumslag's
+    criterion, and ``ValueError`` when the specs do not describe the
+    concrete groups (that is a caller bug, not a disagreement between the
+    two routes).
     """
-    if baumslag_reason(a_spec, b_spec) is not None:
-        raise ValueError("pair fails the nilpotency criterion; nothing to verify")
+    symbolic_class = shield_class(a_spec, b_spec)  # refuses before enumerating
     _check_describes(a_spec.exponent(), a_conc, "passive group")
     _check_describes(b_spec.exponent(), b_conc, "active group")
     if not b_conc.is_abelian():
@@ -903,7 +904,7 @@ def verify_shield(
     return VerifyReport(
         label=wreath.label,
         wreath_order=wreath.order,
-        shield_class=shield_class(a_spec, b_spec),
+        shield_class=symbolic_class,
         oracle_class=nilpotency_class(wreath),
         spec_exponent=wreath_exponent(a_spec, b_spec),
         oracle_exponent=exponent_concrete(wreath),

@@ -13,6 +13,9 @@ The nilpotency class of ``A wr B`` under Baumslag's criterion is
 the passive group ``A``.  The library reads the series from ``steps`` and
 the factors of ``B``; written out (``kp_series``, ``KpChain``,
 ``ShieldParams.e``) it is kept for the benchmark only (ROADMAP.md, item 1).
+One test of the active group decides every refusal: ``baumslag_reason``
+returns its words, and ``shield_params``, ``kp_series`` and
+``shield_class`` raise them as :class:`NotNilpotentError`.
 """
 
 from __future__ import annotations
@@ -37,7 +40,9 @@ __all__ = [
 
 
 class NotNilpotentError(ValueError):
-    """The wreath product fails Baumslag's nilpotency criterion."""
+    """The wreath product fails Baumslag's nilpotency criterion, or the
+    active group given to :func:`shield_params` or :func:`kp_series` is not
+    a finite p-group; the message is :func:`baumslag_reason`'s."""
 
 
 class KpChain(collections.namedtuple("KpChain", "p terms")):
@@ -77,20 +82,26 @@ class ShieldParams:
         return tuple(e)
 
 
-def _require_finite_p_group(B: AbelianGroupSpec, p: int) -> None:
+def _active_reason(B: AbelianGroupSpec, p: Optional[int]) -> Optional[str]:
+    """Why ``B`` is not a finite ``p``-group, in Baumslag's words, or None;
+    ``p`` is None for a passive group that is not a p-group.  The one test
+    of the active group behind every refusal of this module."""
     if B.is_trivial():
         raise ValueError("the active group must be nontrivial")
-    primes = B.primes()
-    if primes != [p]:
-        raise ValueError(f"not a {p}-group: primes {primes}")
+    if p is None:
+        return "passive group is not a p-group"
     if not B.is_finite():
-        raise ValueError("the active group must be finite")
+        return "active group is infinite"
+    if B.primes() != [p]:
+        return f"active group is not a {p}-group"
+    return None
 
 
 def kp_series(B: AbelianGroupSpec, p: int) -> KpChain:
     """The distinct terms of the series of a nontrivial finite abelian
     p-group, for the benchmark only."""
-    _require_finite_p_group(B, p)
+    if (reason := _active_reason(B, p)) is not None:
+        raise NotNilpotentError(reason)
     terms = [B]
     while not terms[-1].is_trivial():
         terms.append(terms[-1].power(p))
@@ -102,15 +113,9 @@ def shield_params(B: AbelianGroupSpec, p: int) -> ShieldParams:
     its factors: ``B**(p**j)`` loses one copy of ``C_p`` per cyclic factor
     of power above ``j``, so ``steps[j]`` counts those factors, and
     ``sum_j p**j * steps[j] = sum_f m_f * (p**u_f - 1) / (p - 1)``.  One
-    pass over the factors and one over ``j``: ``O(u + factors)``.
-    :func:`shield_class`, which has checked the same conditions on ``B``
-    through Baumslag's criterion, reads them without this check."""
-    _require_finite_p_group(B, p)
-    return _params(B, p)
-
-
-def _params(B: AbelianGroupSpec, p: int) -> ShieldParams:
-    """:func:`shield_params` of a ``B`` known to be a nontrivial finite p-group."""
+    pass over the factors and one over ``j``: ``O(u + factors)``."""
+    if (reason := _active_reason(B, p)) is not None:
+        raise NotNilpotentError(reason)
     u = B.factors[0].power  # factors come in descending power
     drops, a = [0] * u, 1  # drops[j]: the copies of the factors of power j + 1
     for f in B.factors:
@@ -129,25 +134,15 @@ def baumslag_reason(A: PassiveGroupSpec, B: AbelianGroupSpec) -> Optional[str]:
     """Why ``A wr B`` fails Baumslag's nilpotency criterion, or None when it
     passes: both must be p-groups for one prime ``p``, ``A`` of finite
     exponent (true by construction) and ``B`` finite."""
-    if B.is_trivial():
-        raise ValueError("the active group must be nontrivial")
-    if not A.is_p_group():
-        return "passive group is not a p-group"
-    if not B.is_finite():
-        return "active group is infinite"
-    p = A.parts[0].prime
-    if B.primes() != [p]:
-        return f"active group is not a {p}-group"
-    return None
+    return _active_reason(B, A.parts[0].prime if A.is_p_group() else None)
 
 
 def shield_class(A: PassiveGroupSpec, B: AbelianGroupSpec) -> int:
     """Nilpotency class of ``A wr B``; the pair must pass Baumslag's criterion."""
-    reason = baumslag_reason(A, B)
-    if reason is not None:
-        raise NotNilpotentError(reason)
+    if not A.is_p_group():
+        raise NotNilpotentError(baumslag_reason(A, B))
     part = A.parts[0]
-    params = _params(B, part.prime)
+    params = shield_params(B, part.prime)
     a, b = params.a, params.b
     return max(a * h + (s_h - 1) * b for h, s_h in enumerate(part.gamma_exponents, 1))
 

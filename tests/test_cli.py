@@ -1,10 +1,10 @@
 import contextlib
 import io
-import itertools
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -209,10 +209,13 @@ def test_classify_json_agrees_with_text(capsys):
                        "--active", "C_{3^2}^2")
     assert code == 0
     doc = json.loads(out)
-    assert doc["params"] == {"p": 3, "d": 3, "steps": [{"e": 2, "j_below": 2}],
-                             "a": 17, "b": 6}
+    assert doc["params"] == {"p": 3, "d": 3, "a": 17, "b": 6}
     assert doc["fingerprint"]["class"] == 17
     assert doc["chain"] == [{"u": 2, "mult": 2}]
+    code, text, _ = run(capsys, "classify", "--passive", "C_3", "--active", "C_{3^2}^2")
+    assert code == 0
+    assert "d = 3, e(3^j) = 2 (j < 2), a = 17, b = 6\n" in text
+    assert f"nilpotency class: {doc['fingerprint']['class']}\n" in text
 
 
 def test_classify_chain_far_beyond_a_dense_write_out(capsys):
@@ -220,26 +223,29 @@ def test_classify_chain_far_beyond_a_dense_write_out(capsys):
                        "--active", "C_{2^60} * C_{2^3}^5")
     assert code == 0
     doc = json.loads(out)
-    assert doc["params"] == {"p": 2, "d": 2**59,
-                             "steps": [{"e": 6, "j_below": 3}, {"e": 1, "j_below": 60}],
-                             "a": 2**60 + 5 * 7, "b": 2**59}
+    assert doc["params"] == {"p": 2, "d": 2**59, "a": 2**60 + 5 * 7, "b": 2**59}
     assert doc["chain"] == [{"u": 60, "mult": 1}, {"u": 3, "mult": 5}]
+    code, text, _ = run(capsys, "classify", "--passive", "C_2",
+                        "--active", "C_{2^60} * C_{2^3}^5")
+    assert code == 0
+    assert f"d = {2**59}, e(2^j) = 1 (j < 60) + 5 (j < 3), " in text
 
 
 # classify's output is bounded by its input.  Each cyclic factor of the
-# active group adds one run to the series, which echoes its own spelling,
-# and at most one run to the steps, whose value is a sum of multiplicities
-# with at most a few digits more than _MULT_DIGITS.  A factor costs at
-# least 6 input bytes (' * C_4') and at most about 400 output bytes in
-# JSON, which sets BYTES_PER_INPUT_BYTE.  At most six other numbers are
-# printed (exponents, d, a, b, the class), each of at most the digit limit
-# plus _MULT_DIGITS digits, which sets BYTES_PER_LIMIT_DIGIT.
-_MULT_DIGITS = 300
+# active group adds one run to the series and one addend to e(p^j), each
+# echoing the factor's own power and multiplicity: a factor of D digits of
+# multiplicity costs at least D + 6 input bytes (' * C_4^m') and at most
+# about 2D + 400 output bytes, which sets BYTES_PER_INPUT_BYTE.  The other
+# numbers printed (exponents, d, a, b, the class) have at most the digit
+# limit plus the digits of the largest multiplicity, a few each, which sets
+# BYTES_PER_LIMIT_DIGIT.  Multiplicities run up to the digit limit, spelled
+# by repeating a drawn block, since hypothesis draws at most 8 KB of data
+# for one example.
 BYTES_PER_INPUT_BYTE = 80
 BYTES_PER_LIMIT_DIGIT = 8
-MOTIVATING_ACTIVE = "C_{2^14000}^1" + "0" * _MULT_DIGITS
-# one long multiplicity on the top factor, so every run of the steps holds it
-TOP_HEAVY_ACTIVE = " * ".join(["C_{2^14000}^" + "9" * _MULT_DIGITS]
+MOTIVATING_ACTIVE = "C_{2^14000}^1" + "0" * 300
+# one multiplicity of the digit limit on the top factor, above 999 others
+TOP_HEAVY_ACTIVE = " * ".join(["C_{2^14000}^" + "9" * groupspec._digit_limit()]
                               + [f"C_{{2^{u}}}" for u in range(1, 1000)])
 
 
@@ -253,12 +259,20 @@ def _top_power(p):
 
 
 @st.composite
+def long_multiplicities(draw):
+    """A multiplicity of 1 to the digit limit digits."""
+    digits = draw(st.integers(1, groupspec._digit_limit()))
+    block = str(draw(st.integers(1, 10**20)))
+    return int((block * (digits // len(block) + 1))[:digits])
+
+
+@st.composite
 def classify_inputs(draw):
     p = draw(st.sampled_from((2, 3, 5, 7)))
     top = _top_power(p)
     powers = draw(st.lists(st.just(top) | st.integers(1, top), min_size=1, max_size=40,
                            unique=True))
-    mults = st.integers(1, 10**_MULT_DIGITS - 1) | st.integers(1, 9)
+    mults = long_multiplicities() | st.integers(1, 9)
     active = " * ".join(f"C_{{{p}^{u}}}^{draw(mults)}" for u in powers)
     passive = draw(st.sampled_from(
         [f"C_{p}", f"C_{{{p}^3}}", f"nilpotent(p={p}, s=[4, 2, 1], dl=2)", f"C_{p} * C_11"]))
@@ -272,37 +286,46 @@ def _captured_main(*argv):
     return code, out.getvalue()
 
 
+def _output_bound(*exprs):
+    return (BYTES_PER_INPUT_BYTE * len("".join(exprs).encode())
+            + BYTES_PER_LIMIT_DIGIT * groupspec._digit_limit())
+
+
 @settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
 @example(("C_2", MOTIVATING_ACTIVE))
 @example(("C_2", TOP_HEAVY_ACTIVE))
 @given(classify_inputs())
 def test_classify_output_is_bounded_by_its_input(inputs):
     passive, active = inputs
-    bound = (BYTES_PER_INPUT_BYTE * len(f"{passive}{active}".encode())
-             + BYTES_PER_LIMIT_DIGIT * groupspec._digit_limit())
+    bound = _output_bound(passive, active)
     for flags in ((), ("--json",)):
         code, out = _captured_main("classify", *flags, "--passive", passive, "--active", active)
         assert code == 0
         assert len(out.encode()) <= bound, (flags, len(out.encode()), bound)
 
 
+def _addends(text):
+    """The ``(value, j_below)`` addends of the printed ``e(p^j)``."""
+    line = next(line for line in text.splitlines() if line.startswith("d = "))
+    e = line.split(" = ", 2)[2].rsplit(", a = ", 1)[0]
+    return [(int(v), int(u)) for v, u in re.findall(r"(\d+) \(j < (\d+)\)", e)]
+
+
 @given(st.sampled_from((2, 3, 5)), st.data())
 def test_classify_runs_write_out_to_the_steps(p, data):
     B = data.draw(p_components(p, max_factors=5, max_power=9, allow_infinite=False,
                                min_factors=1))
-    code, out = _captured_main("--json", "classify", "--passive", f"C_{p}",
-                               "--active", B.render())
+    argv = ("classify", "--passive", f"C_{p}", "--active", B.render())
+    code, text = _captured_main(*argv)
     assert code == 0
-    doc = json.loads(out)
-    steps, start = [], 0
-    for run in doc["params"]["steps"]:
-        assert run["j_below"] > start
-        steps += [run["e"]] * (run["j_below"] - start)
-        start = run["j_below"]
-    assert tuple(steps) == shield_params(B, p).steps
-    # the runs are maximal
-    assert [e for e, _ in itertools.groupby(steps)] == [r["e"] for r in doc["params"]["steps"]]
-    assert doc["chain"] == [{"u": f.power, "mult": f.copies.value} for f in B.factors]
+    code, out = _captured_main("--json", *argv)
+    assert code == 0
+    chain = json.loads(out)["chain"]
+    assert chain == [{"u": f.power, "mult": f.copies.value} for f in B.factors]
+    steps = shield_params(B, p).steps
+    for addends in (_addends(text), [(f["mult"], f["u"]) for f in chain]):
+        assert len(addends) == len(B.factors)
+        assert tuple(sum(v for v, u in addends if j < u) for j in range(len(steps))) == steps
 
 
 def test_classify_motivating_input_fits_in_40_kb(capsys):
@@ -311,13 +334,74 @@ def test_classify_motivating_input_fits_in_40_kb(capsys):
     code, out, _ = run(capsys, "classify", "--json", "--passive", "C_2",
                        "--active", MOTIVATING_ACTIVE)
     assert code == 0 and len(out.encode()) < 40_000
-    m = 10**_MULT_DIGITS
+    m = 10**300
     with cli._exact_ints():
         doc = json.loads(out)
         assert f"nilpotency class: {doc['fingerprint']['class']}\n" in text
-    assert doc["params"]["steps"] == [{"e": m, "j_below": 14000}]
+        assert f", e(2^j) = {m} (j < 14000), " in text
     assert doc["chain"] == [{"u": 14000, "mult": m}]
     assert (doc["params"]["d"], doc["params"]["a"]) == (2**13999, 1 + m * (2**14000 - 1))
+
+
+# parse and witness are held to the same bound, on expressions of one or
+# two primes whose exponents reach the digit limit between them
+@st.composite
+def long_abelian_exprs(draw, primes):
+    mults = (long_multiplicities() | st.integers(0, 9)
+             | st.integers(0, 3).map("{{aleph_{}}}".format))
+    terms = []
+    for p in primes:
+        top = _top_power(p) // len(primes)
+        powers = draw(st.lists(st.just(top) | st.integers(1, top), min_size=1, max_size=12,
+                               unique=True))
+        terms += [f"C_{{{p}^{u}}}^{draw(mults)}" for u in powers]
+    return " * ".join(draw(st.permutations(terms)))
+
+
+@st.composite
+def long_verb_args(draw, verb):
+    """The arguments of ``verb`` and the expressions among them."""
+    primes = draw(st.sampled_from(((2,), (3,), (7,), (2, 3), (5, 7))))
+    if verb == "parse":
+        expr = draw(long_abelian_exprs(primes))
+        return ["parse", expr], [expr]
+    p = primes[0]
+    top = _top_power(p)
+    passives = st.sampled_from([f"C_{p}", f"C_{{{p}^{top}}}", f"C_{p} * C_11",
+                                f"nilpotent(p={p}, s=[{top}, {top // 2}, 1], dl=2)"])
+    a1 = draw(passives)
+    exprs = [a1, draw(st.just(a1) | passives),
+             draw(long_abelian_exprs(primes)), draw(long_abelian_exprs(primes))]
+    argv = [verb, "--a1", exprs[0], "--a2", exprs[1], "--b1", exprs[2], "--b2", exprs[3]]
+    if draw(st.booleans()):
+        argv.append("--assert-var-equal")
+    return argv + (["--prime", str(p)] if verb == "witness" else []), exprs
+
+
+def _assert_output_bounded(argv, exprs):
+    bound = _output_bound(*exprs)
+    for flags in ((), ("--json",)):
+        code, out = _captured_main(argv[0], *flags, *argv[1:])
+        assert code in (0, 1, 3), (flags, code)
+        assert len(out.encode()) <= bound, (flags, len(out.encode()), bound)
+
+
+@settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(("parse", "witness")).flatmap(long_verb_args))
+def test_parse_and_witness_output_is_bounded_by_its_input(args):
+    _assert_output_bounded(*args)
+
+
+# decide prints a violated hypothesis's detail twice, once on its own line
+# and again as the verdict's reason, and each fingerprint's exponent and
+# class in full: with exponents at the digit limit that is about ten
+# numbers of the limit's length from 44 bytes of expressions, past the bound.
+@pytest.mark.xfail(strict=True, reason="decide's text exceeds the bound (FOUND in CHANGES.md)")
+def test_decide_output_is_bounded_by_its_input():
+    top = _top_power(2)
+    exprs = [f"C_{{2^{top}}}"] * 3 + [f"C_{{2^{top - 1}}}"]
+    _assert_output_bounded(["decide", "--a1", exprs[0], "--a2", exprs[1],
+                            "--b1", exprs[2], "--b2", exprs[3]], exprs)
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +747,18 @@ def run_process(*argv, stdin=None):
                           input=stdin, capture_output=True, text=True, timeout=10)
     assert "Traceback" not in proc.stderr
     return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["parse", "C_4 * C_2"], ["--demo"], ["parse", "C_6"],
+                                  ["decide", *DECIDE_ARGS], []])
+def test_console_script_exits_with_the_code_of_main(monkeypatch, argv):
+    # the [project.scripts] entry point: main's code becomes the exit status
+    want = _captured_main(*argv)[0]
+    monkeypatch.setattr(sys, "argv", ["wreathvar", *argv])
+    with pytest.raises(SystemExit) as exit_, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        cli.console_main()
+    assert exit_.value.code == want
 
 
 def assert_caret_at(err, expr, col):

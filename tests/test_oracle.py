@@ -9,6 +9,8 @@ from hypothesis import given, strategies as st
 from wreathvar import (
     BudgetExceededError,
     ConcreteGroup,
+    NotNilpotentError,
+    baumslag_reason,
     concrete_abelian,
     concrete_cyclic,
     concrete_passive,
@@ -856,9 +858,11 @@ def test_verify_shield_rejects_mismatched_spec():
 
 
 def test_verify_shield_rejects_non_nilpotent_pairs():
-    with pytest.raises(ValueError):
-        verify_shield(parse_passive("C_3"), concrete_cyclic(3),
-                      parse_abelian("C_2"), concrete_cyclic(2))
+    for passive, n, active in (("C_3", 3, "C_2"), ("C_2 * C_3", 6, "C_2")):
+        a_spec, b_spec = parse_passive(passive), parse_abelian(active)
+        with pytest.raises(NotNilpotentError) as err:
+            verify_shield(a_spec, concrete_cyclic(n), b_spec, concrete_cyclic(2))
+        assert str(err.value) == baumslag_reason(a_spec, b_spec)
 
 
 SWEEP_PASSIVES = ["C_2", "C_{2^2}", "C_{2^3}", "D4", "Q8", "C_3", "C_{3^2}",

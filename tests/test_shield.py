@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from wreathvar import (
     Cardinal,
@@ -201,6 +201,46 @@ def test_baumslag_negative():
 def test_baumslag_rejects_trivial_active():
     with pytest.raises(ValueError):
         baumslag_reason(parse_passive("C_2"), parse_abelian("1"))
+    # the trivial active group is refused before the passive one is read
+    with pytest.raises(ValueError, match="^the active group must be nontrivial$") as err:
+        shield_class(parse_passive("C_2 * C_3"), parse_abelian("1"))
+    assert type(err.value) is ValueError
+
+
+GATE_PASSIVES = {2: ("C_2", "C_{2^2}", "D4", "Q8"),
+                 3: ("C_3", "C_{3^2}", "nilpotent(p=3, s=[2, 1], dl=2)")}
+
+
+@st.composite
+def gate_pairs(draw):
+    """A passive p-group and a nontrivial active group, finite or infinite,
+    of the prime 2, the prime 3, or both."""
+    p = draw(st.sampled_from((2, 3)))
+    A = parse_passive(draw(st.sampled_from(GATE_PASSIVES[p])))
+    primes = draw(st.sampled_from(((2,), (3,), (2, 3))))
+    return A, draw(abelian_specs(primes, max_factors=4, min_factors=1))
+
+
+@example(pair=(parse_passive("C_2"), parse_abelian("C_3^{aleph_0}")))
+@given(pair=gate_pairs())
+def test_every_refusal_is_in_baumslag_words(pair):
+    A, B = pair
+    p = A.parts[0].prime
+    reason = baumslag_reason(A, B)
+    if any(f.copies.is_infinite for f in B.factors):
+        assert reason == "active group is infinite"
+    elif {f.prime for f in B.factors} != {p}:
+        assert reason == f"active group is not a {p}-group"
+    else:
+        assert reason is None
+    for refuse in (shield_params, kp_series, shield_class):
+        args = (A, B) if refuse is shield_class else (B, p)
+        if reason is None:
+            refuse(*args)
+            continue
+        with pytest.raises(NotNilpotentError) as err:
+            refuse(*args)
+        assert str(err.value) == reason, refuse
 
 
 @pytest.mark.parametrize(
