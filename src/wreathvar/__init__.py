@@ -18,6 +18,7 @@ from .groupspec import (
     DEFAULT_BUDGET,
     AbelianGroupSpec,
     DivergenceReport,
+    DomainError,
     ParseError,
     PassiveGroupSpec,
     PassivePrimePart,

@@ -12,8 +12,9 @@ the operating system's limit on the length of one argument (128 KiB on
 Linux).
 
 Exit codes: 0 equal/success, 1 unequal, 2 parse error or unreadable
-input, 3 hypothesis failure, 4 oracle mismatch, 5 internal error (an
-exception the verbs do not expect, reported on one line).
+input, 3 hypothesis failure or other refusal of the input (a
+``DomainError``), 4 oracle mismatch, 5 internal error (any other
+exception, a plain ``ValueError`` included; reported on one line).
 
 Numbers are printed exactly.  The parser bounds each literal, each cyclic
 order and each expression's exponent to as many digits as Python converts
@@ -31,6 +32,7 @@ from typing import Optional
 
 from .groupspec import (
     DEFAULT_BUDGET,
+    DomainError,
     ParseError,
     equivalent,
     parse_abelian,
@@ -192,33 +194,18 @@ def _decision_input(args) -> DecisionInput:
     )
 
 
-def _witness_scope(w: SeparationWitness, inp: DecisionInput) -> str:
-    """What the witness's membership claim is made for: ``whole`` for the
-    wreath products themselves, when ``A`` and both ``B`` are ``p``-groups;
-    otherwise those are not nilpotent, and ``reduced`` for the reduced
-    products ``A_p wr Bi'`` whose classes were computed."""
-    whole = inp.a1.is_p_group() and {*inp.b1.primes(), *inp.b2.primes()} == {w.p}
-    return "whole" if whole else "reduced"
-
-
-def _witness_sides(w: SeparationWitness, inp: DecisionInput) -> dict:
-    """The JSON keys, beside ``witness``, that say which input has the
-    larger reduced class ``class_b1`` and what the claim is made for."""
-    return {"larger_input": w.larger_input, "scope": _witness_scope(w, inp)}
-
-
-def _print_witness_text(w: SeparationWitness, inp: DecisionInput) -> None:
+def _print_witness_text(w: SeparationWitness) -> None:
     small, large = (2, 1) if w.larger_input == 1 else (1, 2)
     print(f"witness at p = {w.p}: divergence t = {w.t}, w = {w.w}")
     print(f"  reduced classes: {w.class_b1} (side B{large}) > {w.class_b2} (side B{small})")
-    if _witness_scope(w, inp) == "whole":
+    if w.scope == "whole":
         contains = f"the B{small} wreath product, not the B{large} one"
     else:
         contains = f"A_{w.p} wr B{small}', not A_{w.p} wr B{large}' (the reduced products)"
     print(f"  separating variety {w.separating.render()}: contains {contains}")
 
 
-def _print_decision_text(decision: Decision, inp: DecisionInput) -> None:
+def _print_decision_text(decision: Decision) -> None:
     if decision.hypotheses:
         for v in decision.hypotheses:
             print(f"hypothesis: {v.detail}")
@@ -230,10 +217,9 @@ def _print_decision_text(decision: Decision, inp: DecisionInput) -> None:
         else:
             print(f"p = {pv.p}: NOT equivalent (t = {pv.divergence.t}, "
                   f"w = {pv.divergence.w})")
-    print(f"verdict: {decision.verdict.value}"
-          + (f" ({decision.reason})" if decision.reason else ""))
+    print(f"verdict: {decision.verdict.value}")
     if decision.witness is not None:
-        _print_witness_text(decision.witness, inp)
+        _print_witness_text(decision.witness)
     for i, fp in enumerate(decision.fingerprints, 1):
         cls = fp.nilpotency_class if fp.nilpotent else "-"
         sol = fp.solubility_bound if fp.solubility_bound is not None else "-"
@@ -250,15 +236,14 @@ _VERDICT_EXIT = {
 
 
 def run_decide(args, as_json: bool) -> int:
-    inp = _decision_input(args)
-    decision = decide_equal(inp)
+    decision = decide_equal(_decision_input(args))
     if as_json:
         doc = decision.to_json_dict()
-        if decision.witness is not None:
-            doc.update(_witness_sides(decision.witness, inp))
+        if (w := decision.witness) is not None:  # beside "witness", whose keys are fixed
+            doc.update(larger_input=w.larger_input, scope=w.scope)
         _emit_json(doc)
     else:
-        _print_decision_text(decision, inp)
+        _print_decision_text(decision)
     return _VERDICT_EXIT[decision.verdict]
 
 
@@ -280,10 +265,10 @@ def run_witness(args, as_json: bool) -> int:
         return EXIT_EQUAL
     if as_json:
         _emit_json({"p": p, "equivalent": False, "witness": witness.to_json_dict(),
-                    **_witness_sides(witness, inp)})
+                    "larger_input": witness.larger_input, "scope": witness.scope})
     else:
         print(f"p = {p}: NOT equivalent")
-        _print_witness_text(witness, inp)
+        _print_witness_text(witness)
     return EXIT_UNEQUAL
 
 
@@ -308,7 +293,7 @@ def _split_wreath_line(line: str) -> tuple[str, str, int]:
         if sep in line:
             left, right = line.split(sep, 1)
             return left.strip(), right.strip(), len(line) - len(right.lstrip())
-    raise ValueError("expected '<passive> Wr <active>'")
+    raise DomainError("expected '<passive> Wr <active>'")
 
 
 def _parse_in_line(parse, expr: str, start: int, line: str):
@@ -334,7 +319,7 @@ def run_oracle_verify(manifest: str, budget: int, as_json: bool) -> int:
             atoms = _parse_in_line(passive_atoms, passive_expr, 0, line)
             a_spec = _parse_in_line(lambda expr: passive_spec(atoms, expr), passive_expr, 0, line)
             b_spec = _parse_in_line(parse_abelian, active_expr, active_at, line)
-        except ValueError as err:
+        except DomainError as err:
             print(f"{manifest}:{lineno}: error: {err}", file=sys.stderr)
             if isinstance(err, ParseError):
                 print(err.caret(), file=sys.stderr)
@@ -383,7 +368,7 @@ def _demo_decide(title: str, a1: str, a2: str, b1: str, b2: str,
     inp = DecisionInput(parse_passive(a1), parse_passive(a2),
                         parse_abelian(b1), parse_abelian(b2),
                         assert_passive_var_equal=assert_flag)
-    _print_decision_text(decide_equal(inp), inp)
+    _print_decision_text(decide_equal(inp))
     print()
 
 
@@ -525,7 +510,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         except (OSError, UnicodeDecodeError) as err:  # unreadable input
             print(f"error: {err}", file=sys.stderr)
             return EXIT_PARSE
-        except ValueError as err:
+        except DomainError as err:  # a refusal of the input
             print(f"error: {err}", file=sys.stderr)
             return EXIT_HYPOTHESIS
         except Exception as err:  # a fault of the program, not of the input

@@ -32,6 +32,7 @@ from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 from .cardinal import Cardinal, ONE, ZERO
 
 __all__ = [
+    "DomainError",
     "ParseError",
     "PrimaryFactor",
     "AbelianGroupSpec",
@@ -81,6 +82,12 @@ _MR_TIERS = (
 _WITNESS_BITS = 1024
 
 
+class DomainError(ValueError):
+    """A refusal of the input: an expression that does not parse, a prime
+    that cannot be certified, a product that is not nilpotent.  The CLI
+    exits 3 on one (2 on a :class:`ParseError`), 5 on any other exception."""
+
+
 def _strong_probable_prime(n: int, bases: Sequence[int]) -> bool:
     """Whether odd ``n > max(bases)`` passes the strong test to every base."""
     s = ((n - 1) & -(n - 1)).bit_length() - 1  # n - 1 == d * 2**s, d odd
@@ -103,8 +110,8 @@ def is_prime(n: int) -> bool:
     then deterministic Miller-Rabin, with a set of bases proven exact for
     the size of ``n`` (:data:`_MR_TIERS`: at most four below 1.1e12).
     Above the last tier no proof is at hand: ``False`` when a base
-    witnesses that ``n`` is composite, otherwise ``ValueError``.  Nothing
-    is kept between calls; a parse keeps its verdicts through
+    witnesses that ``n`` is composite, otherwise :class:`DomainError`.
+    Nothing is kept between calls; a parse keeps its verdicts through
     :func:`_tested`."""
     if n < 2:
         return False
@@ -117,28 +124,28 @@ def is_prime(n: int) -> bool:
             return _strong_probable_prime(n, bases)
     if n.bit_length() <= _WITNESS_BITS and not _strong_probable_prime(n, _SMALL_PRIMES):
         return False
-    raise ValueError(f"primality of {n} cannot be certified: deterministic "
-                     f"Miller-Rabin is proven only below {_MR_TIERS[-1][0]}")
+    raise DomainError(f"primality of {n} cannot be certified: deterministic "
+                      f"Miller-Rabin is proven only below {_MR_TIERS[-1][0]}")
 
 
 def _tested(known: dict, n: int) -> bool:
     """:func:`is_prime` on ``n``, tested once per ``known``: a parse's
-    verdicts on numbers, each True, False, or the message of the
-    ``ValueError`` that refused to certify it, raised again on every
-    lookup.  A number below :data:`_TRIAL_BOUND` is tested each time and
-    not kept: no Miller-Rabin round runs on it, so its test costs no
-    more than a lookup."""
+    verdicts on numbers, each True, False, or the :class:`DomainError`
+    that refused to certify it, raised again on every lookup.  A number
+    below :data:`_TRIAL_BOUND` is tested each time and not kept: no
+    Miller-Rabin round runs on it, so its test costs no more than a
+    lookup."""
     if n < _TRIAL_BOUND:
         return is_prime(n)
     verdict = known.get(n)
     if verdict is None:
         try:
             verdict = is_prime(n)
-        except ValueError as err:
-            verdict = str(err)
+        except DomainError as err:
+            verdict = err
         known[n] = verdict
-    if type(verdict) is str:
-        raise ValueError(verdict)
+    if type(verdict) is not bool:
+        raise verdict.with_traceback(None)
     return verdict
 
 
@@ -182,7 +189,7 @@ def _prime_power(n: int, known: dict) -> Optional[tuple[int, int]]:
     ``known``, a parse's verdicts on numbers (see :func:`_tested`).  A
     number they already hold as a prime, or one below
     :data:`_TRIAL_BOUND`, skips the root search.  Raises
-    ``ValueError`` when that primality cannot be certified (see
+    :class:`DomainError` when that primality cannot be certified (see
     :func:`is_prime`)."""
     if n < 2:
         return None
@@ -435,7 +442,7 @@ def _check_components(p: int, *specs: AbelianGroupSpec) -> None:
     was tested when it was built, so ``p`` is tested only when no factor
     carries it."""
     if all(f.prime != p for spec in specs for f in spec.factors) and not is_prime(p):
-        raise ValueError(f"{p} is not a prime")
+        raise DomainError(f"{p} is not a prime")
     for spec in specs:
         bad = [f.prime for f in spec.factors if f.prime != p]
         if bad:
@@ -590,7 +597,7 @@ class PassiveGroupSpec(collections.namedtuple("PassiveGroupSpec", "parts label")
 # parsing
 
 
-class ParseError(ValueError):
+class ParseError(DomainError):
     """Syntax or semantic error in a group expression, with a position."""
 
     def __init__(self, message: str, pos: int, source: str):
@@ -707,7 +714,7 @@ def _base_verdict(base: str, n: Optional[str], u: Optional[str], limit: int,
         p, e = int(n), int(u)
         if not _tested(known, p):
             return f"{p} is not a prime", False
-    except ValueError as err:  # a primality that cannot be certified
+    except DomainError as err:  # a primality that cannot be certified
         return str(err), False
     if e < 1:
         return "cyclic exponent must be >= 1", True

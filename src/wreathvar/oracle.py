@@ -38,8 +38,8 @@ from itertools import repeat
 from operator import add, getitem, itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
-from .groupspec import (DEFAULT_BUDGET, AbelianGroupSpec, PassiveAtom, PassiveGroupSpec,
-                        _product_within, prime_divisors)
+from .groupspec import (DEFAULT_BUDGET, AbelianGroupSpec, DomainError, PassiveAtom,
+                        PassiveGroupSpec, _product_within, prime_divisors)
 from .shield import ShieldParams, shield_class, shield_params, wreath_exponent
 
 __all__ = [
@@ -76,7 +76,7 @@ _SPOT_TRIPLES = 200
 _MAX_POINTS = 256  # a permutation on more points has no bytes.translate
 
 
-class BudgetExceededError(ValueError):
+class BudgetExceededError(DomainError):
     """The requested group would exceed the element budget."""
 
 

@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .groupspec import AbelianGroupSpec, PassiveGroupSpec
+from .groupspec import AbelianGroupSpec, DomainError, PassiveGroupSpec
 
 __all__ = [
     "NotNilpotentError",
@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 
-class NotNilpotentError(ValueError):
+class NotNilpotentError(DomainError):
     """The wreath product fails Baumslag's nilpotency criterion, or the
     active group given to :func:`shield_params` or :func:`kp_series` is not
     a finite p-group; the message is :func:`baumslag_reason`'s."""
@@ -87,7 +87,7 @@ def _active_reason(B: AbelianGroupSpec, p: Optional[int]) -> Optional[str]:
     ``p`` is None for a passive group that is not a p-group.  The one test
     of the active group behind every refusal of this module."""
     if B.is_trivial():
-        raise ValueError("the active group must be nontrivial")
+        raise DomainError("the active group must be nontrivial")
     if p is None:
         return "passive group is not a p-group"
     if not B.is_finite():
@@ -150,5 +150,5 @@ def shield_class(A: PassiveGroupSpec, B: AbelianGroupSpec) -> int:
 def wreath_exponent(A: PassiveGroupSpec, B: AbelianGroupSpec) -> int:
     """Exponent of ``A wr B``: exponents multiply."""
     if B.is_trivial():
-        raise ValueError("the active group must be nontrivial")
+        raise DomainError("the active group must be nontrivial")
     return A.exponent() * B.exponent()

@@ -20,6 +20,7 @@ from .cardinal import Cardinal, ZERO
 from .groupspec import (
     AbelianGroupSpec,
     DivergenceReport,
+    DomainError,
     PassiveGroupSpec,
     PrimaryFactor,
     divergence,
@@ -49,7 +50,7 @@ __all__ = [
 PASSIVE_VARIETY_WHITELIST = frozenset({frozenset({"D4", "Q8"})})
 
 
-class EquivalentComponentsError(ValueError):
+class EquivalentComponentsError(DomainError):
     """The p-components are equivalent, so no separation witness exists."""
 
 
@@ -121,6 +122,10 @@ class SeparationWitness:
     the one with the larger reduced class; ``larger_input`` records which
     argument (1 or 2) that was.  ``A wr B`` of the smaller side lies in
     ``separating`` while the larger side's does not.
+
+    ``scope`` is ``"whole"`` when the passive and both active groups are
+    ``p``-groups, and the claim is about the wreath products; otherwise it
+    is ``"reduced"``, about the reduced products ``A_p wr Bi'`` only.
     """
 
     p: int
@@ -129,6 +134,7 @@ class SeparationWitness:
     class_b1: int
     class_b2: int
     larger_input: int
+    scope: str
 
     @property
     def separating(self) -> SeparatingVariety:
@@ -176,18 +182,6 @@ class Decision:
     per_prime: tuple[PrimeVerdict, ...]
     witness: Optional[SeparationWitness]
     fingerprints: tuple[Fingerprint, ...]
-
-    @property
-    def reason(self) -> Optional[str]:
-        """The fatal violations, else the nonfatal one, else the prime of
-        the witness; None for an equal verdict."""
-        details = ([v.detail for v in self.hypotheses if v.fatal]
-                   or [v.detail for v in self.hypotheses])
-        if details:
-            return "; ".join(details)
-        if self.witness is not None:
-            return f"p-components differ at p={self.witness.p}"
-        return None
 
     def to_json_dict(self) -> dict:
         return {
@@ -276,7 +270,7 @@ def decide_equal(inp: DecisionInput) -> Decision:
         div = divergence(comp1, comp2, p)
         per.append(PrimeVerdict(p, div))
         if div is not None and witness is None:
-            witness = _witness(inp.a1, comp1, comp2, p, div)
+            witness = _witness(inp.a1, inp.b1, inp.b2, comp1, comp2, p, div)
     verdict = Verdict.EQUAL if witness is None else Verdict.UNEQUAL
     return Decision(verdict, (), tuple(per), witness, fps)
 
@@ -312,16 +306,17 @@ def separation_witness(
     div = divergence(comp1, comp2, p)
     if div is None:
         raise EquivalentComponentsError(f"p-components are equivalent at p={p}; no witness exists")
-    return _witness(passive, comp1, comp2, p, div)
+    return _witness(passive, b1, b2, comp1, comp2, p, div)
 
 
-def _witness(passive: PassiveGroupSpec, comp1: AbelianGroupSpec, comp2: AbelianGroupSpec,
+def _witness(passive: PassiveGroupSpec, b1: AbelianGroupSpec, b2: AbelianGroupSpec,
+             comp1: AbelianGroupSpec, comp2: AbelianGroupSpec,
              p: int, div: DivergenceReport) -> SeparationWitness:
-    """The witness at ``p`` for the p-components ``comp1`` and ``comp2``,
-    whose divergence ``div`` is already known."""
+    """The witness at ``p`` for the p-components ``comp1`` and ``comp2`` of
+    ``b1`` and ``b2``, whose divergence ``div`` is already known."""
     part = passive.part_for(p)
     if part is None:
-        raise ValueError(f"prime {p} does not divide the passive exponent")
+        raise DomainError(f"prime {p} does not divide the passive exponent")
     t, w = div.t, div.w
     prefix = comp1.factors[: t - 1]  # == comp2.factors[: t - 1], all finite
     slot1 = _slot_copies(comp1, t, w)
@@ -350,8 +345,12 @@ def _witness(passive: PassiveGroupSpec, comp1: AbelianGroupSpec, comp2: AbelianG
         class_small = part.nilpotency_class
     else:
         class_small = shield_class(a_p, reduced_small)
+    # a p-component with as many factors as its group is the whole group
+    whole = (passive.is_p_group() and len(comp1.factors) == len(b1.factors)
+             and len(comp2.factors) == len(b2.factors))
     # the larger side's class is written first, as class_b1
-    return SeparationWitness(p, t, w, class_big, class_small, larger_input)
+    return SeparationWitness(p, t, w, class_big, class_small, larger_input,
+                             "whole" if whole else "reduced")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,19 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import wreathvar.oracle
-from wreathvar import Cardinal, PrimaryFactor, cli, groupspec, normalize, shield_params
+from wreathvar import (
+    BudgetExceededError,
+    Cardinal,
+    DomainError,
+    EquivalentComponentsError,
+    NotNilpotentError,
+    ParseError,
+    PrimaryFactor,
+    cli,
+    groupspec,
+    normalize,
+    shield_params,
+)
 from wreathvar.cli import main
 
 from conftest import p_components
@@ -392,14 +404,23 @@ def test_parse_and_witness_output_is_bounded_by_its_input(args):
     _assert_output_bounded(*args)
 
 
-# decide prints a violated hypothesis's detail twice, once on its own line
-# and again as the verdict's reason, and each fingerprint's exponent and
-# class in full: with exponents at the digit limit that is about ten
-# numbers of the limit's length from 44 bytes of expressions, past the bound.
-@pytest.mark.xfail(strict=True, reason="decide's text exceeds the bound (FOUND in CHANGES.md)")
+# decide prints each violated hypothesis's detail once, and each
+# fingerprint's exponent and class in full: an active exponent mismatch at
+# the digit limit is two numbers of the limit's length in its detail and
+# eight in the fingerprints, within the bound
 def test_decide_output_is_bounded_by_its_input():
     top = _top_power(2)
     exprs = [f"C_{{2^{top}}}"] * 3 + [f"C_{{2^{top - 1}}}"]
+    _assert_output_bounded(["decide", "--a1", exprs[0], "--a2", exprs[1],
+                            "--b1", exprs[2], "--b2", exprs[3]], exprs)
+
+
+# a passive exponent mismatch as well adds two more numbers of that length,
+# exp(A1) and exp(A2), and the text passes the bound (FOUND in CHANGES.md)
+@pytest.mark.xfail(strict=True, reason="decide's text exceeds the bound (FOUND in CHANGES.md)")
+def test_decide_output_with_both_exponent_mismatches_is_bounded_by_its_input():
+    top = _top_power(2)
+    exprs = [f"C_{{2^{top}}}", "C_{3^8990}", f"C_{{2^{top}}}", f"C_{{2^{top - 1}}}"]
     _assert_output_bounded(["decide", "--a1", exprs[0], "--a2", exprs[1],
                             "--b1", exprs[2], "--b2", exprs[3]], exprs)
 
@@ -424,14 +445,56 @@ def test_decide_equal_exit_0(capsys):
 
 
 def test_an_unexpected_exception_is_an_internal_error_exit_5(capsys, monkeypatch):
-    # a fault of the program must not read as a verdict (exit 1 is unequal)
-    def boom(inp):
-        raise RuntimeError("boom")
+    # a fault of the program must not read as a verdict (exit 1 is unequal),
+    # nor, when it is a plain ValueError, as a refusal of the input (exit 3)
+    for error in (RuntimeError, ValueError):
+        def boom(inp):
+            raise error("boom")
 
-    monkeypatch.setattr(cli, "decide_equal", boom)
-    code, out, err = run(capsys, "decide", *DECIDE_ARGS)
-    assert code == cli.EXIT_INTERNAL == 5
-    assert (out, err) == ("", "error: internal error: RuntimeError: boom\n")
+        monkeypatch.setattr(cli, "decide_equal", boom)
+        code, out, err = run(capsys, "decide", *DECIDE_ARGS)
+        assert code == cli.EXIT_INTERNAL == 5
+        assert (out, err) == ("", f"error: internal error: {error.__name__}: boom\n")
+
+
+def test_the_refusals_of_the_input_are_domain_errors():
+    for error in (ParseError, NotNilpotentError, EquivalentComponentsError,
+                  BudgetExceededError):
+        assert issubclass(error, DomainError)
+    assert issubclass(DomainError, ValueError)
+
+
+def _prime_by_trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+# any --prime is an answer (0 or 1) or a refusal (3) on one line, never an
+# internal error: negatives, 0, 1, composites, primes in and out of the
+# actives, and a prime above the proof bound
+@settings(max_examples=60)
+@example(-3)
+@example(0)
+@example(1)
+@example(4)
+@example(2**61 - 1)
+@example(2**127 - 1)
+@given(st.integers(-50, 10**6))
+def test_any_witness_prime_exits_0_1_or_3(p):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["witness", *DECIDE_ARGS, "--prime", str(p)])
+    assert code in (0, 1, 3), (p, code, err.getvalue())
+    if code == 3:
+        assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1
+    if p == 2**127 - 1:  # a prime above the proof bound is refused
+        assert (code, err.getvalue()) == (3, (
+            f"error: primality of {p} cannot be certified: deterministic Miller-Rabin "
+            f"is proven only below {groupspec._MR_TIERS[-1][0]}\n"))
+        return
+    prime = p == 2**61 - 1 or _prime_by_trial_division(p)
+    assert code == (3 if not prime else 1 if p == 2 else 0), p
+    if not prime:
+        assert err.getvalue() == f"error: {p} is not a prime\n"
 
 
 def test_decide_hypothesis_failure_exit_3(capsys):

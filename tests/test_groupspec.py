@@ -1052,6 +1052,14 @@ def test_a_number_refused_a_certificate_is_tested_once_per_parse(monkeypatch):
     assert calls == [mersenne]
 
 
+def test_a_refused_certificate_is_kept_as_its_domain_error_and_raised_again():
+    known, mersenne = {}, 2**127 - 1
+    for _ in range(2):
+        with pytest.raises(groupspec.DomainError, match="cannot be certified") as err:
+            groupspec._tested(known, mersenne)
+        assert known[mersenne] is err.value
+
+
 def test_witness_and_classify_test_their_prime_once_per_expression(monkeypatch):
     # one test in each expression they parse, each spelling p in several
     # ways: the passive and two actives, then the passive and one active

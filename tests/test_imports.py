@@ -12,10 +12,11 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # what ``from wreathvar import *`` bound when the package imported the oracle
-# eagerly, with ``baumslag_reason`` in place of ``baumslag_nilpotent``
+# eagerly, with ``baumslag_reason`` in place of ``baumslag_nilpotent``, and
+# ``DomainError``, the base class of the library's refusals
 STAR_NAMES = set("""
     AbelianGroupSpec BudgetExceededError Cardinal ConcreteGroup DEFAULT_BUDGET Decision
-    DecisionInput DivergenceReport EquivalentComponentsError Fingerprint KpChain
+    DecisionInput DivergenceReport DomainError EquivalentComponentsError Fingerprint KpChain
     NotNilpotentError ParseError PassiveGroupSpec PassivePrimePart PrimaryFactor PrimeVerdict
     SeparatingVariety SeparationWitness ShieldParams SubgroupChain TRIVIAL Verdict VerifyReport
     Violation baumslag_reason cardinal check_hypotheses concrete_abelian concrete_cyclic

@@ -1,25 +1,28 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from wreathvar import (
     DecisionInput,
     EquivalentComponentsError,
+    PrimaryFactor,
     Verdict,
     check_hypotheses,
     concrete_abelian,
     concrete_cyclic,
     concrete_wreath,
     decide_equal,
+    divergence,
     fingerprint,
     nilpotency_class,
+    normalize,
     parse_abelian,
     parse_passive,
     separation_witness,
 )
 
-from conftest import SMALL_PRIMES, p_components
+from conftest import SMALL_PRIMES, multiplicities, p_components
 
 C3_PAIR = DecisionInput(
     a1=parse_passive("C_3"),
@@ -126,7 +129,8 @@ def test_decide_exponent_mismatch_short_circuits_to_unequal():
     assert decision.verdict is Verdict.UNEQUAL
     assert decision.per_prime == ()
     assert codes(decision.hypotheses) == [("active_exponent_mismatch", False)]
-    assert decision.reason == "active exponent mismatch: exp(B1)=2, exp(B2)=4"
+    # no violation is fatal, so the nonfatal one decides the verdict
+    assert not any(v.fatal for v in decision.hypotheses)
 
 
 def test_hypotheses_fatal_violations_outrank_the_exponent_mismatch():
@@ -140,7 +144,10 @@ def test_hypotheses_fatal_violations_outrank_the_exponent_mismatch():
     ]
     decision = decide_equal(inp)
     assert decision.verdict is Verdict.NOT_APPLICABLE
-    assert decision.reason == "; ".join(v.detail for v in decision.hypotheses if v.fatal)
+    # a fatal violation outranks the nonfatal one: all four are kept, and
+    # the verdict is the fatal ones'
+    assert [v.fatal for v in decision.hypotheses] == [True, False, True, True]
+    assert decision.per_prime == () and decision.witness is None
 
 
 def test_decide_symmetric_under_swapping_sides():
@@ -230,6 +237,35 @@ def test_witness_requires_divergence():
         separation_witness(parse_passive("C_3"), C3_PAIR.b1, C3_PAIR.b1, 3)
     with pytest.raises(ValueError):
         separation_witness(parse_passive("C_2"), C3_PAIR.b1, C3_PAIR.b2, 3)
+
+
+@st.composite
+def witness_inputs(draw):
+    """A passive group and two active groups whose p-components diverge,
+    over one prime or two.  The p-components share their top power, and
+    the q-component of B2 is often B1's, so decide_equal often agrees on
+    the exponents and attaches a witness."""
+    p, q = draw(st.sampled_from(((2, 3), (3, 2))))
+    passive = parse_passive(draw(st.sampled_from((
+        f"C_{p}", f"nilpotent(p={p}, s=[2, 1])", f"C_{p} * C_{q}",
+        f"nilpotent(p={p}, s=[3, 1]) * C_{{{q}^2}}"))))
+    q1 = draw(p_components(q))
+    q2 = draw(st.just(q1) | p_components(q))
+    b1, b2 = (normalize((PrimaryFactor(p, 5, draw(multiplicities())),
+                         *draw(p_components(p)).factors, *qs.factors)) for qs in (q1, q2))
+    assume(divergence(b1.p_component(p), b2.p_component(p), p) is not None)
+    return p, passive, b1, b2
+
+
+@given(witness_inputs())
+def test_witness_scope_is_whole_exactly_for_p_groups(args):
+    p, a, b1, b2 = args
+    whole = a.is_p_group() and {*b1.primes(), *b2.primes()} == {p}
+    assert separation_witness(a, b1, b2, p).scope == ("whole" if whole else "reduced")
+    # decide's witness, at the least prime that diverges, is the witness verb's
+    witness = decide_equal(DecisionInput(a, a, b1, b2)).witness
+    if witness is not None:
+        assert witness == separation_witness(a, b1, b2, witness.p)
 
 
 def _random_passive(data, p):
