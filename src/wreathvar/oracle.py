@@ -171,20 +171,19 @@ class ConcreteGroup:
                 raise ValueError(f"{self.label}: associativity fails")
 
     def _check_table(self) -> None:
-        """Closure and associativity on every triple, read off the
-        multiplication table: ``rows[x][y]`` is the index of ``x y``, so
-        ``rows[x y]`` lists the ``(x y) z`` and ``rows[y]`` translated
-        through ``rows[x]`` the ``x (y z)``, for every ``z`` at once."""
-        elements, mul = self.elements, self.mul
-        index = {x: i for i, x in enumerate(elements)}
+        """Closure of products and inverses, and associativity on every
+        triple, read off the columns of :func:`_tables`: ``right[y][x]`` is
+        the index of ``x y``, so ``right[y z]`` lists the ``x (y z)`` and
+        ``right[y]`` translated through ``col = right[z]`` the ``(x y) z``,
+        for every ``x`` at once."""
         try:
-            rows = [bytes([index[mul(x, y)] for y in elements]) for x in elements]
+            right = list(map(bytes, _tables(self)[1]))
         except KeyError:
-            raise ValueError(f"{self.label}: closure fails, a product leaves the "
-                             "elements") from None
-        pad = bytes(256 - len(rows))
-        for row_x in rows:
-            if [rows[xy] for xy in row_x] != list(map(bytes.translate, rows, repeat(row_x + pad))):
+            raise ValueError(f"{self.label}: closure fails, a product or an inverse "
+                             "leaves the elements") from None
+        pad = bytes(256 - len(right))
+        for col in right:
+            if [right[yz] for yz in col] != list(map(bytes.translate, right, repeat(col + pad))):
                 raise ValueError(f"{self.label}: associativity fails")
 
     def right(self, xs: Iterable, t) -> Iterator:

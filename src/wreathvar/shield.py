@@ -92,7 +92,7 @@ def _active_reason(B: AbelianGroupSpec, p: Optional[int]) -> Optional[str]:
         return "passive group is not a p-group"
     if not B.is_finite():
         return "active group is infinite"
-    if B.primes() != [p]:
+    if not B.factors[0].prime == p == B.factors[-1].prime:  # sorted by prime
         return f"active group is not a {p}-group"
     return None
 

@@ -23,8 +23,8 @@ from .groupspec import (
     DomainError,
     PassiveGroupSpec,
     PrimaryFactor,
+    _first_factors,
     divergence,
-    normalize,
 )
 from .shield import NotNilpotentError, shield_class, wreath_exponent
 
@@ -205,6 +205,13 @@ class Decision:
 # hypotheses
 
 
+def _factored(prime_powers) -> str:
+    """An exponent as its prime-power product, ``2^2 * 3``, from each
+    prime's ``(p, k)``: no longer than the input that spells it, which its
+    decimal digits can far exceed."""
+    return " * ".join(f"{p}^{k}" if k > 1 else str(p) for p, k in prime_powers)
+
+
 def check_hypotheses(inp: DecisionInput) -> list[Violation]:
     """All hypothesis violations (empty = ok); see :class:`Violation`."""
     violations = []
@@ -216,14 +223,17 @@ def check_hypotheses(inp: DecisionInput) -> list[Violation]:
         return violations
     m1, m2 = inp.a1.exponent(), inp.a2.exponent()
     if m1 != m2:
+        e1, e2 = (_factored((q.prime, q.s(1)) for q in a.parts) for a in (inp.a1, inp.a2))
         violations.append(Violation(
             "passive_exponent_mismatch",
-            f"passive exponent mismatch: exp(A1)={m1}, exp(A2)={m2}"))
+            f"passive exponent mismatch: exp(A1)={e1}, exp(A2)={e2}"))
     n1, n2 = inp.b1.exponent(), inp.b2.exponent()
     if n1 != n2:
+        e1, e2 = (_factored((f.prime, f.power) for f in _first_factors(b.factors))
+                  for b in (inp.b1, inp.b2))
         violations.append(Violation(
             "active_exponent_mismatch",
-            f"active exponent mismatch: exp(B1)={n1}, exp(B2)={n2}"))
+            f"active exponent mismatch: exp(B1)={e1}, exp(B2)={e2}"))
     for p in sorted(set(inp.b1.primes()) | set(inp.b2.primes())):
         if m1 % p != 0 or m2 % p != 0:
             violations.append(Violation(
@@ -243,12 +253,6 @@ def check_hypotheses(inp: DecisionInput) -> list[Violation]:
 # the decision
 
 
-def _fingerprints(inp: DecisionInput) -> tuple[Fingerprint, ...]:
-    if inp.b1.is_trivial() or inp.b2.is_trivial():
-        return ()
-    return (fingerprint(inp.a1, inp.b1), fingerprint(inp.a2, inp.b2))
-
-
 def decide_equal(inp: DecisionInput) -> Decision:
     """The full decision: equal iff the p-components are equivalent at
     every prime of the active exponent.
@@ -257,9 +261,13 @@ def decide_equal(inp: DecisionInput) -> Decision:
     active exponent mismatch short-circuits to unequal (the generated
     varieties then have distinct exponents).  When unequal with matching
     exponents, a witness is attached for the smallest failing prime.
+    Equal varieties share their class, so when every prime is equivalent
+    but the classes differ, the passive varieties differ:
+    ``not_applicable``, for ``passive_variety_refuted``.
     """
     violations = check_hypotheses(inp)
-    fps = _fingerprints(inp)
+    fps = () if inp.b1.is_trivial() or inp.b2.is_trivial() else (
+        fingerprint(inp.a1, inp.b1), fingerprint(inp.a2, inp.b2))
     if any(v.fatal for v in violations):
         return Decision(Verdict.NOT_APPLICABLE, tuple(violations), (), None, fps)
     if violations:  # only the nonfatal active exponent mismatch
@@ -271,6 +279,13 @@ def decide_equal(inp: DecisionInput) -> Decision:
         per.append(PrimeVerdict(p, div))
         if div is not None and witness is None:
             witness = _witness(inp.a1, inp.b1, inp.b2, comp1, comp2, p, div)
+    # the exponents agree here, since exp(A wr B) = exp(A) exp(B); only a
+    # false assertion of the passive hypothesis can part the classes
+    if witness is None and fps[0].nilpotency_class != fps[1].nilpotency_class:
+        return Decision(Verdict.NOT_APPLICABLE, (Violation(
+            "passive_variety_refuted", "passive variety equality refuted: the "
+            "wreath products differ in nilpotency class, so A1 and A2 generate "
+            "different varieties"),), (), None, fps)
     verdict = Verdict.EQUAL if witness is None else Verdict.UNEQUAL
     return Decision(verdict, (), tuple(per), witness, fps)
 
@@ -336,8 +351,11 @@ def _witness(passive: PassiveGroupSpec, b1: AbelianGroupSpec, b2: AbelianGroupSp
         copies = tuple.__new__(Cardinal, (False, n))
         return (tuple.__new__(PrimaryFactor, (p, w, copies)),) if n else ()
 
-    reduced_big = normalize(prefix + w_slot(big_n)).power(shift)
-    reduced_small = normalize(prefix + w_slot(small_n)).power(shift)
+    # prefix plus slot is already in normal form: both sides' factors at
+    # position t sit below the last prefix factor, so every prefix power
+    # exceeds w, and a slot of no copies is left out
+    reduced_big = AbelianGroupSpec(prefix + w_slot(big_n)).power(shift)
+    reduced_small = AbelianGroupSpec(prefix + w_slot(small_n)).power(shift)
     a_p = tuple.__new__(PassiveGroupSpec, ((part,), None))
     class_big = shield_class(a_p, reduced_big)
     if reduced_small.is_trivial():

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 from decimal import Decimal
 from pathlib import Path
 
@@ -398,16 +399,18 @@ def _assert_output_bounded(argv, exprs):
         assert len(out.encode()) <= bound, (flags, len(out.encode()), bound)
 
 
+# decide too: its mismatch details print each exponent as its prime-power
+# product, and the other numbers are the fingerprints' exponents and classes
 @settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
-@given(st.sampled_from(("parse", "witness")).flatmap(long_verb_args))
+@given(st.sampled_from(("parse", "witness", "decide")).flatmap(long_verb_args))
 def test_parse_and_witness_output_is_bounded_by_its_input(args):
     _assert_output_bounded(*args)
 
 
 # decide prints each violated hypothesis's detail once, and each
 # fingerprint's exponent and class in full: an active exponent mismatch at
-# the digit limit is two numbers of the limit's length in its detail and
-# eight in the fingerprints, within the bound
+# the digit limit is two short prime powers in its detail and eight numbers
+# of the limit's length in the fingerprints, within the bound
 def test_decide_output_is_bounded_by_its_input():
     top = _top_power(2)
     exprs = [f"C_{{2^{top}}}"] * 3 + [f"C_{{2^{top - 1}}}"]
@@ -415,9 +418,8 @@ def test_decide_output_is_bounded_by_its_input():
                             "--b1", exprs[2], "--b2", exprs[3]], exprs)
 
 
-# a passive exponent mismatch as well adds two more numbers of that length,
-# exp(A1) and exp(A2), and the text passes the bound (FOUND in CHANGES.md)
-@pytest.mark.xfail(strict=True, reason="decide's text exceeds the bound (FOUND in CHANGES.md)")
+# a passive exponent mismatch as well adds two more short prime powers,
+# exp(A1) and exp(A2)
 def test_decide_output_with_both_exponent_mismatches_is_bounded_by_its_input():
     top = _top_power(2)
     exprs = [f"C_{{2^{top}}}", "C_{3^8990}", f"C_{{2^{top}}}", f"C_{{2^{top - 1}}}"]
@@ -442,6 +444,28 @@ def test_decide_equal_exit_0(capsys):
                        "--b1", "C_{3^2}^2", "--b2", "C_{3^2}^2")
     assert code == 0
     assert "verdict: equal" in out
+
+
+@pytest.mark.parametrize("a1,a2,classes", [
+    ("C_4 * C_2", "D4", (3, 4)),
+    ("D4", "nilpotent(p=2, s=[2, 2, 1])", (4, 6)),
+])
+def test_decide_refuses_an_assertion_its_fingerprints_refute_exit_3(capsys, a1, a2, classes):
+    # every prime is equivalent, but equal varieties would share their class
+    argv = ("decide", "--a1", a1, "--a2", a2, "--b1", "C_2", "--b2", "C_2",
+            "--assert-var-equal")
+    detail = ("passive variety equality refuted: the wreath products differ in "
+              "nilpotency class, so A1 and A2 generate different varieties")
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    assert out.splitlines()[:2] == [f"hypothesis: {detail}", "verdict: not_applicable"]
+    assert "equivalent" not in out and "witness" not in out
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == 3
+    doc = json.loads(out)
+    assert (doc["verdict"], doc["hypotheses"], doc["per_prime"], doc["witness"]) == (
+        "not_applicable", [detail], [], None)
+    assert tuple(fp["class"] for fp in doc["fingerprints"]) == classes
 
 
 def test_an_unexpected_exception_is_an_internal_error_exit_5(capsys, monkeypatch):
@@ -698,6 +722,49 @@ def test_oracle_verify_skips_a_non_nilpotent_line(capsys, tmp_path):
         "C_2 Wr C_3: skipped (not nilpotent (active group is not a 2-group))",
         "0 mismatch(es) in 2 line(s)",
     ]
+
+
+# oracle-verify is held to the bound of the other verbs, with the manifest
+# as its input: an enumerated line prints a few small numbers beside its
+# echo, a skipped one its echo and a reason, and a malformed one ends the
+# run on standard error
+ENUMERABLE_LINES = ("C_2 Wr C_2", "C_3 Wr C_3", "C_2 Wr C_{2^2}", "D4 Wr C_2", "Q8 wr C_2",
+                    "C_4 Wr C_2", "C_2^2 Wr C_2")
+NON_NILPOTENT = ("C_2 * C_3 Wr C_2", "C_2 Wr C_3", "D4 * C_3 Wr C_{2^2}")
+
+
+@st.composite
+def skipped_lines(draw):
+    """A line skipped for its budget or its infinite group, with
+    multiplicities of up to the digit limit and powers at it."""
+    m1, m2 = (draw(long_multiplicities() | st.just("{aleph_1}")) for _ in range(2))
+    u2, u3 = _top_power(2), _top_power(3)
+    return draw(st.sampled_from((
+        f"C_2 Wr C_2^{m1}", f"C_2^{m1} Wr C_2", f"C_{{2^{u2}}}^{m1} Wr C_{{2^{u2}}}^{m2}",
+        f"nilpotent(p=3, s=[{u3}]) Wr C_3^{m1}")))
+
+
+@st.composite
+def manifests(draw):
+    lines = draw(st.lists(st.sampled_from(ENUMERABLE_LINES + NON_NILPOTENT) | skipped_lines(),
+                          min_size=1, max_size=6))
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), "C_2 C_2 Wr C_2")
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=20, suppress_health_check=[HealthCheck.too_slow])
+@given(manifests())
+def test_oracle_verify_output_is_bounded_by_its_manifest(text):
+    bound = _output_bound(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "manifest.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for flags in ((), ("--json",)):
+            code, out = _captured_main("oracle-verify", *flags, "--manifest", path)
+            assert code == (2 if "C_2 C_2" in text else 0), (flags, code)
+            assert len(out.encode()) <= bound, (flags, len(out.encode()), bound)
 
 
 def test_oracle_verify_missing_manifest_exit_2(capsys, tmp_path):

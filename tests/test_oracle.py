@@ -418,6 +418,11 @@ def test_a_wrong_rule_is_refused_when_built():
     with pytest.raises(ValueError, match="closure fails"):
         ConcreteGroup("Z?", range(4), mul=lambda a, b: a + b,
                       inv=lambda a: -a, identity=0, generators=(1,))
+    # products and the inverse law stay in range(4), but -1 does not: the
+    # inverses are read off the same table, so that is a closure failure
+    with pytest.raises(ValueError, match="closure fails"):
+        ConcreteGroup("C_4?", range(4), mul=lambda a, b: (a + b) % 4,
+                      inv=lambda a: -a, identity=0, generators=(1,))
     with pytest.raises(ValueError, match="identity not among the elements"):
         ConcreteGroup("C_3?", [1, 2], mul=lambda a, b: (a + b) % 3,
                       inv=lambda a: -a % 3, identity=0, generators=(1,))

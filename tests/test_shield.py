@@ -16,6 +16,7 @@ from wreathvar import (
     wreath_exponent,
 )
 
+from wreathvar import shield
 from conftest import SMALL_PRIMES, abelian_specs, least_j, p_components, plog
 
 
@@ -196,6 +197,18 @@ def test_baumslag_negative():
         "active group is not a 2-group"
     assert baumslag_reason(parse_passive("C_2 * C_3"), parse_abelian("C_2")) == \
         "passive group is not a p-group"
+
+
+@given(st.lists(st.sampled_from(SMALL_PRIMES), min_size=1, max_size=3, unique=True)
+       .flatmap(lambda ps: st.tuples(st.sampled_from(ps), abelian_specs(
+           tuple(ps), max_factors=6, allow_infinite=False, min_factors=1))))
+def test_the_p_group_gate_reads_the_end_factors_as_the_primes(args):
+    # the gate reads the first and last factor of the normal form; the
+    # list of primes is the reference
+    p, B = args
+    reason = shield._active_reason(B, p)
+    assert (reason is not None) == (B.primes() != [p])
+    assert reason in (None, f"active group is not a {p}-group")
 
 
 def test_baumslag_rejects_trivial_active():

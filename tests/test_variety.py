@@ -1,9 +1,12 @@
 import json
+import re
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from wreathvar import (
+    Cardinal,
     DecisionInput,
     EquivalentComponentsError,
     PrimaryFactor,
@@ -22,7 +25,8 @@ from wreathvar import (
     separation_witness,
 )
 
-from conftest import SMALL_PRIMES, multiplicities, p_components
+from wreathvar import variety
+from conftest import SMALL_PRIMES, abelian_specs, multiplicities, p_components
 
 C3_PAIR = DecisionInput(
     a1=parse_passive("C_3"),
@@ -148,6 +152,70 @@ def test_hypotheses_fatal_violations_outrank_the_exponent_mismatch():
     # the verdict is the fatal ones'
     assert [v.fatal for v in decision.hypotheses] == [True, False, True, True]
     assert decision.per_prime == () and decision.witness is None
+
+
+# presets, cyclic atoms and profiles, grouped by exponent
+PASSIVES_BY_EXPONENT = (
+    ("C_2", "nilpotent(p=2, s=[1])"),
+    ("D4", "Q8", "C_4", "C_4 * C_2", "D4 * C_2", "Q8 * C_4", "nilpotent(p=2, s=[2, 1])",
+     "nilpotent(p=2, s=[2, 2, 1])"),
+    ("C_8", "D4 * C_8", "nilpotent(p=2, s=[3, 1], dl=2)"),
+    ("C_3", "C_3^2", "nilpotent(p=3, s=[1, 1])"),
+    ("C_4 * C_3", "D4 * C_3", "Q8 * nilpotent(p=3, s=[1, 1])"),
+)
+PASSIVES = tuple(a for group in PASSIVES_BY_EXPONENT for a in group)
+
+
+@st.composite
+def decision_inputs(draw, asserted):
+    """Two passives and two actives over the first passive's primes, mostly
+    with equivalent components.  Asserted, the passives are mostly of one
+    exponent; else they are identical or the whitelisted D4 and Q8."""
+    group = draw(st.sampled_from(PASSIVES_BY_EXPONENT))
+    a1 = draw(st.sampled_from(group))
+    if asserted:
+        a2 = draw(st.sampled_from(group if draw(st.integers(0, 4)) else PASSIVES))
+    else:
+        a2 = {"D4": "Q8", "Q8": "D4"}.get(a1, a1) if draw(st.booleans()) else a1
+    a1, a2 = parse_passive(a1), parse_passive(a2)
+    primes = tuple(part.prime for part in a1.parts)
+    b1 = draw(abelian_specs(primes, max_factors=3, max_power=3, min_factors=1))
+    b2 = draw(st.just(b1) | abelian_specs(primes, max_factors=3, max_power=3, min_factors=1))
+    return DecisionInput(a1, a2, b1, b2, asserted)
+
+
+def _asserted(a1, a2, b):
+    return DecisionInput(parse_passive(a1), parse_passive(a2), parse_abelian(b),
+                         parse_abelian(b), assert_passive_var_equal=True)
+
+
+@example(_asserted("C_4 * C_2", "D4", "C_2"))
+@example(_asserted("D4", "nilpotent(p=2, s=[2, 2, 1])", "C_2"))
+@given(decision_inputs(asserted=True))
+def test_an_asserted_equal_verdict_never_sits_beside_differing_fingerprints(inp):
+    decision = decide_equal(inp)
+    fp1, fp2 = decision.fingerprints
+    differ = (fp1.exponent, fp1.nilpotency_class) != (fp2.exponent, fp2.nilpotency_class)
+    assert not (decision.verdict is Verdict.EQUAL and differ)
+    if "passive_variety_refuted" in [v.code for v in decision.hypotheses]:
+        # alone, with no per-prime lines and no witness, only where every
+        # prime is equivalent, and with no number of the fingerprints
+        assert codes(decision.hypotheses) == [("passive_variety_refuted", True)] and differ
+        assert (decision.verdict, decision.per_prime, decision.witness) == (
+            Verdict.NOT_APPLICABLE, (), None)
+        assert all(divergence(inp.b1.p_component(p), inp.b2.p_component(p), p) is None
+                   for p in inp.b1.primes())
+        assert re.findall(r"\b\d+\b", decision.hypotheses[0].detail) == []
+
+
+@given(decision_inputs(asserted=False))
+def test_without_an_assertion_no_verdict_is_refuted(inp):
+    # the passives are then identical or D4 and Q8, of one profile, so
+    # equivalent components give identical fingerprints
+    decision = decide_equal(inp)
+    assert "passive_variety_refuted" not in [v.code for v in decision.hypotheses]
+    if decision.verdict is Verdict.EQUAL:
+        assert decision.fingerprints[0] == decision.fingerprints[1]
 
 
 def test_decide_symmetric_under_swapping_sides():
@@ -286,6 +354,38 @@ def test_witness_classes_strictly_separated(p, data):
     w = separation_witness(_random_passive(data, p), b1, b2, p)
     assert w.class_b1 > w.class_b2
     assert w.separating.nilpotency_class == w.class_b2
+
+
+def _reference_reduced_groups(c1, c2, p):
+    """``B1'`` and ``B2'``, larger slot first, by the definition: the
+    common prefix and the ``w``-slot (an infinite slot stands in for one
+    more copy than the other side), normalized, then raised to
+    ``p**(w-1)``."""
+    div = divergence(c1, c2, p)
+    t, w = div.t, div.w
+    slots = [c.factors[t - 1].copies if len(c.factors) >= t and c.factors[t - 1].power == w
+             else Cardinal.finite(0) for c in (c1, c2)]
+    small, big = sorted(slots)
+    sizes = (big.as_int() if not big.is_infinite else small.as_int() + 1, small.as_int())
+    return [normalize((*c1.factors[: t - 1], PrimaryFactor(p, w, Cardinal.finite(n))))
+            .power(p ** (w - 1)) for n in sizes]
+
+
+@given(st.sampled_from(SMALL_PRIMES), st.data())
+def test_witness_reduces_to_the_normalized_prefix_and_slot(p, data):
+    # a common finite prefix, then two tails of smaller powers, so that the
+    # walk passes the prefix before it diverges
+    prefix = data.draw(p_components(p, max_factors=3, max_power=6, allow_infinite=False))
+    low = prefix.factors[-1].power - 1 if prefix.factors else 6
+    c1, c2 = (normalize((*prefix.factors, *data.draw(p_components(
+        p, max_factors=3 if low else 0, max_power=max(low, 1))).factors)) for _ in range(2))
+    assume(divergence(c1, c2, p) is not None)
+    with mock.patch.object(variety, "shield_class", wraps=variety.shield_class) as spy:
+        separation_witness(parse_passive(f"C_{p}"), c1, c2, p)
+    big, small = _reference_reduced_groups(c1, c2, p)
+    # the smaller side's class is the passive's own when it reduces to 1
+    assert [c.args[1] for c in spy.call_args_list] == ([big] if small.is_trivial()
+                                                       else [big, small])
 
 
 def test_witness_corroborated_by_enumeration():
