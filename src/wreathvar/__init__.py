@@ -7,58 +7,21 @@ of wreath products, Shield's nilpotency class formula over the
 K_p-series, and separation witnesses.  Oracle layer: the same
 quantities recomputed over explicitly enumerated finite groups.
 
-The oracle layer is loaded on first use: its names are looked up in
-``wreathvar.oracle`` when one of them is first read from the package
-(PEP 562), so a symbolic answer does not pay for importing it.
+Each public name is declared once: in the ``__all__`` of its module,
+which is exactly what the package takes from that module, or, for the
+oracle, in ``_ORACLE_NAMES`` below, which is ``wreathvar.oracle``'s
+``__all__``.  The oracle layer is loaded on first use: its names are
+looked up in ``wreathvar.oracle`` when one of them is first read from
+the package (PEP 562), so a symbolic answer does not pay for importing
+it.  A name outside these lists (``groupspec.is_prime``, say) is still
+importable from its module by name.
 """
 
 from . import cardinal, groupspec, shield, variety
 from .cardinal import Cardinal
-from .groupspec import (
-    DEFAULT_BUDGET,
-    AbelianGroupSpec,
-    DivergenceReport,
-    DomainError,
-    ParseError,
-    PassiveGroupSpec,
-    PassivePrimePart,
-    PrimaryFactor,
-    TRIVIAL,
-    divergence,
-    equivalent,
-    equivalent_p,
-    normalize,
-    parse_abelian,
-    parse_passive,
-    passive_atoms,
-    passive_spec,
-    prime_divisors,
-)
-from .shield import (
-    KpChain,
-    NotNilpotentError,
-    ShieldParams,
-    baumslag_reason,
-    kp_series,
-    shield_class,
-    shield_params,
-    wreath_exponent,
-)
-from .variety import (
-    Decision,
-    DecisionInput,
-    EquivalentComponentsError,
-    Fingerprint,
-    PrimeVerdict,
-    SeparatingVariety,
-    SeparationWitness,
-    Verdict,
-    Violation,
-    check_hypotheses,
-    decide_equal,
-    fingerprint,
-    separation_witness,
-)
+from .groupspec import *
+from .shield import *
+from .variety import *
 
 # the names read from wreathvar.oracle when first used
 _ORACLE_NAMES = frozenset({

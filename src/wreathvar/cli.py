@@ -451,23 +451,18 @@ def build_parser() -> argparse.ArgumentParser:
                              help="normalize an abelian group expression")
     p_parse.add_argument("expr", help="the expression, or - to read it from standard input")
 
-    p_classify = sub.add_parser("classify", parents=[common],
-                                help="class parameters of one wreath product")
-    p_classify.add_argument("--passive", required=True)
-    p_classify.add_argument("--active", required=True)
-
     for name, helptext in (
+        ("classify", "class parameters of one wreath product"),
         ("decide", "decide whether two wreath products generate the same variety"),
         ("witness", "separation witness at one prime"),
     ):
         p = sub.add_parser(name, parents=[common], help=helptext)
-        p.add_argument("--a1", required=True)
-        p.add_argument("--a2", required=True)
-        p.add_argument("--b1", required=True)
-        p.add_argument("--b2", required=True)
-        p.add_argument("--assert-var-equal", action="store_true",
-                       dest="assert_var_equal",
-                       help="assert that the passive groups generate the same variety")
+        for arg in _EXPRESSION_ARGS[name]:
+            p.add_argument(f"--{arg}", required=True)
+        if name != "classify":
+            p.add_argument("--assert-var-equal", action="store_true",
+                           dest="assert_var_equal",
+                           help="assert that the passive groups generate the same variety")
         if name == "witness":
             p.add_argument("--prime", type=int, required=True)
 

@@ -37,10 +37,10 @@ __all__ = [
     "PrimaryFactor",
     "AbelianGroupSpec",
     "TRIVIAL",
+    "DEFAULT_BUDGET",
     "DivergenceReport",
     "PassivePrimePart",
     "PassiveGroupSpec",
-    "is_prime",
     "prime_divisors",
     "normalize",
     "parse_abelian",

@@ -38,36 +38,12 @@ from itertools import repeat
 from operator import add, getitem, itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
+from . import _ORACLE_NAMES
 from .groupspec import (DEFAULT_BUDGET, AbelianGroupSpec, DomainError, PassiveAtom,
                         PassiveGroupSpec, _product_within, prime_divisors)
 from .shield import ShieldParams, shield_class, shield_params, wreath_exponent
 
-__all__ = [
-    "BudgetExceededError",
-    "ConcreteGroup",
-    "SubgroupChain",
-    "VerifyReport",
-    "DEFAULT_BUDGET",
-    "concrete_cyclic",
-    "concrete_product",
-    "concrete_preset",
-    "concrete_wreath",
-    "concrete_abelian",
-    "concrete_passive",
-    "passive_order",
-    "wreath_order",
-    "skip_reason",
-    "subgroup_generated",
-    "normal_closure",
-    "lower_central_series",
-    "nilpotency_class",
-    "derived_series",
-    "derived_length_concrete",
-    "exponent_concrete",
-    "subgroup_exponent",
-    "kp_series_concrete",
-    "verify_shield",
-]
+__all__ = sorted(_ORACLE_NAMES)
 
 # every triple from the multiplication table up to this order: its n**2
 # products are no more than the 4 * _SPOT_TRIPLES of the spot check

@@ -38,7 +38,6 @@ __all__ = [
     "Fingerprint",
     "Decision",
     "EquivalentComponentsError",
-    "PASSIVE_VARIETY_WHITELIST",
     "check_hypotheses",
     "decide_equal",
     "separation_witness",

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from decimal import Decimal
 from pathlib import Path
 
@@ -293,9 +294,13 @@ def classify_inputs(draw):
 
 
 def _captured_main(*argv):
+    """``main``'s exit code, an argparse refusal's too, and its standard output."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as exit_:
+            code = exit_.code
     return code, out.getvalue()
 
 
@@ -1014,3 +1019,127 @@ def test_at_most_one_expression_from_standard_input(capsys):
         main(["decide", "--a1", "-", "--a2", "D4", "--b1", "C_2", "--b2", "-"])
     assert exit_.value.code == 2
     assert "at most one expression" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# hostile input, every verb: the numbers of the grammar at and past their
+# limits, in every slot of every verb
+
+TEN_DIGIT_PRIMES = (1_000_000_007, 1_000_000_009, 9_999_999_967)
+# the least 30-digit prime, past the bound of the proven Miller-Rabin bases
+THIRTY_DIGIT_PRIME = 10**29 + 319
+PAST_THE_LIMIT = "1" + "0" * groupspec._digit_limit()
+# refused pieces: syntax faults, and digit runs one digit past the limit
+MALFORMED_PIECES = ("C_", "C_{2^}", "C_2^", "C_{6}", "C_{2^3", "C_2^{aleph_}", "C_2^{-1}",
+                    "C_\u0663", "C_2 C_2", "nilpotent(p=2, s=[])", "aleph_0", "D5", "",
+                    f"C_{PAST_THE_LIMIT}", f"C_2^{PAST_THE_LIMIT}",
+                    f"C_3^{{aleph_{PAST_THE_LIMIT}}}", f"nilpotent(p=2, s=[{PAST_THE_LIMIT}])")
+HOSTILE_SECONDS = 5
+
+
+def hostile_numbers():
+    """A digit run: small, a 10-digit prime or the product of two, a
+    30-digit prime, or of up to the digit limit's digits."""
+    return (st.integers(0, 12) | st.sampled_from(TEN_DIGIT_PRIMES)
+            | st.lists(st.sampled_from(TEN_DIGIT_PRIMES), min_size=2, max_size=2).map(math.prod)
+            | st.just(THIRTY_DIGIT_PRIME) | long_multiplicities()).map(str)
+
+
+@st.composite
+def hostile_pieces(draw, p, passive):
+    """A piece of the grammar, mostly over the call's prime ``p``, whose
+    numbers are drawn from :func:`hostile_numbers`."""
+    number = hostile_numbers()
+    kinds = ["cyclic"] * 8 + ["malformed"] + (["preset", "profile"] if passive else ["1"])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "malformed":
+        return draw(st.sampled_from(MALFORMED_PIECES))
+    if kind == "1":
+        return kind
+    if kind == "preset":
+        return draw(st.sampled_from(("D4", "Q8")))
+    base = draw(st.one_of([st.just(str(p))] * 3 + [number]))
+    if kind == "profile":
+        s = ", ".join(draw(st.lists(number, min_size=1, max_size=3)))
+        dl = draw(st.none() | number)
+        return f"nilpotent(p={base}, s=[{s}]" + ("" if dl is None else f", dl={dl}") + ")"
+    u = draw(st.one_of([st.just(u) for u in (None, "1", "2", str(_top_power(p)))] + [number]))
+    base = draw(st.sampled_from((base, f"{{{base}}}"))) if u is None else f"{{{base}^{u}}}"
+    m = draw(st.none() | number | number.map("{{{}}}".format)
+             | st.just("{aleph}") | number.map("{{aleph_{}}}".format))
+    return f"C_{base}" if m is None else f"C_{base}^{m}"
+
+
+def hostile_exprs(p, passive=False):
+    return st.lists(hostile_pieces(p, passive), min_size=1, max_size=3).map(" * ".join)
+
+
+@st.composite
+def hostile_calls(draw):
+    """A verb's arguments and the text of its input: for ``oracle-verify``
+    the manifest, which the test writes to the file that ``--manifest`` names."""
+    verb = draw(st.sampled_from(("parse", "classify", "decide", "witness", "oracle-verify")))
+    p = draw(st.sampled_from((2, 3, 5) + TEN_DIGIT_PRIMES))
+    if verb == "parse":
+        expr = draw(hostile_exprs(p))
+        return ["parse", expr], expr
+    if verb == "classify":
+        passive, active = draw(hostile_exprs(p, passive=True)), draw(hostile_exprs(p))
+        return ["classify", "--passive", passive, "--active", active], passive + active
+    if verb == "oracle-verify":
+        lines = draw(st.lists(st.tuples(hostile_exprs(p, passive=True), hostile_exprs(p)),
+                              min_size=1, max_size=4))
+        text = "".join(f"{passive} Wr {active}\n" for passive, active in lines)
+        return ["oracle-verify", "--manifest"], text
+    a1 = draw(hostile_exprs(p, passive=True))
+    exprs = [a1, draw(st.just(a1) | hostile_exprs(p, passive=True)),
+             draw(hostile_exprs(p)), draw(hostile_exprs(p))]
+    argv = [verb, "--a1", exprs[0], "--a2", exprs[1], "--b1", exprs[2], "--b2", exprs[3]]
+    if draw(st.booleans()):
+        argv.append("--assert-var-equal")
+    if verb == "witness":
+        exprs.append(draw(st.sampled_from((str(p), "-1")) | hostile_numbers()))
+        argv += ["--prime", exprs[-1]]
+    return argv, "".join(exprs)
+
+
+def _hostile_example(verb, *args):
+    """An explicit call, whose input is every argument but the options' names."""
+    return [verb, *args], "".join(arg for arg in args if not arg.startswith("--"))
+
+
+# a 10-digit prime's factor with a multiplicity and an aleph index of the
+# digit limit's digits
+HUGE_MULTIPLE = f"C_{TEN_DIGIT_PRIMES[0]}^{'9' * groupspec._digit_limit()}"
+HUGE_ALEPH = f"C_{TEN_DIGIT_PRIMES[0]}^{{aleph_{'9' * groupspec._digit_limit()}}}"
+HUGE_PAIR = ("--a1", f"C_{TEN_DIGIT_PRIMES[0]}", "--a2", f"C_{TEN_DIGIT_PRIMES[0]}",
+             "--b1", HUGE_MULTIPLE, "--b2", HUGE_ALEPH)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(_hostile_example("classify", "--passive", "C_2", "--active", MOTIVATING_ACTIVE))
+@example(_hostile_example("parse", f"C_{math.prod(TEN_DIGIT_PRIMES[:2])}"))
+@example(_hostile_example("decide", *HUGE_PAIR))
+@example(_hostile_example("witness", *HUGE_PAIR, "--prime", str(TEN_DIGIT_PRIMES[0])))
+@example(_hostile_example("witness", "--a1", "C_2", "--a2", "C_2", "--b1", "C_2^3",
+                          "--b2", "C_2", "--prime", str(THIRTY_DIGIT_PRIME)))
+@example((["oracle-verify", "--manifest"], f"C_{TEN_DIGIT_PRIMES[0]} Wr {HUGE_MULTIPLE}\n"))
+@given(hostile_calls())
+def test_every_verb_exits_0_to_3_with_bounded_json_on_hostile_input(call):
+    argv, text = call
+    bound = _output_bound(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        if argv[0] == "oracle-verify":
+            argv = argv + [os.path.join(tmp, "manifest.txt")]
+            with open(argv[-1], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        for flags in ((), ("--json",)):
+            start = time.perf_counter()
+            code, out = _captured_main(argv[0], *flags, *argv[1:])
+            seconds = time.perf_counter() - start
+            assert code in (0, 1, 2, 3), (flags, code)
+            assert seconds < HOSTILE_SECONDS, (flags, seconds)
+            assert len(out.encode()) <= bound, (flags, len(out.encode()), bound)
+            if flags and out:
+                with cli._exact_ints():
+                    json.loads(out)

@@ -1,9 +1,14 @@
-"""The import graph: the oracle is loaded only when it is used.
+"""The import graph and the public surface.
 
-Each check runs in a fresh ``python -S`` process with only ``src`` on the
-path, so no module is loaded before the one under test.
+The oracle is loaded only when it is used: each check of that runs in a
+fresh ``python -S`` process with only ``src`` on the path, so no module is
+loaded before the one under test.  Each public name is declared once, in
+its module's ``__all__`` or, for the oracle, in ``wreathvar._ORACLE_NAMES``,
+and each verb's expression arguments once, in ``cli._EXPRESSION_ARGS``.
 """
 
+import argparse
+import importlib
 import os
 import subprocess
 import sys
@@ -81,3 +86,45 @@ def test_oracle_verify_loads_the_oracle_and_runs(tmp_path):
         "C_2 Wr C_3: skipped (not nilpotent (active group is not a 2-group))",
         "0 mismatch(es) in 2 line(s)",
     ]
+
+
+MODULES = ("groupspec", "shield", "variety", "oracle")
+
+
+def test_every_declared_name_resolves():
+    for name in MODULES:
+        module = importlib.import_module(f"wreathvar.{name}")
+        missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+        assert not missing, (name, missing)
+
+
+def test_the_oracle_declares_its_names_in_the_package():
+    import wreathvar
+    import wreathvar.oracle
+
+    assert wreathvar.oracle.__all__ == sorted(wreathvar._ORACLE_NAMES)
+
+
+def test_the_package_exports_exactly_the_modules_declarations():
+    ns = {}
+    exec("from wreathvar import *", ns)
+    declared = {attr for name in MODULES
+                for attr in importlib.import_module(f"wreathvar.{name}").__all__}
+    modules = {"cardinal", "groupspec", "shield", "variety", "oracle"}
+    assert set(ns) - {"__builtins__"} == declared | modules | {"Cardinal"}
+
+
+# the required arguments of a verb that hold no expression
+NOT_EXPRESSIONS = {"prime", "manifest"}
+
+
+def test_each_verb_requires_exactly_its_expression_arguments():
+    from wreathvar import cli
+
+    ap = cli.build_parser()
+    verbs = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(cli._EXPRESSION_ARGS) <= set(verbs)
+    for verb, parser in verbs.items():
+        required = [a.dest for a in parser._actions
+                    if a.required and a.dest not in NOT_EXPRESSIONS]
+        assert required == list(cli._EXPRESSION_ARGS.get(verb, ())), verb
