@@ -278,7 +278,7 @@ def run_witness(args, as_json: bool) -> int:
 
 def _manifest_lines(path: str) -> list[tuple[int, str]]:
     out = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is dropped
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if line and not line.startswith("#"):
@@ -325,10 +325,7 @@ def run_oracle_verify(manifest: str, budget: int, as_json: bool) -> int:
                 print(err.caret(), file=sys.stderr)
             return EXIT_PARSE
         entry: dict = {"line": line}
-        skip = oracle.skip_reason(atoms, b_spec, budget)
-        if skip is None and (why := baumslag_reason(a_spec, b_spec)) is not None:
-            skip = f"not nilpotent ({why})"
-        if skip is not None:
+        if (skip := oracle.skip_reason(atoms, a_spec, b_spec, budget)) is not None:
             entry.update(status="skipped", reason=skip)
         else:
             a_conc = oracle.concrete_passive(atoms, budget)

@@ -41,7 +41,7 @@ from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 from . import _ORACLE_NAMES
 from .groupspec import (DEFAULT_BUDGET, AbelianGroupSpec, DomainError, PassiveAtom,
                         PassiveGroupSpec, _product_within, prime_divisors)
-from .shield import ShieldParams, shield_class, shield_params, wreath_exponent
+from .shield import ShieldParams, baumslag_reason, shield_class, shield_params, wreath_exponent
 
 __all__ = sorted(_ORACLE_NAMES)
 
@@ -208,11 +208,9 @@ class ConcreteGroup:
 
 @functools.lru_cache(maxsize=64)
 def _spot_indices(n: int, k: int) -> tuple[int, ...]:
-    """The indices that ``Random(0xC0FFEE).choices(range(n), k=k)`` draws:
-    ``int`` floors a non-negative float.  Every group of order ``n`` draws
-    the same, so they are drawn once."""
-    draws = itertools.islice(iter(random.Random(0xC0FFEE).random, None), k)
-    return tuple(map(int, map(float(n).__mul__, draws)))
+    """The ``k`` seeded draws from ``range(n)`` of the spot check.  Every
+    group of order ``n`` draws the same, so they are drawn once."""
+    return tuple(random.Random(0xC0FFEE).choices(range(n), k=k))
 
 
 class SubgroupChain(collections.namedtuple("SubgroupChain", "terms")):
@@ -536,9 +534,13 @@ def passive_order(atoms: Iterable[PassiveAtom], cap: int) -> Optional[int]:
     return _product_within(list(_factor_powers(atom.group for atom in atoms)), cap)
 
 
-def skip_reason(atoms: Sequence[PassiveAtom], b_spec: AbelianGroupSpec,
-                budget: int) -> Optional[str]:
-    """Why ``A wr B`` cannot be enumerated within ``budget``, or None when it can."""
+def skip_reason(atoms: Sequence[PassiveAtom], a_spec: PassiveGroupSpec,
+                b_spec: AbelianGroupSpec, budget: int) -> Optional[str]:
+    """Why the manifest line ``A wr B`` is not checked, or None: the first of
+    a trivial ``B``, an infinite group or inline profile, the budget, and
+    Baumslag's criterion.  ``a_spec`` is ``atoms`` read as a profile."""
+    if b_spec.is_trivial():
+        return "active group is trivial"
     if not b_spec.is_finite():
         return "active group is infinite"
     try:
@@ -554,6 +556,8 @@ def skip_reason(atoms: Sequence[PassiveAtom], b_spec: AbelianGroupSpec,
         return f"budget exceeded (active group alone is larger than {budget})"
     if wreath_order(a_order, b_order, budget) is None:
         return f"budget exceeded ({a_order}^{b_order} * {b_order} elements)"
+    if (why := baumslag_reason(a_spec, b_spec)) is not None:
+        return f"not nilpotent ({why})"
     return None
 
 
@@ -744,24 +748,18 @@ def kp_series_concrete(G: ConcreteGroup, p: int) -> SubgroupChain:
     of the ``r``-th lower central terms over all ``r * p**j >= i``.  For
     each ``r`` the least such ``j`` suffices because higher powers generate
     subgroups of lower ones, and a term whose least ``j`` are those of the
-    one before it is that term again."""
+    one before it is that term again.  A trivial ``G`` has the one term ``K_1``."""
     q = G.order
     while q % p == 0:
         q //= p
     if q != 1:
         raise ValueError(f"{G.label} is not a {p}-group (order {G.order})")
     gammas = [t for t in lower_central_series(G).terms if len(t) > 1]
-    if not gammas:
-        return SubgroupChain((frozenset({G.identity}),))
     terms = []
     i, last = 1, None
     while True:
-        js = []
-        for r in range(1, len(gammas) + 1):
-            j = 0
-            while r * p**j < i:
-                j += 1
-            js.append(j)
+        js = [next(j for j in itertools.count() if r * p**j >= i)
+              for r in range(1, len(gammas) + 1)]
         if js == last:
             K = terms[-1]
         else:
@@ -829,14 +827,6 @@ def _symbolic_chain_orders(params: ShieldParams) -> tuple[int, ...]:
     return tuple(chain)
 
 
-def _check_describes(spec_exponent: int, conc: ConcreteGroup, what: str) -> None:
-    actual = subgroup_exponent(conc, conc.elements)
-    if actual != spec_exponent:
-        raise ValueError(
-            f"{what}: spec exponent {spec_exponent} but {conc.label} has exponent {actual}"
-        )
-
-
 def verify_shield(
     a_spec: PassiveGroupSpec,
     a_conc: ConcreteGroup,
@@ -853,8 +843,9 @@ def verify_shield(
     two routes).
     """
     symbolic_class = shield_class(a_spec, b_spec)  # refuses before enumerating
-    _check_describes(a_spec.exponent(), a_conc, "passive group")
-    _check_describes(b_spec.exponent(), b_conc, "active group")
+    if (b_exp := exponent_concrete(b_conc)) != b_spec.exponent():
+        raise ValueError(f"active group: spec exponent {b_spec.exponent()} "
+                         f"but {b_conc.label} has exponent {b_exp}")
     if not b_conc.is_abelian():
         raise ValueError(f"active group {b_conc.label} is not abelian")
     if b_spec.order() != b_conc.order:
@@ -866,8 +857,7 @@ def verify_shield(
     if a_chain.length() != part.nilpotency_class:
         raise ValueError(f"passive group: profile class {part.nilpotency_class} "
                          f"does not match {a_conc.label}")
-    # term 1 is a_conc itself, whose exponent _check_describes compared
-    for h in range(2, part.nilpotency_class + 1):
+    for h in range(1, part.nilpotency_class + 1):  # term 1 is a_conc itself
         gamma_exp = subgroup_exponent(a_conc, a_chain.terms[h - 1])
         if gamma_exp != part.prime ** part.s(h):
             raise ValueError(

@@ -729,12 +729,46 @@ def test_oracle_verify_skips_a_non_nilpotent_line(capsys, tmp_path):
     ]
 
 
+def test_oracle_verify_skips_a_trivial_active_group_in_either_spelling(capsys, tmp_path):
+    manifest = write_manifest(tmp_path, "C_2 Wr C_2\nC_2 Wr 1\nC_2 Wr C_2^0\n")
+    code, out, _ = run(capsys, "oracle-verify", "--manifest", manifest)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("C_2 Wr C_2: ok ")
+    assert lines[1:] == [
+        "C_2 Wr 1: skipped (active group is trivial)",
+        "C_2 Wr C_2^0: skipped (active group is trivial)",
+        "0 mismatch(es) in 3 line(s)",
+    ]
+    code, out, _ = run(capsys, "oracle-verify", "--json", "--manifest", manifest)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["lines"][0]["status"] == "ok"
+    assert doc["lines"][1:] == [
+        {"line": line, "status": "skipped", "reason": "active group is trivial"}
+        for line in ("C_2 Wr 1", "C_2 Wr C_2^0")
+    ]
+
+
+def test_oracle_verify_reads_a_manifest_behind_a_byte_order_mark(capsys, tmp_path,
+                                                                 monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "manifest.txt"
+    for flags in ((), ("--json",)):
+        path.write_text("C_2 Wr C_2\nC_2 Wr C_3\n", encoding="utf-8")
+        want = run(capsys, "oracle-verify", *flags, "--manifest", path.name)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert run(capsys, "oracle-verify", *flags, "--manifest", path.name) == want
+        assert want[0] == 0
+
+
 # oracle-verify is held to the bound of the other verbs, with the manifest
 # as its input: an enumerated line prints a few small numbers beside its
 # echo, a skipped one its echo and a reason, and a malformed one ends the
 # run on standard error
 ENUMERABLE_LINES = ("C_2 Wr C_2", "C_3 Wr C_3", "C_2 Wr C_{2^2}", "D4 Wr C_2", "Q8 wr C_2",
                     "C_4 Wr C_2", "C_2^2 Wr C_2")
+TRIVIAL_ACTIVE = ("C_2 Wr 1", "C_2 Wr C_2^0")
 NON_NILPOTENT = ("C_2 * C_3 Wr C_2", "C_2 Wr C_3", "D4 * C_3 Wr C_{2^2}")
 
 
@@ -751,7 +785,8 @@ def skipped_lines(draw):
 
 @st.composite
 def manifests(draw):
-    lines = draw(st.lists(st.sampled_from(ENUMERABLE_LINES + NON_NILPOTENT) | skipped_lines(),
+    lines = draw(st.lists(st.sampled_from(ENUMERABLE_LINES + NON_NILPOTENT + TRIVIAL_ACTIVE)
+                          | skipped_lines(),
                           min_size=1, max_size=6))
     if draw(st.integers(0, 3)) == 0:
         lines.insert(draw(st.integers(0, len(lines))), "C_2 C_2 Wr C_2")

@@ -131,6 +131,8 @@ CASES = [
         "C_2 Wr C_2^{aleph_0}\nnilpotent(p=2, s=[1]) Wr C_2\nC_2^{aleph_0} Wr C_2\n"
         "C_2^999999999 Wr C_2\nC_2 Wr C_2^999999999\nC_3 Wr C_{3^2}^2\n"
         + NON_NILPOTENT_LINES)),
+    *both("oracle-verify-trivial-active", "oracle-verify", "--manifest", MANIFEST,
+          manifest="C_2 Wr C_2\nC_2 Wr 1\nC_2 Wr C_2^0\n"),
     *both("oracle-budget", "oracle-verify", "--manifest", MANIFEST, "--budget", "100",
           manifest="C_2 Wr C_2\nD4 Wr C_2\nC_2 Wr C_2^7\nC_2^7 Wr C_2\n"),
     *both("oracle-budget-zero", "oracle-verify", "--manifest", MANIFEST, "--budget", "0",

@@ -136,6 +136,29 @@ def test_budget_checked_before_expanding_multiplicities():
         concrete_passive(passive_atoms("C_2^999999999"))
 
 
+@pytest.mark.parametrize("passive, active, reason", [
+    ("C_2", "C_2", None),
+    ("C_2", "1", "active group is trivial"),
+    ("C_2", "C_2^0", "active group is trivial"),
+    ("C_2", "C_2^{aleph_0}", "active group is infinite"),
+    ("nilpotent(p=2, s=[1])", "C_2", "inline profiles cannot be enumerated"),
+    ("C_2^{aleph_0}", "C_2", "passive group is infinite"),
+    ("C_2^7", "C_2", "budget exceeded (passive group alone is larger than 100)"),
+    ("C_2", "C_2^8", "budget exceeded (active group alone is larger than 100)"),
+    ("D4", "C_2", "budget exceeded (8^2 * 2 elements)"),
+    ("C_2", "C_3", "not nilpotent (active group is not a 2-group)"),
+    ("C_2 * C_3", "C_2", "not nilpotent (passive group is not a p-group)"),
+    # two reasons at once: the first in the planner's order is given
+    ("C_3", "C_2^3", "budget exceeded (3^8 * 8 elements)"),
+    ("C_2 * C_3", "1", "active group is trivial"),
+    ("C_2 * C_3", "C_2^{aleph_0}", "active group is infinite"),
+])
+def test_skip_reason_names_the_first_reason_in_the_planners_order(passive, active, reason):
+    # the manifest line "passive Wr active" under a budget of 100 elements
+    assert oracle.skip_reason(passive_atoms(passive), parse_passive(passive),
+                              parse_abelian(active), 100) == reason
+
+
 def test_wreath_of_a_trivial_active_group_is_the_passive_group():
     # A wr 1 is a copy of A under the wreath's label; 1 wr B is B on the
     # translations
