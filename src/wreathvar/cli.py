@@ -6,10 +6,10 @@ parameters and fingerprint of one wreath product), ``decide`` (same-variety
 decision for two wreath products, with witnesses), ``witness`` (the separation witness
 at one prime), ``oracle-verify`` (batch cross-check of the symbolic
 route against enumeration).  Every verb accepts ``--json``.  One expression
-argument of ``parse``, ``classify``, ``decide`` or ``witness`` may be
-``-``: that expression is read from standard input, so it is not held to
-the operating system's limit on the length of one argument (128 KiB on
-Linux).
+argument of ``parse``, ``classify``, ``decide`` or ``witness``, or the
+manifest of ``oracle-verify``, may be ``-``: it is read from standard
+input, so it is not held to the operating system's limit on the length of
+one argument (128 KiB on Linux).  A leading byte order mark is dropped.
 
 Exit codes: 0 equal/success, 1 unequal, 2 parse error or unreadable
 input, 3 hypothesis failure or other refusal of the input (a
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import sys
 from typing import Optional
@@ -74,6 +75,15 @@ def _exact_ints():
         yield
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+def _read(source: str) -> str:
+    """The text of the file ``source``, or of standard input for ``-``,
+    without a leading byte order mark."""
+    if source == "-":
+        return sys.stdin.read().removeprefix("\ufeff")
+    with open(source, encoding="utf-8-sig") as fh:
+        return fh.read()
 
 
 def _emit_json(obj) -> None:
@@ -276,13 +286,13 @@ def run_witness(args, as_json: bool) -> int:
 # oracle-verify
 
 
-def _manifest_lines(path: str) -> list[tuple[int, str]]:
+def _manifest_lines(source: str) -> list[tuple[int, str]]:
     out = []
-    with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is dropped
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                out.append((lineno, line))
+    # newlines are read as in a file, whatever the source
+    for lineno, raw in enumerate(io.StringIO(_read(source), newline=None), 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            out.append((lineno, line))
     return out
 
 
@@ -465,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("oracle-verify", parents=[common],
                               help="cross-check the class formula by enumeration")
-    p_verify.add_argument("--manifest", required=True)
+    p_verify.add_argument("--manifest", required=True, help="a file, or - for standard input")
     p_verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     return ap
 
@@ -486,7 +496,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     with _exact_ints():
         try:
             for name in from_stdin:
-                setattr(args, name, sys.stdin.read().strip())
+                setattr(args, name, _read("-").strip())
             if args.verb == "parse":
                 return run_parse(args.expr, as_json)
             if args.verb == "classify":

@@ -500,13 +500,15 @@ def divergence(a: AbelianGroupSpec, b: AbelianGroupSpec, p: int) -> Optional[Div
 # passive groups
 
 
-def _check_profile(s: tuple[int, ...], derived_length: Optional[int]) -> None:
+def _profile_fault(s: tuple[int, ...], derived_length: Optional[int]) -> Optional[str]:
+    """Why ``s`` and ``derived_length`` are not a profile, or None."""
     if not s or s[-1] < 1:
-        raise ValueError("lower central exponents must end at >= 1")
+        return "lower central exponents must end at >= 1"
     if any(s[i] < s[i + 1] for i in range(len(s) - 1)):
-        raise ValueError(f"lower central exponents must be non-increasing: {s}")
+        return f"lower central exponents must be non-increasing: {s}"
     if derived_length is not None and derived_length < 1:
-        raise ValueError("derived length must be >= 1")
+        return "derived length must be >= 1"
+    return None
 
 
 class PassivePrimePart(collections.namedtuple("PassivePrimePart",
@@ -524,7 +526,8 @@ class PassivePrimePart(collections.namedtuple("PassivePrimePart",
                 derived_length: Optional[int] = None) -> "PassivePrimePart":
         if not is_prime(prime):
             raise ValueError(f"{prime} is not a prime")
-        _check_profile(gamma_exponents, derived_length)
+        if (fault := _profile_fault(gamma_exponents, derived_length)) is not None:
+            raise ValueError(fault)
         return tuple.__new__(cls, (prime, gamma_exponents, derived_length))
 
     @property
@@ -878,10 +881,8 @@ class _Locator:
             self.keyword("dl")
             dl = int(self.expect("int", "a derived length").text)
         self.expect(")")
-        try:
-            _check_profile(tuple(s), dl)
-        except ValueError as err:
-            raise self.error(str(err), tok) from None
+        if (fault := _profile_fault(tuple(s), dl)) is not None:
+            raise self.error(fault, tok)
 
     def keyword(self, name: str) -> None:
         tok = self.expect("word", f"'{name}='")
@@ -914,8 +915,8 @@ def parse_abelian(text: str) -> AbelianGroupSpec:
     :data:`_PIECE` and counts as often as it is written, so the cost grows
     with the number of distinct spellings.  When a piece is refused,
     :func:`_locate` raises the error at the first fault of the text; when
-    the exponent is too large, the pieces are read again to find the term
-    at which it passes the limit.
+    the exponent is too large, the passive reader, which reads every term
+    where it stands, refuses it at the term that passes the limit.
     """
     if text.strip() == "1":
         return TRIVIAL
@@ -939,12 +940,7 @@ def parse_abelian(text: str) -> AbelianGroupSpec:
     factors = _normal_form(finite, alephs)
     if _product_within([(f.prime, f.power) for f in _first_factors(factors)],
                        _digit_cap(limit)) is None:
-        orders = []
-        for pos, piece in _pieces(text):
-            _, base, _, _, mult, braced, aleph, _, _, _, _ = pattern.fullmatch(piece).groups()
-            p, u = bases[base]
-            orders.append((p, u if aleph or int(mult or braced or 1) else 0, pos))
-        _check_exponent(orders, text, limit)
+        passive_spec(passive_atoms(text), text)  # raises at the term past the limit
     return tuple.__new__(AbelianGroupSpec, (factors,))
 
 
@@ -998,12 +994,8 @@ def passive_atoms(text: str) -> tuple[PassiveAtom, ...]:
             atoms.append(PassiveAtom(pos, f.render(), part, f))
         else:
             gamma, length = tuple(map(int, s.split(","))), dl and int(dl)
-            try:
-                _check_profile(gamma, length)
-                refused = type(_judged(bases, "{" + p + "^1}", p, "1", limit)[0]) is str
-            except ValueError:  # not a profile
-                refused = True
-            if refused:
+            if (_profile_fault(gamma, length) is not None
+                    or type(_judged(bases, "{" + p + "^1}", p, "1", limit)[0]) is str):
                 _locate(text, bases, passive=True)
             part = tuple.__new__(PassivePrimePart, (int(p), gamma, length))
             atoms.append(PassiveAtom(pos, part.render(), part, None))

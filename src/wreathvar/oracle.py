@@ -230,20 +230,24 @@ class SubgroupChain(collections.namedtuple("SubgroupChain", "terms")):
 # constructions
 
 
-def _factor_powers(factors: Iterable) -> Iterator[tuple[int, int]]:
-    """``(base, count)`` for each of ``factors``, a preset's name or a
-    ``PrimaryFactor``, whose order is ``base ** count``.  An inline profile
-    (None) or an infinite factor has no enumerable order: the
-    ``ValueError`` raised names it in the words of :func:`skip_reason`."""
+def _order(factors: Iterable, cap: int) -> Optional[int]:
+    """The order of the direct product of ``factors``, each a preset's name
+    or a ``PrimaryFactor``, or None above ``cap`` (:func:`_product_within`).
+    Every factor is read before any is multiplied, so one with no
+    enumerable order, an inline profile (None) or an infinite factor, is
+    refused even past the cap, by a :class:`DomainError` in the words of
+    :func:`skip_reason`."""
+    powers = []
     for f in factors:
         if isinstance(f, str):  # a preset, of order 8
-            yield 8, 1
+            powers.append((8, 1))
         elif f is None:
-            raise ValueError("inline profiles cannot be enumerated")
+            raise DomainError("inline profiles cannot be enumerated")
         elif f.copies.is_infinite:
-            raise ValueError("passive group is infinite")
+            raise DomainError("passive group is infinite")
         else:
-            yield f.prime, f.power * f.copies.as_int()
+            powers.append((f.prime, f.power * f.copies.as_int()))
+    return _product_within(powers, cap)
 
 
 def concrete_cyclic(n: int, budget: int = DEFAULT_BUDGET) -> ConcreteGroup:
@@ -504,19 +508,20 @@ def concrete_abelian(spec: AbelianGroupSpec, budget: int = DEFAULT_BUDGET) -> Co
     """Realize a finite abelian spec as a product of cyclic groups, or as
     the cyclic group itself when it has one cyclic factor."""
     if not spec.is_finite():
-        raise ValueError(f"cannot enumerate the infinite group {spec}")
-    # order check before expanding multiplicities into factor lists
-    if _product_within(_factor_powers(spec.factors), budget) is None:
-        raise BudgetExceededError(f"{spec.render()}: order exceeds the budget {budget}")
-    group = _realized(spec.factors, budget)
+        raise DomainError(f"cannot enumerate the infinite group {spec}")
+    group = _realized(spec.factors, spec.render(), budget)
     group.label = spec.render()
     return group
 
 
-def _realized(factors: Iterable, budget: int) -> ConcreteGroup:
-    """The direct product of ``factors``, each a preset's name or a finite
-    ``PrimaryFactor``.  A single group is returned as built: it was
-    checked in full, and a product of one factor would check it again."""
+def _realized(factors: Sequence, name: str, budget: int) -> ConcreteGroup:
+    """The direct product of ``factors``, each a preset's name or a
+    ``PrimaryFactor``, sized by :func:`_order` before any multiplicity is
+    expanded: past ``budget``, the group ``name`` is refused.  A single group
+    is returned as built: it was checked in full, and a product of one
+    factor would check it again."""
+    if _order(factors, budget) is None:
+        raise BudgetExceededError(f"{name}: order exceeds the budget {budget}")
     parts = []
     for f in factors:
         if isinstance(f, str):
@@ -524,14 +529,6 @@ def _realized(factors: Iterable, budget: int) -> ConcreteGroup:
         else:
             parts.extend([concrete_cyclic(f.cyclic_order, budget)] * f.copies.as_int())
     return parts[0] if len(parts) == 1 else concrete_product(parts, budget)
-
-
-def passive_order(atoms: Iterable[PassiveAtom], cap: int) -> Optional[int]:
-    """Order of the group a passive expression denotes, or None above
-    ``cap``.  Every factor is read before any is multiplied, so the first
-    with no enumerable order is named (:func:`_factor_powers`) even past
-    the cap."""
-    return _product_within(list(_factor_powers(atom.group for atom in atoms)), cap)
 
 
 def skip_reason(atoms: Sequence[PassiveAtom], a_spec: PassiveGroupSpec,
@@ -544,14 +541,14 @@ def skip_reason(atoms: Sequence[PassiveAtom], a_spec: PassiveGroupSpec,
     if not b_spec.is_finite():
         return "active group is infinite"
     try:
-        a_order = passive_order(atoms, budget)
-    except ValueError as err:
+        a_order = _order([atom.group for atom in atoms], budget)
+    except DomainError as err:
         return str(err)
     if a_order is None:
         return f"budget exceeded (passive group alone is larger than {budget})"
     # B alone is named only past twice the budget; up to there the
     # wreath line below names its exact order
-    b_order = _product_within(_factor_powers(b_spec.factors), 2 * budget)
+    b_order = _order(b_spec.factors, 2 * budget)
     if b_order is None:
         return f"budget exceeded (active group alone is larger than {budget})"
     if wreath_order(a_order, b_order, budget) is None:
@@ -563,10 +560,7 @@ def skip_reason(atoms: Sequence[PassiveAtom], a_spec: PassiveGroupSpec,
 
 def concrete_passive(atoms: Iterable[PassiveAtom], budget: int = DEFAULT_BUDGET) -> ConcreteGroup:
     """Realize a passive expression; inline profiles have no realization."""
-    atoms = tuple(atoms)
-    if passive_order(atoms, cap=budget) is None:
-        raise BudgetExceededError(f"passive group: order exceeds the budget {budget}")
-    return _realized((atom.group for atom in atoms), budget)
+    return _realized([atom.group for atom in atoms], "passive group", budget)
 
 
 # ---------------------------------------------------------------------------
@@ -582,18 +576,20 @@ def concrete_passive(atoms: Iterable[PassiveAtom], budget: int = DEFAULT_BUDGET)
 
 
 class _Subgroup:
-    """A subgroup being grown: its elements (identity first) and the
-    generators adjoined so far, each of which enlarged it.  It grows by
-    whole right cosets, each formed by one batch ``G.right``."""
+    """A subgroup grown from ``seeds``, adjoined in turn: its elements
+    (identity first) and the generators adjoined so far, each of which
+    enlarged it.  It grows by whole right cosets, each one batch ``G.right``."""
 
-    def __init__(self, G: ConcreteGroup):
+    def __init__(self, G: ConcreteGroup, seeds: Iterable = ()):
         self.G = G
         self.elements = [G.identity]
         self.members = {G.identity}
         self.gens: list = []
+        for g in seeds:
+            self.adjoin(g)
 
-    def adjoin(self, g) -> bool:
-        """Extend to ``<self, g>``; False when ``g`` is already inside.
+    def adjoin(self, g) -> None:
+        """Extend to ``<self, g>``; nothing changes when ``g`` is already inside.
 
         The new subgroup is a union of right cosets ``H t`` of the old one,
         ``H``.  Since ``H t s = H (t s)``, one product per coset
@@ -601,7 +597,7 @@ class _Subgroup:
         each coset is one batch ``G.right``.
         """
         if g in self.members:
-            return False
+            return
         mul, right = self.G.mul, self.G.right
         members, elements = self.members, self.elements
         rest = elements[1:]  # H without its identity
@@ -620,7 +616,6 @@ class _Subgroup:
                 t = mul(r, s)
                 if t not in members:
                     add_coset(t)
-        return True
 
     def make_normal(self, conjugators: Sequence) -> None:
         """Close under conjugation by ``conjugators``, which generate the
@@ -634,17 +629,12 @@ class _Subgroup:
 
 
 def subgroup_generated(G: ConcreteGroup, gens: Iterable) -> frozenset:
-    H = _Subgroup(G)
-    for g in gens:
-        H.adjoin(g)
-    return frozenset(H.elements)
+    return frozenset(_Subgroup(G, gens).elements)
 
 
 def normal_closure(G: ConcreteGroup, seeds: Iterable) -> frozenset:
     """Smallest normal subgroup containing the seeds."""
-    N = _Subgroup(G)
-    for s in seeds:
-        N.adjoin(s)
+    N = _Subgroup(G, seeds)
     N.make_normal(G.generators)
     return frozenset(N.elements)
 
@@ -666,10 +656,8 @@ def _central_terms(G: ConcreteGroup) -> Iterator[list]:
     """
     size, normal_gens = G.order, list(G.generators)
     while size > 1:
-        N = _Subgroup(G)
-        normal_gens = [c for c in (_commutator(G, s, x)
-                                   for s in normal_gens for x in G.generators)
-                       if N.adjoin(c)]
+        N = _Subgroup(G, (_commutator(G, s, x) for s in normal_gens for x in G.generators))
+        normal_gens = list(N.gens)
         N.make_normal(G.generators)
         if len(N.elements) == size:
             return
@@ -703,9 +691,7 @@ def derived_series(G: ConcreteGroup) -> SubgroupChain:
     terms = [frozenset(G.elements)]
     gens = list(G.generators)
     while len(terms[-1]) > 1:
-        D = _Subgroup(G)
-        for s, t in itertools.combinations(gens, 2):
-            D.adjoin(_commutator(G, s, t))
+        D = _Subgroup(G, (_commutator(G, s, t) for s, t in itertools.combinations(gens, 2)))
         D.make_normal(gens)
         if len(D.elements) == len(terms[-1]):
             break

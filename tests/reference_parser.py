@@ -27,8 +27,8 @@ from wreathvar.groupspec import (
     _Tok,
     _base_verdict,
     _check_exponent,
-    _check_profile,
     _digit_limit,
+    _profile_fault,
     _tokenize,
     is_prime,
     normalize,
@@ -216,10 +216,8 @@ class _Parser:
             dl, _ = self.expect_int("a derived length")
         self.expect(")")
         gamma = tuple(s)
-        try:
-            _check_profile(gamma, dl)
-        except ValueError as err:
-            raise self.error(str(err), tok) from None
+        if (fault := _profile_fault(gamma, dl)) is not None:
+            raise self.error(fault, tok)
         body = f"p={p}, s=[{', '.join(map(str, gamma))}]"
         if dl is not None:
             body += f", dl={dl}"
