@@ -104,8 +104,8 @@ def _mult_json(copies):
     return copies.render() if copies.is_infinite else copies.as_int()
 
 
-def run_parse(expr: str, as_json: bool) -> int:
-    spec = parse_abelian(expr)
+def run_parse(args, as_json: bool) -> int:
+    spec = parse_abelian(args.expr)
     primes = [
         {
             "p": p,
@@ -119,7 +119,7 @@ def run_parse(expr: str, as_json: bool) -> int:
     if as_json:
         _emit_json(
             {
-                "expression": expr,
+                "expression": args.expr,
                 "normalized": spec.render(),
                 "trivial": spec.is_trivial(),
                 "exponent": spec.exponent(),
@@ -143,9 +143,9 @@ def run_parse(expr: str, as_json: bool) -> int:
 # classify
 
 
-def run_classify(passive_expr: str, active_expr: str, as_json: bool) -> int:
-    passive = parse_passive(passive_expr)
-    active = parse_abelian(active_expr)
+def run_classify(args, as_json: bool) -> int:
+    passive = parse_passive(args.passive)
+    active = parse_abelian(args.active)
     fp = fingerprint(passive, active)
     params = reason = None
     if fp.nilpotent:
@@ -306,33 +306,30 @@ def _split_wreath_line(line: str) -> tuple[str, str, int]:
     raise DomainError("expected '<passive> Wr <active>'")
 
 
-def _parse_in_line(parse, expr: str, start: int, line: str):
-    """``parse(expr)``, where ``expr`` starts at column ``start`` of
-    ``line``; a parse error points into the line."""
-    try:
-        return parse(expr)
-    except ParseError as err:
-        raise ParseError(err.message, start + err.pos, line) from None
-
-
-def run_oracle_verify(manifest: str, budget: int, as_json: bool) -> int:
+def run_oracle_verify(args, as_json: bool) -> int:
+    """Check each manifest line by enumeration; a parse error points at its column there."""
     from . import oracle  # loaded by this verb only
 
+    manifest, budget = args.manifest, args.budget
     if budget < 1:
         print("error: budget must be positive", file=sys.stderr)
         return EXIT_PARSE
     results = []
     mismatches = 0
     for lineno, line in _manifest_lines(manifest):
+        start = 0  # the column of the line where the expression being read begins
         try:
             passive_expr, active_expr, active_at = _split_wreath_line(line)
-            atoms = _parse_in_line(passive_atoms, passive_expr, 0, line)
-            a_spec = _parse_in_line(lambda expr: passive_spec(atoms, expr), passive_expr, 0, line)
-            b_spec = _parse_in_line(parse_abelian, active_expr, active_at, line)
+            atoms = passive_atoms(passive_expr)
+            a_spec = passive_spec(atoms, passive_expr)
+            start = active_at
+            b_spec = parse_abelian(active_expr)
         except DomainError as err:
-            print(f"{manifest}:{lineno}: error: {err}", file=sys.stderr)
+            caret = ""
             if isinstance(err, ParseError):
-                print(err.caret(), file=sys.stderr)
+                err = ParseError(err.message, start + err.pos, line)
+                caret = "\n" + err.caret()
+            print(f"{manifest}:{lineno}: error: {err}{caret}", file=sys.stderr)
             return EXIT_PARSE
         entry: dict = {"line": line}
         if (skip := oracle.skip_reason(atoms, a_spec, b_spec, budget)) is not None:
@@ -367,22 +364,20 @@ def run_oracle_verify(manifest: str, budget: int, as_json: bool) -> int:
 # demo
 
 
-def _demo_decide(title: str, a1: str, a2: str, b1: str, b2: str,
-                 assert_flag: bool = False) -> None:
-    print(f"--- {title}")
+def _demo_decide(a1: str, a2: str, b1: str, b2: str) -> None:
+    print("--- decide")
     print(f"    A1 = {a1}   A2 = {a2}")
     print(f"    B1 = {b1}   B2 = {b2}")
-    inp = DecisionInput(parse_passive(a1), parse_passive(a2),
-                        parse_abelian(b1), parse_abelian(b2),
-                        assert_passive_var_equal=assert_flag)
-    _print_decision_text(decide_equal(inp))
+    main(["decide", "--a1", a1, "--a2", a2, "--b1", b1, "--b2", b2])
     print()
 
 
 def run_demo() -> int:
+    """The worked examples.  Each verb shown runs through :func:`main`, so
+    its output is the verb's own."""
     print("=== primary decomposition and its invariants")
     example = "C_{3^5}^6 * C_{3^3}^{aleph_0} * C_{3^2}^5 * C_3^{aleph_1} * C_{5^3}^4 * C_{5^2}"
-    run_parse(example, as_json=False)
+    main(["parse", example])
     print()
 
     print("=== allowed and forbidden alterations")
@@ -404,23 +399,22 @@ def run_demo() -> int:
     print("=== equal classes, distinct varieties (cyclic passive group)")
     for active in ("C_{3^2}^2", "C_{3^2} * C_3^4"):
         print(f"-- classify C_3 wr {active}")
-        run_classify("C_3", active, as_json=False)
-    _demo_decide("decide", "C_3", "C_3", "C_{3^2}^2", "C_{3^2} * C_3^4")
+        main(["classify", "--passive", "C_3", "--active", active])
+    _demo_decide("C_3", "C_3", "C_{3^2}^2", "C_{3^2} * C_3^4")
 
     print("=== equal classes, distinct varieties (D4 and Q8 passives)")
     for passive, active in (("D4", "C_{2^2}^3 * C_2"), ("Q8", "C_{2^2} * C_2^7")):
         print(f"-- classify {passive} wr {active}")
-        run_classify(passive, active, as_json=False)
-    _demo_decide("decide", "D4", "Q8", "C_{2^2}^3 * C_2", "C_{2^2} * C_2^7")
+        main(["classify", "--passive", passive, "--active", active])
+    _demo_decide("D4", "Q8", "C_{2^2}^3 * C_2", "C_{2^2} * C_2^7")
 
     print("=== infinite active groups: non-nilpotent but still separable")
-    _demo_decide("decide", "D4", "Q8",
-                 "C_{2^2}^3 * C_2^{aleph_0}", "C_{2^2} * C_2^{aleph_0}")
+    _demo_decide("D4", "Q8", "C_{2^2}^3 * C_2^{aleph_0}", "C_{2^2} * C_2^{aleph_0}")
 
     print("=== a multi-prime pair decided prime by prime")
     passive = "D4 * Q8 * C_3 * C_5 * C_7^{aleph_1}"
     _demo_decide(
-        "decide", passive, passive,
+        passive, passive,
         "C_{2^5}^3 * C_{2^4}^{aleph_1} * C_2^8 * C_3^{aleph_1} * C_7^8",
         "C_{2^5}^3 * C_{2^4}^{aleph_0} * C_{2^3}^2 * C_2^9 * C_3^{aleph_0} * C_7^9",
     )
@@ -457,13 +451,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_parse = sub.add_parser("parse", parents=[common],
                              help="normalize an abelian group expression")
     p_parse.add_argument("expr", help="the expression, or - to read it from standard input")
+    p_parse.set_defaults(run=run_parse)
 
-    for name, helptext in (
-        ("classify", "class parameters of one wreath product"),
-        ("decide", "decide whether two wreath products generate the same variety"),
-        ("witness", "separation witness at one prime"),
+    for name, helptext, run in (
+        ("classify", "class parameters of one wreath product", run_classify),
+        ("decide", "decide whether two wreath products generate the same variety", run_decide),
+        ("witness", "separation witness at one prime", run_witness),
     ):
         p = sub.add_parser(name, parents=[common], help=helptext)
+        p.set_defaults(run=run)
         for arg in _EXPRESSION_ARGS[name]:
             p.add_argument(f"--{arg}", required=True)
         if name != "classify":
@@ -477,6 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="cross-check the class formula by enumeration")
     p_verify.add_argument("--manifest", required=True, help="a file, or - for standard input")
     p_verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_verify.set_defaults(run=run_oracle_verify)
     return ap
 
 
@@ -497,16 +494,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         try:
             for name in from_stdin:
                 setattr(args, name, _read("-").strip())
-            if args.verb == "parse":
-                return run_parse(args.expr, as_json)
-            if args.verb == "classify":
-                return run_classify(args.passive, args.active, as_json)
-            if args.verb == "decide":
-                return run_decide(args, as_json)
-            if args.verb == "witness":
-                return run_witness(args, as_json)
-            if args.verb == "oracle-verify":
-                return run_oracle_verify(args.manifest, args.budget, as_json)
+            return args.run(args, as_json)
         except ParseError as err:
             return _parse_error(err)
         except (OSError, UnicodeDecodeError) as err:  # unreadable input
@@ -518,7 +506,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         except Exception as err:  # a fault of the program, not of the input
             print(f"error: internal error: {type(err).__name__}: {err}", file=sys.stderr)
             return EXIT_INTERNAL
-    raise AssertionError(f"unhandled verb {args.verb!r}")
 
 
 def console_main() -> None:

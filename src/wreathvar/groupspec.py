@@ -940,7 +940,7 @@ def parse_abelian(text: str) -> AbelianGroupSpec:
     factors = _normal_form(finite, alephs)
     if _product_within([(f.prime, f.power) for f in _first_factors(factors)],
                        _digit_cap(limit)) is None:
-        passive_spec(passive_atoms(text), text)  # raises at the term past the limit
+        passive_spec(_passive_atoms(text, bases), text)  # raises at the term past the limit
     return tuple.__new__(AbelianGroupSpec, (factors,))
 
 
@@ -970,7 +970,11 @@ def passive_atoms(text: str) -> tuple[PassiveAtom, ...]:
     refused, :func:`_locate` raises the error at the first fault of the
     text.
     """
-    bases: dict = {}
+    return _passive_atoms(text, {})
+
+
+def _passive_atoms(text: str, bases: dict) -> tuple[PassiveAtom, ...]:
+    """:func:`passive_atoms`, judging bases through the parse's memo ``bases``."""
     limit = _digit_limit()
     pattern = _piece_pattern(limit)
     atoms = []

@@ -19,7 +19,6 @@ from typing import Optional
 from .cardinal import Cardinal, ZERO
 from .groupspec import (
     AbelianGroupSpec,
-    DivergenceReport,
     DomainError,
     PassiveGroupSpec,
     PrimaryFactor,
@@ -259,9 +258,9 @@ def decide_equal(inp: DecisionInput) -> Decision:
     A fatal hypothesis violation yields ``not_applicable``; otherwise an
     active exponent mismatch short-circuits to unequal (the generated
     varieties then have distinct exponents).  When unequal with matching
-    exponents, a witness is attached for the smallest failing prime.
-    Equal varieties share their class, so when every prime is equivalent
-    but the classes differ, the passive varieties differ:
+    exponents, the witness is :func:`separation_witness`'s at the smallest
+    failing prime.  Equal varieties share their class, so when every prime
+    is equivalent but the classes differ, the passive varieties differ:
     ``not_applicable``, for ``passive_variety_refuted``.
     """
     violations = check_hypotheses(inp)
@@ -271,13 +270,11 @@ def decide_equal(inp: DecisionInput) -> Decision:
         return Decision(Verdict.NOT_APPLICABLE, tuple(violations), (), None, fps)
     if violations:  # only the nonfatal active exponent mismatch
         return Decision(Verdict.UNEQUAL, tuple(violations), (), None, fps)
-    per, witness = [], None
-    for p in inp.b1.primes():
-        comp1, comp2 = inp.b1.p_component(p), inp.b2.p_component(p)
-        div = divergence(comp1, comp2, p)
-        per.append(PrimeVerdict(p, div))
-        if div is not None and witness is None:
-            witness = _witness(inp.a1, inp.b1, inp.b2, comp1, comp2, p, div)
+    # from a list, not an iterator: see the tuple free lists in shield_params
+    per = tuple([PrimeVerdict(p, divergence(inp.b1.p_component(p), inp.b2.p_component(p), p))
+                 for p in inp.b1.primes()])
+    witness = next((separation_witness(inp.a1, inp.b1, inp.b2, pv.p)
+                    for pv in per if not pv.equivalent), None)
     # the exponents agree here, since exp(A wr B) = exp(A) exp(B); only a
     # false assertion of the passive hypothesis can part the classes
     if witness is None and fps[0].nilpotency_class != fps[1].nilpotency_class:
@@ -286,7 +283,7 @@ def decide_equal(inp: DecisionInput) -> Decision:
             "wreath products differ in nilpotency class, so A1 and A2 generate "
             "different varieties"),), (), None, fps)
     verdict = Verdict.EQUAL if witness is None else Verdict.UNEQUAL
-    return Decision(verdict, (), tuple(per), witness, fps)
+    return Decision(verdict, (), per, witness, fps)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +305,8 @@ def separation_witness(
     b2: AbelianGroupSpec,
     p: int,
 ) -> SeparationWitness:
-    """Build the witness for non-equivalent p-components.
+    """The witness at ``p``, also :func:`decide_equal`'s, for non-equivalent
+    p-components (:class:`EquivalentComponentsError` for equivalent ones).
 
     Everything from position ``t`` on except the ``w``-slot itself is
     dropped: those factors have smaller cyclic power and die in the
@@ -320,14 +318,6 @@ def separation_witness(
     div = divergence(comp1, comp2, p)
     if div is None:
         raise EquivalentComponentsError(f"p-components are equivalent at p={p}; no witness exists")
-    return _witness(passive, b1, b2, comp1, comp2, p, div)
-
-
-def _witness(passive: PassiveGroupSpec, b1: AbelianGroupSpec, b2: AbelianGroupSpec,
-             comp1: AbelianGroupSpec, comp2: AbelianGroupSpec,
-             p: int, div: DivergenceReport) -> SeparationWitness:
-    """The witness at ``p`` for the p-components ``comp1`` and ``comp2`` of
-    ``b1`` and ``b2``, whose divergence ``div`` is already known."""
     part = passive.part_for(p)
     if part is None:
         raise DomainError(f"prime {p} does not divide the passive exponent")

@@ -432,6 +432,18 @@ def test_decide_output_with_both_exponent_mismatches_is_bounded_by_its_input():
                             "--b1", exprs[2], "--b2", exprs[3]], exprs)
 
 
+# the witness object of decide --json repeats class_b2 as separating.class,
+# and the benchmark's check pins that object key for key, so it cannot shrink
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="decide --json writes 39 304 bytes against the bound of 39 200: "
+                   "its witness repeats class_b2 as separating.class")
+def test_decide_json_witness_at_the_digit_limit_is_bounded_by_its_input():
+    top = _top_power(2)
+    exprs = [f"C_{{2^{top}}}"] * 2 + [f"C_{{2^{top}}}^1", f"C_{{2^{top}}}^1 * C_{{2^1}}^1"]
+    _assert_output_bounded(["decide", "--a1", exprs[0], "--a2", exprs[1],
+                            "--b1", exprs[2], "--b2", exprs[3]], exprs)
+
+
 # ---------------------------------------------------------------------------
 # decide / witness
 
@@ -901,6 +913,12 @@ def test_demo_reproduces_the_worked_examples(capsys):
     assert "nilpotency class: 22" in out
     assert "p = 7: NOT equivalent" in out
     assert "N_4 B_2" in out
+
+
+def test_no_verb_prints_the_usage_and_exits_2(capsys):
+    code, out, err = run(capsys)
+    assert code == 2
+    assert out.startswith("usage: wreathvar") and err == ""
 
 
 # ---------------------------------------------------------------------------

@@ -997,6 +997,24 @@ def test_a_passive_base_is_tested_once_per_parse(monkeypatch):
         parse_passive("C_4 * nilpotent(p=4, s=[1])")
 
 
+def test_an_abelian_exponent_overflow_tests_each_prime_once(monkeypatch):
+    # the passive reader that places the overflow shares the scan's verdicts
+    calls = []
+    strong_test = groupspec._strong_probable_prime
+
+    def counted(n, bases):
+        calls.append(n)
+        return strong_test(n, bases)
+
+    monkeypatch.setattr(groupspec, "_strong_probable_prime", counted)
+    primes = [1000000007, 1000000009, 1000000021, 1000000033]
+    text = " * ".join(f"C_{{{p}^400}}" for p in primes + primes[:2])
+    with pytest.raises(ParseError, match="exponent has more than 4300 digits") as err:
+        parse_abelian(text)
+    assert err.value.pos == 21
+    assert sorted(calls) == primes
+
+
 def test_a_profile_prime_is_tested_once_per_parse(monkeypatch):
     # like a base spelling: the scan keeps its verdict on each profile
     # prime, and the fault locator reads it

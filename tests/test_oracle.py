@@ -885,6 +885,13 @@ def test_verify_shield_rejects_mismatched_spec():
         verify_shield(parse_passive("nilpotent(p=2, s=[2, 2])"), d4, c2, concrete_abelian(c2))
 
 
+def test_verify_shield_rejects_an_active_group_of_another_exponent():
+    # of the spec's order 4, so only the exponent tells C_4 from C_2 x C_2
+    with pytest.raises(ValueError, match="spec exponent 4"):
+        verify_shield(parse_passive("C_2"), concrete_cyclic(2),
+                      parse_abelian("C_4"), concrete_abelian(parse_abelian("C_2^2")))
+
+
 def test_verify_shield_rejects_non_nilpotent_pairs():
     for passive, n, active in (("C_3", 3, "C_2"), ("C_2 * C_3", 6, "C_2")):
         a_spec, b_spec = parse_passive(passive), parse_abelian(active)
