@@ -15,14 +15,13 @@ piece between two ``*``.  Only a text that it refuses is tokenized, by
 :func:`_locate`, which builds nothing and raises the error at its first
 fault.  One size rule, :func:`_product_within`, decides whether a number
 is too big: the parser holds each cyclic order and each expression's
-exponent to the cap ``10**limit - 1`` with it, and the oracle every
-group order to its element budget.
+exponent to :data:`_DIGIT_CAP` with it, and the oracle every group order
+to its element budget.
 """
 
 from __future__ import annotations
 
 import collections
-import functools
 import itertools
 import math
 import re
@@ -238,29 +237,31 @@ def _product_within(powers: Iterable[tuple[int, int]], cap: int) -> Optional[int
 DEFAULT_BUDGET = 200_000
 
 
-@functools.lru_cache(maxsize=4)
-def _digit_cap(limit: int) -> int:
-    """The largest number of at most ``limit`` decimal digits."""
-    return 10**limit - 1
+# The most decimal digits a literal, a cyclic order or the exponent of an
+# expression may have: as many as Python converts to a string by default
+# (a Python before 3.11 has no bound, and the same number applies)
+_DIGIT_LIMIT = getattr(sys.int_info, "default_max_str_digits", 4300)
+# the largest number of at most _DIGIT_LIMIT digits
+_DIGIT_CAP = 10**_DIGIT_LIMIT - 1
 
 
-def _check_exponent(orders: Iterable[tuple[int, int, int]], text: str, limit: int) -> None:
+def _check_exponent(orders: Iterable[tuple[int, int, int]], text: str) -> None:
     """Refuse the expression ``text`` at the first of its terms after which
     its exponent, the lcm of the terms' orders ``p**u`` (``orders``, as
     ``(p, u, pos)`` in the order written, ``pos`` where the term starts),
-    has more than ``limit`` decimal digits.  The exponent is formed one
-    order at a time through :func:`_product_within`, so it never gets much
-    past the limit.  Every number printed for an expression is built from
-    its exponent and from literals of at most ``limit`` digits, so none has
-    more than about twice as many."""
-    cap, tops, exponent = _digit_cap(limit), {}, 1
+    has more than :data:`_DIGIT_LIMIT` decimal digits.  The exponent is
+    formed one order at a time through :func:`_product_within`, so it
+    never gets much past the limit.  Every number printed for an
+    expression is built from its exponent and from literals within the
+    limit, so none has more than about twice as many digits."""
+    tops, exponent = {}, 1
     for p, u, pos in orders:
         top = tops.get(p, 0)
         if u > top:
             tops[p] = u
-            exponent = _product_within(((exponent, 1), (p, u - top)), cap)
+            exponent = _product_within(((exponent, 1), (p, u - top)), _DIGIT_CAP)
             if exponent is None:
-                raise ParseError(f"exponent has more than {limit} digits", pos, text)
+                raise ParseError(f"exponent has more than {_DIGIT_LIMIT} digits", pos, text)
 
 
 def _valuation(n: int, p: int) -> int:
@@ -623,7 +624,7 @@ _SYMBOLS = set("_^*{}()[]=,")
 _DIGITS = frozenset("0123456789")
 
 
-def _tokenize(text: str, limit: int) -> list[_Tok]:
+def _tokenize(text: str) -> list[_Tok]:
     toks = []
     i, n = 0, len(text)
     while i < n:
@@ -635,8 +636,8 @@ def _tokenize(text: str, limit: int) -> list[_Tok]:
             j = i
             while j < n and text[j] in _DIGITS:
                 j += 1
-            if j - i > limit:
-                raise ParseError(f"integer literal has more than {limit} digits", i, text)
+            if j - i > _DIGIT_LIMIT:
+                raise ParseError(f"integer literal has more than {_DIGIT_LIMIT} digits", i, text)
             toks.append(_Tok("int", text[i:j], i))
             i = j
         elif ch.isalpha():
@@ -665,20 +666,6 @@ PassiveAtom = collections.namedtuple("PassiveAtom", "pos text part group")
 _PRESET_PART = PassivePrimePart(2, (2, 1), 2)
 
 
-# Python's default int-to-string bound, which interpreters before 3.11 lack
-_DEFAULT_DIGITS = getattr(sys.int_info, "default_max_str_digits", 4300)
-
-
-def _digit_limit() -> int:
-    """The most decimal digits a literal, a cyclic order or the exponent
-    of an expression may have: as many as Python converts to a string by
-    default, or fewer when the interpreter is set to a lower bound, so that
-    ``int()`` of a literal never meets it.  A raised or lifted bound, as
-    the CLI sets one to print derived numbers, leaves it as it is."""
-    current = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    return min(_DEFAULT_DIGITS, current) if current else _DEFAULT_DIGITS
-
-
 # The text between two '*' of an expression (no term holds one): a preset,
 # a cyclic term or a profile, with whitespace wherever the tokenizer skips
 # it.  Groups: the preset; the base as spelled; the number and exponent of
@@ -693,19 +680,14 @@ _PIECE = r"""
             \[ \s* (N (?: \s* , \s* N)*) \s* \] (?: \s* , \s* dl \s* = \s* (N) )? \s* \)
         ) \s*
 """
+# _PIECE with its digit runs held to _DIGIT_LIMIT digits
+_PIECE_RE = re.compile(_PIECE.replace("N", f"[0-9]{{1,{_DIGIT_LIMIT}}}"), re.VERBOSE)
 
 
-@functools.lru_cache(maxsize=4)
-def _piece_pattern(limit: int) -> re.Pattern:
-    """:data:`_PIECE` with its digit runs held to ``limit`` digits."""
-    return re.compile(_PIECE.replace("N", f"[0-9]{{1,{limit}}}"), re.VERBOSE)
-
-
-def _base_verdict(base: str, n: Optional[str], u: Optional[str], limit: int,
-                  known: dict) -> tuple:
+def _base_verdict(base: str, n: Optional[str], u: Optional[str], known: dict) -> tuple:
     """The verdict on the ``C_`` base spelled ``base``, whose number is
     ``n`` when it is braced (None when plain) and whose braced exponent is
-    ``u``, if any: ``(p, u)`` for a prime power of at most ``limit``
+    ``u``, if any: ``(p, u)`` for a prime power within :data:`_DIGIT_LIMIT`
     digits, otherwise ``(message, blames_exponent)``, the fault and whether
     it lies in the exponent rather than in the number.  Primality is
     tested through ``known`` (see :func:`_tested`); the message is built
@@ -721,12 +703,12 @@ def _base_verdict(base: str, n: Optional[str], u: Optional[str], limit: int,
         return str(err), False
     if e < 1:
         return "cyclic exponent must be >= 1", True
-    if _product_within(((p, e),), _digit_cap(limit)) is None:
-        return f"cyclic order has more than {limit} digits", True
+    if _product_within(((p, e),), _DIGIT_CAP) is None:
+        return f"cyclic order has more than {_DIGIT_LIMIT} digits", True
     return p, e
 
 
-def _judged(bases: dict, base: str, n: Optional[str], u: Optional[str], limit: int) -> tuple:
+def _judged(bases: dict, base: str, n: Optional[str], u: Optional[str]) -> tuple:
     """:func:`_base_verdict` on ``base``, judged once per spelling and
     parse.  ``bases`` is the parse's one memo: under a spelling (a str) it
     keeps the verdict on that base, and under a number (an int) the
@@ -736,7 +718,7 @@ def _judged(bases: dict, base: str, n: Optional[str], u: Optional[str], limit: i
     too.  Nothing outlives the parse."""
     verdict = bases.get(base)
     if verdict is None:
-        verdict = bases[base] = _base_verdict(base, n, u, limit, bases)
+        verdict = bases[base] = _base_verdict(base, n, u, bases)
     return verdict
 
 
@@ -760,8 +742,7 @@ class _Locator:
 
     def __init__(self, text: str, bases: dict):
         self.text, self.bases = text, bases
-        self.limit = _digit_limit()
-        self.toks = _tokenize(text, self.limit)[::-1]  # the next token last
+        self.toks = _tokenize(text)[::-1]  # the next token last
 
     def peek(self) -> _Tok:
         return self.toks[-1]
@@ -835,7 +816,7 @@ class _Locator:
                 utok = self.expect("int", "an exponent")
             close = self.expect("}")
             spelling, n = self.text[brace.pos:close.pos + 1], ntok.text
-        verdict = _judged(self.bases, spelling, n, utok and utok.text, self.limit)
+        verdict = _judged(self.bases, spelling, n, utok and utok.text)
         if type(verdict[0]) is str:
             message, blames_exponent = verdict
             raise self.error(message, utok if blames_exponent else ntok)
@@ -864,7 +845,7 @@ class _Locator:
         self.keyword("p")
         ptok = self.expect("int", "a prime")
         # judged as the braced base {p^1}, whose verdict it shares
-        verdict = _judged(self.bases, "{" + ptok.text + "^1}", ptok.text, "1", self.limit)
+        verdict = _judged(self.bases, "{" + ptok.text + "^1}", ptok.text, "1")
         if type(verdict[0]) is str:
             raise self.error(verdict[0], ptok)
         self.expect(",")
@@ -921,16 +902,14 @@ def parse_abelian(text: str) -> AbelianGroupSpec:
     if text.strip() == "1":
         return TRIVIAL
     bases: dict = {}
-    limit = _digit_limit()
-    pattern = _piece_pattern(limit)
     finite: dict[tuple[int, int], int] = {}
     alephs: dict[tuple[int, int], int] = {}
     for piece, times in collections.Counter(text.split("*")).items():
-        m = pattern.fullmatch(piece)
+        m = _PIECE_RE.fullmatch(piece)
         if m is None:
             _locate(text, bases)
         preset, base, n, u, mult, braced, aleph, index, p, s, dl = m.groups()
-        key = base and _judged(bases, base, n, u, limit)
+        key = base and _judged(bases, base, n, u)
         if not key or type(key[0]) is str:  # a preset, a profile or a refused base
             _locate(text, bases)
         if aleph:
@@ -938,8 +917,7 @@ def parse_abelian(text: str) -> AbelianGroupSpec:
         else:
             finite[key] = finite.get(key, 0) + int(mult or braced or 1) * times
     factors = _normal_form(finite, alephs)
-    if _product_within([(f.prime, f.power) for f in _first_factors(factors)],
-                       _digit_cap(limit)) is None:
+    if _product_within([(f.prime, f.power) for f in _first_factors(factors)], _DIGIT_CAP) is None:
         passive_spec(_passive_atoms(text, bases), text)  # raises at the term past the limit
     return tuple.__new__(AbelianGroupSpec, (factors,))
 
@@ -975,18 +953,16 @@ def passive_atoms(text: str) -> tuple[PassiveAtom, ...]:
 
 def _passive_atoms(text: str, bases: dict) -> tuple[PassiveAtom, ...]:
     """:func:`passive_atoms`, judging bases through the parse's memo ``bases``."""
-    limit = _digit_limit()
-    pattern = _piece_pattern(limit)
     atoms = []
     for pos, piece in _pieces(text):
-        m = pattern.fullmatch(piece)
+        m = _PIECE_RE.fullmatch(piece)
         if m is None:
             _locate(text, bases, passive=True)
         preset, base, n, u, mult, braced, aleph, index, p, s, dl = m.groups()
         if preset:
             atoms.append(PassiveAtom(pos, preset, _PRESET_PART, preset))
         elif base:
-            key = _judged(bases, base, n, u, limit)
+            key = _judged(bases, base, n, u)
             if type(key[0]) is str:
                 _locate(text, bases, passive=True)
             count = int(index or 0) if aleph else int(mult or braced or 1)
@@ -999,7 +975,7 @@ def _passive_atoms(text: str, bases: dict) -> tuple[PassiveAtom, ...]:
         else:
             gamma, length = tuple(map(int, s.split(","))), dl and int(dl)
             if (_profile_fault(gamma, length) is not None
-                    or type(_judged(bases, "{" + p + "^1}", p, "1", limit)[0]) is str):
+                    or type(_judged(bases, "{" + p + "^1}", p, "1")[0]) is str):
                 _locate(text, bases, passive=True)
             part = tuple.__new__(PassivePrimePart, (int(p), gamma, length))
             atoms.append(PassiveAtom(pos, part.render(), part, None))
@@ -1023,11 +999,9 @@ def passive_spec(atoms: Sequence[PassiveAtom], text: str) -> PassiveGroupSpec:
     for atom in present:
         by_prime.setdefault(atom.part.prime, []).append(atom.part)
     merged = tuple([_merge_parts(by_prime[p]) for p in sorted(by_prime)])
-    limit = _digit_limit()
     if _product_within([(part.prime, part.gamma_exponents[0]) for part in merged],
-                       _digit_cap(limit)) is None:
-        _check_exponent([(a.part.prime, a.part.gamma_exponents[0], a.pos) for a in present],
-                        text, limit)
+                       _DIGIT_CAP) is None:
+        _check_exponent([(a.part.prime, a.part.gamma_exponents[0], a.pos) for a in present], text)
     label = " * ".join(sorted(atom.text for atom in atoms))
     # the parts were checked when they were read, and merged has one per
     # prime in ascending order

@@ -259,9 +259,10 @@ def decide_equal(inp: DecisionInput) -> Decision:
     active exponent mismatch short-circuits to unequal (the generated
     varieties then have distinct exponents).  When unequal with matching
     exponents, the witness is :func:`separation_witness`'s at the smallest
-    failing prime.  Equal varieties share their class, so when every prime
-    is equivalent but the classes differ, the passive varieties differ:
-    ``not_applicable``, for ``passive_variety_refuted``.
+    failing prime.  Equal varieties share their class and their derived
+    length, so when every prime is equivalent but the classes differ, or
+    the solubility bounds where both are known, the passive varieties
+    differ: ``not_applicable``, for ``passive_variety_refuted``.
     """
     violations = check_hypotheses(inp)
     fps = () if inp.b1.is_trivial() or inp.b2.is_trivial() else (
@@ -276,11 +277,22 @@ def decide_equal(inp: DecisionInput) -> Decision:
     witness = next((separation_witness(inp.a1, inp.b1, inp.b2, pv.p)
                     for pv in per if not pv.equivalent), None)
     # the exponents agree here, since exp(A wr B) = exp(A) exp(B); only a
-    # false assertion of the passive hypothesis can part the classes
-    if witness is None and fps[0].nilpotency_class != fps[1].nilpotency_class:
+    # false assertion of the passive hypothesis can part the classes or the
+    # solubility bounds, of which None is unknown and parts nothing.  A
+    # group lies in the variety of soluble groups of length k exactly when
+    # its derived length is at most k, and the bound dl(A) + 1 is dl(G) for
+    # G = A wr B: G/A^B = B is abelian, so G' lies in A^B and G^(n+1) in
+    # (A^(n))^B; and for b != 1 in B, [a at x, b] is (a^-1 at x, a at xb),
+    # so G' maps onto A at x and dl(G') >= dl(A)
+    fp1, fp2 = fps
+    known = None not in (fp1.solubility_bound, fp2.solubility_bound)
+    differs = ("nilpotency class" if fp1.nilpotency_class != fp2.nilpotency_class
+               else "solubility bound" if known and fp1.solubility_bound != fp2.solubility_bound
+               else None)
+    if witness is None and differs:
         return Decision(Verdict.NOT_APPLICABLE, (Violation(
             "passive_variety_refuted", "passive variety equality refuted: the "
-            "wreath products differ in nilpotency class, so A1 and A2 generate "
+            f"wreath products differ in {differs}, so A1 and A2 generate "
             "different varieties"),), (), None, fps)
     verdict = Verdict.EQUAL if witness is None else Verdict.UNEQUAL
     return Decision(verdict, (), per, witness, fps)

@@ -27,7 +27,6 @@ from wreathvar.groupspec import (
     _Tok,
     _base_verdict,
     _check_exponent,
-    _digit_limit,
     _profile_fault,
     _tokenize,
     is_prime,
@@ -61,8 +60,7 @@ class _Parser:
 
     def __init__(self, text: str, bases: Optional[dict] = None):
         self.text = text
-        self.limit = _digit_limit()
-        self.toks = _tokenize(text, self.limit)
+        self.toks = _tokenize(text)
         self.i = 0
         self.bases = {} if bases is None else bases
 
@@ -117,7 +115,7 @@ class _Parser:
         verdict = self.bases.get(spelling)
         if verdict is None:
             verdict = self.bases[spelling] = _base_verdict(
-                spelling, n, None if utok is None else utok.text, self.limit, {})
+                spelling, n, None if utok is None else utok.text, {})
         if type(verdict[0]) is str:
             message, blames_exponent = verdict
             raise self.error(message, utok if blames_exponent else ntok)
@@ -162,7 +160,7 @@ class _Parser:
             return TRIVIAL
         terms = self.product(self.abelian_term)
         _check_exponent([(f.prime, f.power if f.copies != ZERO else 0, pos) for pos, f in terms],
-                        self.text, self.limit)
+                        self.text)
         return normalize([f for _, f in terms])
 
     def abelian_term(self) -> tuple[int, PrimaryFactor]:

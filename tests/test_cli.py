@@ -156,6 +156,38 @@ def test_parse_literal_beyond_the_digit_limit_exit_2(capsys):
         assert err.splitlines()[-1].index("^") == len("  C_2^")
 
 
+@contextlib.contextmanager
+def _conversion_bound(digits):
+    """A block in which Python converts ints of at most ``digits`` digits."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+needs_conversion_bound = pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="Python before 3.11 has no int-to-str bound")
+
+
+@needs_conversion_bound
+@pytest.mark.parametrize("bound", [1000, 10000])
+def test_the_digit_limit_does_not_follow_the_conversion_bound(capsys, bound):
+    with _conversion_bound(bound):
+        assert run(capsys, "parse", "C_2^" + "1" * 4300)[0] == 0
+        code, _, err = run(capsys, "parse", "C_2^" + "1" * 4301)
+        assert sys.get_int_max_str_digits() == bound
+    assert code == 2 and "integer literal has more than 4300 digits" in err
+
+
+@needs_conversion_bound
+def test_a_library_parse_under_a_lowered_bound_refuses_a_longer_literal():
+    # the library lifts no bound, so int() refuses the literal itself
+    with _conversion_bound(1000), pytest.raises(ValueError):
+        groupspec.parse_abelian("C_2^" + "1" * 1001)
+
+
 def test_parse_json_round_trip(capsys):
     code, out, _ = run(capsys, "--json", "parse", SAMPLE)
     assert code == 0
@@ -259,13 +291,13 @@ BYTES_PER_INPUT_BYTE = 80
 BYTES_PER_LIMIT_DIGIT = 8
 MOTIVATING_ACTIVE = "C_{2^14000}^1" + "0" * 300
 # one multiplicity of the digit limit on the top factor, above 999 others
-TOP_HEAVY_ACTIVE = " * ".join(["C_{2^14000}^" + "9" * groupspec._digit_limit()]
+TOP_HEAVY_ACTIVE = " * ".join(["C_{2^14000}^" + "9" * groupspec._DIGIT_LIMIT]
                               + [f"C_{{2^{u}}}" for u in range(1, 1000)])
 
 
 def _top_power(p):
     """The largest ``u`` with ``p^u`` within the digit limit."""
-    limit = groupspec._digit_limit()
+    limit = groupspec._DIGIT_LIMIT
     u = int(limit / math.log10(p)) + 1
     while p**u >= 10**limit:
         u -= 1
@@ -275,7 +307,7 @@ def _top_power(p):
 @st.composite
 def long_multiplicities(draw):
     """A multiplicity of 1 to the digit limit digits."""
-    digits = draw(st.integers(1, groupspec._digit_limit()))
+    digits = draw(st.integers(1, groupspec._DIGIT_LIMIT))
     block = str(draw(st.integers(1, 10**20)))
     return int((block * (digits // len(block) + 1))[:digits])
 
@@ -306,7 +338,7 @@ def _captured_main(*argv):
 
 def _output_bound(*exprs):
     return (BYTES_PER_INPUT_BYTE * len("".join(exprs).encode())
-            + BYTES_PER_LIMIT_DIGIT * groupspec._digit_limit())
+            + BYTES_PER_LIMIT_DIGIT * groupspec._DIGIT_LIMIT)
 
 
 @settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
@@ -466,13 +498,17 @@ def test_decide_equal_exit_0(capsys):
 @pytest.mark.parametrize("a1,a2,classes", [
     ("C_4 * C_2", "D4", (3, 4)),
     ("D4", "nilpotent(p=2, s=[2, 2, 1])", (4, 6)),
+    # neither is nilpotent: only the solubility bounds, 3 and 2, differ
+    ("C_3 * D4", "C_3 * C_4 * C_2", (None, None)),
 ])
 def test_decide_refuses_an_assertion_its_fingerprints_refute_exit_3(capsys, a1, a2, classes):
     # every prime is equivalent, but equal varieties would share their class
+    # and their derived length
     argv = ("decide", "--a1", a1, "--a2", a2, "--b1", "C_2", "--b2", "C_2",
             "--assert-var-equal")
+    invariant = "nilpotency class" if classes[0] != classes[1] else "solubility bound"
     detail = ("passive variety equality refuted: the wreath products differ in "
-              "nilpotency class, so A1 and A2 generate different varieties")
+              f"{invariant}, so A1 and A2 generate different varieties")
     code, out, _ = run(capsys, *argv)
     assert code == 3
     assert out.splitlines()[:2] == [f"hypothesis: {detail}", "verdict: not_applicable"]
@@ -1081,7 +1117,7 @@ def test_at_most_one_expression_from_standard_input(capsys):
 TEN_DIGIT_PRIMES = (1_000_000_007, 1_000_000_009, 9_999_999_967)
 # the least 30-digit prime, past the bound of the proven Miller-Rabin bases
 THIRTY_DIGIT_PRIME = 10**29 + 319
-PAST_THE_LIMIT = "1" + "0" * groupspec._digit_limit()
+PAST_THE_LIMIT = "1" + "0" * groupspec._DIGIT_LIMIT
 # refused pieces: syntax faults, and digit runs one digit past the limit
 MALFORMED_PIECES = ("C_", "C_{2^}", "C_2^", "C_{6}", "C_{2^3", "C_2^{aleph_}", "C_2^{-1}",
                     "C_\u0663", "C_2 C_2", "nilpotent(p=2, s=[])", "aleph_0", "D5", "",
@@ -1163,8 +1199,8 @@ def _hostile_example(verb, *args):
 
 # a 10-digit prime's factor with a multiplicity and an aleph index of the
 # digit limit's digits
-HUGE_MULTIPLE = f"C_{TEN_DIGIT_PRIMES[0]}^{'9' * groupspec._digit_limit()}"
-HUGE_ALEPH = f"C_{TEN_DIGIT_PRIMES[0]}^{{aleph_{'9' * groupspec._digit_limit()}}}"
+HUGE_MULTIPLE = f"C_{TEN_DIGIT_PRIMES[0]}^{'9' * groupspec._DIGIT_LIMIT}"
+HUGE_ALEPH = f"C_{TEN_DIGIT_PRIMES[0]}^{{aleph_{'9' * groupspec._DIGIT_LIMIT}}}"
 HUGE_PAIR = ("--a1", f"C_{TEN_DIGIT_PRIMES[0]}", "--a2", f"C_{TEN_DIGIT_PRIMES[0]}",
              "--b1", HUGE_MULTIPLE, "--b2", HUGE_ALEPH)
 

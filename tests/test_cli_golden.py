@@ -109,6 +109,8 @@ CASES = [
           "--assert-var-equal"),
     *both("decide-refuted-assertion", "decide", *pair("C_4 * C_2", "D4", "C_2", "C_2"),
           "--assert-var-equal"),
+    *both("decide-refuted-solubility", "decide",
+          *pair("C_3 * D4", "C_3 * C_4 * C_2", "C_2", "C_2"), "--assert-var-equal"),
     *both("decide-parse-error", "decide", *pair("C_2", "C_2", "C_{6}", "C_2")),
     # witness
     *both("witness-d4-q8", "witness", *D4_Q8, "--prime", "2"),

@@ -932,6 +932,12 @@ def test_verify_shield_sweep_over_every_desk_scale_pair():
     assert checked == 24
 
 
+# wreath products that are not nilpotent: a passive group with a prime
+# that the active group lacks, or an active prime that the passive lacks
+NON_NILPOTENT_PAIRS = [("C_3 * D4", "C_2"), ("C_3 * C_4 * C_2", "C_2"), ("Q8 * C_3", "C_3"),
+                       ("D4", "C_3"), ("C_3 * C_2", "C_5")]
+
+
 def test_derived_length_within_the_solubility_bound_on_the_sweep():
     checked = attained = 0
     for label, a_spec, a_conc, b_spec in sweep_pairs(200_000):
@@ -943,6 +949,13 @@ def test_derived_length_within_the_solubility_bound_on_the_sweep():
     # the bound dl(A) + 1 is attained on every pair: 2 over an abelian
     # passive group, 3 over D4 and Q8
     assert attained == checked == 24
+    # and exactly on pairs off the nilpotent sweep, of 1 152 to 41 472 elements
+    for pexpr, bexpr in NON_NILPOTENT_PAIRS:
+        a_spec, b_spec = parse_passive(pexpr), parse_abelian(bexpr)
+        G = concrete_wreath(concrete_passive(passive_atoms(pexpr)), concrete_abelian(b_spec))
+        dl = derived_length_concrete(G)
+        bound = fingerprint(a_spec, b_spec).solubility_bound
+        assert dl == bound, f"{pexpr} wr {bexpr}: derived length {dl}, bound {bound}"
 
 
 @given(st.sampled_from((2, 3, 5, 7)), st.data())

@@ -191,11 +191,16 @@ def _asserted(a1, a2, b):
 
 @example(_asserted("C_4 * C_2", "D4", "C_2"))
 @example(_asserted("D4", "nilpotent(p=2, s=[2, 2, 1])", "C_2"))
+@example(_asserted("C_3 * D4", "C_3 * C_4 * C_2", "C_2"))
+@example(_asserted("nilpotent(p=2, s=[2, 1])", "D4", "C_2"))
 @given(decision_inputs(asserted=True))
 def test_an_asserted_equal_verdict_never_sits_beside_differing_fingerprints(inp):
     decision = decide_equal(inp)
     fp1, fp2 = decision.fingerprints
-    differ = (fp1.exponent, fp1.nilpotency_class) != (fp2.exponent, fp2.nilpotency_class)
+    # a solubility bound of None is unknown, so it differs from nothing
+    known = None not in (fp1.solubility_bound, fp2.solubility_bound)
+    differ = ((fp1.exponent, fp1.nilpotency_class) != (fp2.exponent, fp2.nilpotency_class)
+              or known and fp1.solubility_bound != fp2.solubility_bound)
     assert not (decision.verdict is Verdict.EQUAL and differ)
     if "passive_variety_refuted" in [v.code for v in decision.hypotheses]:
         # alone, with no per-prime lines and no witness, only where every
